@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .architectures import ARCHITECTURES
-from .errors import IngestError, NeuroFuzzError
+from .errors import ContractViolation, IngestError, NeuroFuzzError
 from .fuzzer import (
     FuzzConfig,
     fuzz_corpus,
@@ -51,6 +51,17 @@ def _load_split(data_dir: Path, stem: str) -> DatasetSplit:
     raise IngestError(
         f"no {stem}-images-idx3-ubyte[.gz] / {stem}-labels-idx1-ubyte[.gz] pair in {data_dir}"
     )
+
+
+def _count(text: str) -> int:
+    """argparse type of a count: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _pick_inputs(split: DatasetSplit, num_inputs: int, rng_seed: int) -> list[Tensor]:
@@ -137,7 +148,13 @@ _FLAG_TO_FIELD = {
 def _resolve_fuzz_config(args) -> FuzzConfig:
     merged = FuzzConfig().to_dict()
     if args.config:
-        merged.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        try:
+            saved = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContractViolation(f"{args.config} is not a JSON file: {exc}") from None
+        if not isinstance(saved, dict):
+            raise ContractViolation(f"{args.config} does not hold a JSON object")
+        merged.update(saved)
     for flag, field in _FLAG_TO_FIELD.items():
         value = getattr(args, flag)
         if value is not None:
@@ -175,9 +192,9 @@ def cmd_train(args, parser) -> int:
 
 def cmd_fuzz(args, parser) -> int:
     data_dir = _resolve_data_dir(args, parser)
+    cfg = _resolve_fuzz_config(args)
     model = load_model(args.model)
     test_split = _load_split(data_dir, "t10k")
-    cfg = _resolve_fuzz_config(args)
     inputs = _pick_inputs(test_split, args.num_inputs, cfg.rng_seed)
 
     report = fuzz_corpus(model, inputs, cfg, parallel=args.parallel)
@@ -226,9 +243,9 @@ def cmd_retrain(args, parser) -> int:
 
 def cmd_compare_strategies(args, parser) -> int:
     data_dir = _resolve_data_dir(args, parser)
+    cfg = _resolve_fuzz_config(args)
     model = load_model(args.model)
     test_split = _load_split(data_dir, "t10k")
-    cfg = _resolve_fuzz_config(args)
     inputs = _pick_inputs(test_split, args.num_inputs, cfg.rng_seed)
 
     curves = {}
@@ -289,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="run a fuzzing campaign")
     p_fuzz.add_argument("--model", required=True)
     p_fuzz.add_argument("--data-dir", default=None)
-    p_fuzz.add_argument("--num-inputs", type=int, default=20)
+    p_fuzz.add_argument("--num-inputs", type=_count, default=20)
     p_fuzz.add_argument("--out-dir", default="campaign")
     p_fuzz.add_argument("--baseline", choices=["none", "random"], default="none")
     p_fuzz.add_argument("--parallel", type=int, default=1,
@@ -320,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--model", required=True)
     p_cmp.add_argument("--data-dir", default=None)
-    p_cmp.add_argument("--num-inputs", type=int, default=20)
+    p_cmp.add_argument("--num-inputs", type=_count, default=20)
     p_cmp.add_argument("--out-dir", default="strategy_comparison")
     p_cmp.add_argument("--parallel", type=int, default=1)
     _add_fuzz_config_flags(p_cmp)

@@ -253,30 +253,45 @@ def _check_input(model: Model, x: Tensor):
         )
 
 
-def _forward(model: Model, xb: np.ndarray) -> list[np.ndarray]:
-    """Batched forward; returns one output array [n, ...] per layer."""
+def _forward(
+    model: Model, xb: np.ndarray, cols: dict[int, np.ndarray] | None = None
+) -> list[np.ndarray]:
+    """Batched forward; returns one output array [n, ...] per layer.
+
+    When cols is a dict, it receives each conv2d layer's im2col matrix under
+    the layer's index, so that _backward_params can reuse it.
+    """
     acts = []
     a = xb
-    for layer in model.layers:
-        a = _layer_forward(layer, a)
+    for i, layer in enumerate(model.layers):
+        if layer.kind == "conv2d":
+            a, layer_cols = _conv2d_forward(layer, a)
+            if cols is not None:
+                cols[i] = layer_cols
+        else:
+            a = _layer_forward(layer, a)
         acts.append(a)
     return acts
 
 
+def _conv2d_forward(layer: Layer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Output [n, oh, ow, out_ch] and the im2col matrix it was computed from."""
+    cols, oh, ow = _im2col(x, layer)
+    kh, kw, in_ch, out_ch = layer.weights.shape
+    wmat = layer.weights.array.reshape(kh * kw * in_ch, out_ch)
+    y = cols.reshape(-1, cols.shape[-1]) @ wmat + layer.bias.array
+    return y.reshape(x.shape[0], oh, ow, out_ch), cols
+
+
 def _layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    """Every kind but conv2d, which _forward runs through _conv2d_forward."""
     kind = layer.kind
     if kind == "dense":
         return x @ layer.weights.array + layer.bias.array
-    if kind == "conv2d":
-        cols, oh, ow = _im2col(x, layer)
-        kh, kw, in_ch, out_ch = layer.weights.shape
-        wmat = layer.weights.array.reshape(kh * kw * in_ch, out_ch)
-        y = cols.reshape(-1, cols.shape[-1]) @ wmat + layer.bias.array
-        return y.reshape(x.shape[0], oh, ow, out_ch)
     if kind == "relu":
         return np.maximum(x, 0)
     if kind == "maxpool2d":
-        return _pool_windows(x, layer.pool).max(axis=3)
+        return _maxpool_forward(x, layer.pool)
     if kind == "flatten":
         return x.reshape(x.shape[0], -1)
     if kind == "softmax":
@@ -296,15 +311,22 @@ def _im2col(x: np.ndarray, layer: Layer) -> tuple[np.ndarray, int, int]:
     return np.ascontiguousarray(cols), oh, ow
 
 
-def _pool_windows(x: np.ndarray, pool: tuple[int, int]) -> np.ndarray:
-    """Reshape [n, h, w, c] into [n, oh, ow, ph*pw, c] windows (row-major)."""
+def _pool_views(x: np.ndarray, pool: tuple[int, int]):
+    """The ph*pw strided views x[:, di::ph, dj::pw, :] of the cropped input,
+    each [n, oh, ow, c], in row-major window order (di, dj)."""
     ph, pw = pool
-    n, h, w, c = x.shape
-    oh, ow = h // ph, w // pw
-    xc = x[:, : oh * ph, : ow * pw, :]
-    return xc.reshape(n, oh, ph, ow, pw, c).transpose(0, 1, 3, 2, 4, 5).reshape(
-        n, oh, ow, ph * pw, c
-    )
+    oh, ow = x.shape[1] // ph, x.shape[2] // pw
+    for di in range(ph):
+        for dj in range(pw):
+            yield x[:, di : oh * ph : ph, dj : ow * pw : pw, :]
+
+
+def _maxpool_forward(x: np.ndarray, pool: tuple[int, int]) -> np.ndarray:
+    views = _pool_views(x, pool)
+    out = next(views).copy()
+    for v in views:
+        np.maximum(out, v, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -428,17 +450,28 @@ def _backward_input(
 
 
 def _backward_params(
-    model: Model, xb: np.ndarray, acts: list[np.ndarray], dlogits: np.ndarray
+    model: Model,
+    xb: np.ndarray,
+    acts: list[np.ndarray],
+    cols: dict[int, np.ndarray],
+    dlogits: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray] | None]:
     """Parameter gradients given dL/dlogits (gradient at the input of the
-    final softmax). Used by the trainer; skips the input gradient."""
+    final softmax). Used by the trainer; skips the input gradient. acts and
+    cols come from one _forward(model, xb, cols) call."""
     grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(model.layers)
     g = dlogits
     for i in range(len(model.layers) - 2, -1, -1):
         x_in = acts[i - 1] if i > 0 else xb
         need_input = i > 0
         g, pg = _layer_backward(
-            model.layers[i], x_in, acts[i], g, need_params=True, need_input=need_input
+            model.layers[i],
+            x_in,
+            acts[i],
+            g,
+            need_params=True,
+            need_input=need_input,
+            cols=cols.get(i),
         )
         grads[i] = pg
     return grads
@@ -452,6 +485,7 @@ def _layer_backward(
     *,
     need_params: bool,
     need_input: bool = True,
+    cols: np.ndarray | None = None,
 ):
     kind = layer.kind
     if kind == "dense":
@@ -461,11 +495,11 @@ def _layer_backward(
             pg = (x.T @ g, g.sum(axis=0))
         return dx, pg
     if kind == "conv2d":
-        return _conv2d_backward(layer, x, g, need_params, need_input)
+        return _conv2d_backward(layer, x, g, need_params, need_input, cols)
     if kind == "relu":
         return g * (x > 0), None
     if kind == "maxpool2d":
-        return _maxpool_backward(layer, x, g), None
+        return _maxpool_backward(layer, x, out, g), None
     if kind == "flatten":
         return g.reshape(x.shape), None
     if kind == "softmax":
@@ -474,14 +508,15 @@ def _layer_backward(
     raise ContractViolation(f"unknown layer kind {kind!r}")
 
 
-def _conv2d_backward(layer, x, g, need_params, need_input):
+def _conv2d_backward(layer, x, g, need_params, need_input, cols):
+    """cols is the layer's im2col matrix from the forward pass; the parameter
+    gradients need it."""
     kh, kw, in_ch, out_ch = layer.weights.shape
     s = layer.stride
     n, oh, ow, _ = g.shape
     gmat = g.reshape(-1, out_ch)
     pg = None
     if need_params:
-        cols, _, _ = _im2col(x, layer)
         dw = cols.reshape(-1, kh * kw * in_ch).T @ gmat
         pg = (dw.reshape(kh, kw, in_ch, out_ch), gmat.sum(axis=0))
     dx = None
@@ -497,19 +532,15 @@ def _conv2d_backward(layer, x, g, need_params, need_input):
     return dx, pg
 
 
-def _maxpool_backward(layer, x, g):
-    ph, pw = layer.pool
-    n, h, w, c = x.shape
-    oh, ow = h // ph, w // pw
-    win = _pool_windows(x, (ph, pw))
-    # first maximal element in row-major window order gets all the gradient
-    idx = win.argmax(axis=3)
-    mask = idx[:, :, :, None, :] == np.arange(ph * pw)[None, None, None, :, None]
-    dwin = g[:, :, :, None, :] * mask
+def _maxpool_backward(layer, x, out, g):
+    # first maximal element in row-major window order gets all the gradient;
+    # `taken` marks the windows whose maximum an earlier view already matched
     dx = np.zeros_like(x)
-    dx[:, : oh * ph, : ow * pw, :] = (
-        dwin.reshape(n, oh, ow, ph, pw, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(n, oh * ph, ow * pw, c)
-    )
+    taken = np.zeros(out.shape, dtype=bool)
+    hit = np.empty(out.shape, dtype=bool)
+    for v, dv in zip(_pool_views(x, layer.pool), _pool_views(dx, layer.pool)):
+        np.equal(v, out, out=hit)
+        hit &= ~taken
+        taken |= hit
+        np.multiply(g, hit, out=dv)
     return dx

@@ -85,7 +85,8 @@ def _with_params(model: nn.Model, params) -> nn.Model:
 
 
 def _batch_loss_and_grads(model, xb, yb, confidence_penalty=0.0):
-    acts = nn._forward(model, xb)
+    cols: dict[int, np.ndarray] = {}
+    acts = nn._forward(model, xb, cols)
     logits = acts[-2].astype(np.float64)
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -100,7 +101,7 @@ def _batch_loss_and_grads(model, xb, yb, confidence_penalty=0.0):
         loss -= confidence_penalty * float(entropy.mean())
         dlogits += confidence_penalty * probs * (log_probs + entropy)
     dlogits = (dlogits / len(yb)).astype(xb.dtype)
-    grads = nn._backward_params(model, xb, acts, dlogits)
+    grads = nn._backward_params(model, xb, acts, cols, dlogits)
     return loss, grads
 
 
@@ -130,7 +131,8 @@ def train(
     model_or_arch is an architecture name for a fresh seeded start, or an
     existing model to continue from. Fixed rng_seed gives bit-identical
     weights. Optional log_path gets a CSV row (epoch, loss, train_acc,
-    test_acc) per epoch.
+    test_acc) per epoch. The per-epoch accuracies on data and test_data
+    are computed only when log_path is given; they feed nothing but the log.
     """
     if isinstance(model_or_arch, str):
         model = build_model(model_or_arch, rng_seed=cfg.rng_seed)
@@ -186,13 +188,14 @@ def train(
                 else:
                     w -= cfg.learning_rate * gw
                     b -= cfg.learning_rate * g[1]
-        trained = _with_params(model, params)
-        train_acc = evaluate(trained, data)
-        test_acc = evaluate(trained, test_data) if test_data is not None else None
-        log_rows.append(
-            f"{epoch},{float(np.mean(losses))!r},{train_acc!r},"
-            f"{'' if test_acc is None else repr(test_acc)}"
-        )
+        if log_path is not None:
+            trained = _with_params(model, params)
+            train_acc = evaluate(trained, data)
+            test_acc = evaluate(trained, test_data) if test_data is not None else None
+            log_rows.append(
+                f"{epoch},{float(np.mean(losses))!r},{train_acc!r},"
+                f"{'' if test_acc is None else repr(test_acc)}"
+            )
 
     final = _with_params(model, params)
     if log_path is not None:

@@ -39,6 +39,31 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "NEUROFUZZ_DATA_DIR" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fuzz", "compare-strategies"])
+    def test_negative_num_inputs_exits_2(self, capsys, command, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "m.json", "--data-dir", str(tmp_path),
+                  "--num-inputs", "-3"])
+        assert exc.value.code == 2
+        assert "--num-inputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"k": 4,', "[1, 2]", "\xff\xfe"])
+    def test_malformed_config_exits_1(self, capsys, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_bytes(text.encode("latin-1"))
+        code, _, err = run(
+            capsys,
+            "fuzz",
+            "--model", str(tmp_path / "m.json"),
+            "--data-dir", str(tmp_path),
+            "--config", str(config),
+            "--out-dir", str(tmp_path / "campaign"),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert str(config) in err
+
     def test_missing_model_file_exits_1(self, capsys, data_dir, tmp_path):
         code, _, err = run(
             capsys,

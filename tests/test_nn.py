@@ -299,6 +299,105 @@ class TestInputGradient:
         assert nn.input_gradient(model, x, spec).shape == x.shape
 
 
+def _reference_pool_windows(x, pool):
+    """[n, h, w, c] -> [n, oh, ow, ph*pw, c] windows in row-major order,
+    cropping the rows and columns that do not fill a window."""
+    ph, pw = pool
+    n, h, w, c = x.shape
+    oh, ow = h // ph, w // pw
+    xc = x[:, : oh * ph, : ow * pw, :]
+    return xc.reshape(n, oh, ph, ow, pw, c).transpose(0, 1, 3, 2, 4, 5).reshape(
+        n, oh, ow, ph * pw, c
+    )
+
+
+def reference_maxpool_forward(x, pool):
+    return _reference_pool_windows(x, pool).max(axis=3)
+
+
+def reference_maxpool_backward(x, g, pool):
+    """All the gradient goes to the first maximum of each window (argmax)."""
+    ph, pw = pool
+    n, h, w, c = x.shape
+    oh, ow = h // ph, w // pw
+    idx = _reference_pool_windows(x, pool).argmax(axis=3)
+    mask = idx[:, :, :, None, :] == np.arange(ph * pw)[None, None, None, :, None]
+    dwin = g[:, :, :, None, :] * mask
+    dx = np.zeros_like(x)
+    dx[:, : oh * ph, : ow * pw, :] = (
+        dwin.reshape(n, oh, ow, ph, pw, c)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(n, oh * ph, ow * pw, c)
+    )
+    return dx
+
+
+class TestMaxpoolKernels:
+    """The strided-view maxpool kernels against the reshape-based reference,
+    bit for bit, forward and backward."""
+
+    def run_both(self, x, pool, seed=0):
+        layer = nn.maxpool2d(pool)
+        out = nn._layer_forward(layer, x)
+        want_out = reference_maxpool_forward(x, pool)
+        assert out.dtype == want_out.dtype
+        assert out.tobytes() == want_out.tobytes()
+        g = np.random.default_rng(seed).standard_normal(out.shape).astype(x.dtype)
+        dx, pg = nn._layer_backward(layer, x, out, g, need_params=True)
+        want_dx = reference_maxpool_backward(x, g, pool)
+        assert pg is None
+        assert dx.dtype == want_dx.dtype
+        assert dx.tobytes() == want_dx.tobytes()
+        return dx
+
+    def test_batch64_many_channels(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((64, 12, 12, 16)).astype(np.float32)
+        self.run_both(x, (2, 2))
+
+    def test_forced_ties_off_the_corner(self):
+        # values on a coarse grid tie often; channel 0 forces a three-way tie
+        # at (0, 1), (1, 0), (1, 1) in every window and channel 1 a two-way
+        # tie at (1, 0), (1, 1), both with the corner (0, 0) smaller
+        rng = np.random.default_rng(12)
+        x = np.round(rng.uniform(-2, 2, size=(8, 6, 6, 3)) * 2).astype(np.float32) / 2
+        x[:, 0::2, 0::2, :2] = -5.0
+        x[:, 0::2, 1::2, 0] = 5.0
+        x[:, 0::2, 1::2, 1] = -5.0
+        x[:, 1::2, :, :2] = 5.0
+        x[0, :, :, 2] = 0.0  # a four-way tie among zeros, corner included
+        dx = self.run_both(x, (2, 2), seed=1)
+        # each tie goes to its first position in row-major order
+        assert dx[:, 0::2, 1::2, 0].all()
+        assert not dx[:, 1::2, :, 0].any()
+        assert dx[:, 1::2, 0::2, 1].all()
+        assert not dx[:, 1::2, 1::2, 1].any()
+        assert not dx[:, 0::2, :, 1].any()
+        assert not dx[:, 0::2, 0::2, :2].any()
+        assert dx[0, 0::2, 0::2, 2].all()
+        assert np.count_nonzero(dx[0, :, :, 2]) == 9
+
+    def test_odd_size_crops_last_row_and_column(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((5, 7, 7, 2)).astype(np.float32)
+        x[:, 6, :, :] = 100.0  # larger than anything in a window, but cropped
+        x[:, :, 6, :] = 100.0
+        dx = self.run_both(x, (2, 2), seed=2)
+        assert not dx[:, 6, :, :].any()
+        assert not dx[:, :, 6, :].any()
+
+    def test_non_square_pool(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((6, 8, 10, 4)).astype(np.float32)
+        x[:, 1::2, 2::3, :] = x[:, 0::2, 1::3, :]  # ties at (0, 1) and (1, 2)
+        self.run_both(x, (2, 3), seed=3)
+
+    def test_double_precision(self):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((4, 6, 6, 3))
+        self.run_both(x, (3, 2), seed=4)
+
+
 class TestModelValidation:
     def test_dense_shape_chain_error_names_layer(self):
         w1 = Tensor.wrap(np.ones((4, 3), dtype=np.float32))

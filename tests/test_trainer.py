@@ -48,6 +48,30 @@ def tiny_arch(seed=0):
     )
 
 
+def tiny_conv_arch(seed=0, precision="single"):
+    """Two conv2d layers, relu, maxpool2d and dense on 4x4 inputs: every
+    layer kind the trainer differentiates through."""
+    rng = np.random.default_rng(seed)
+    dtype = np.float32 if precision == "single" else np.float64
+
+    def param(*shape, scale=0.5):
+        return Tensor.wrap((rng.standard_normal(shape) * scale).astype(dtype))
+
+    return nn.Model(
+        layers=(
+            nn.conv2d(param(2, 2, 1, 3), param(3, scale=0.1)),
+            nn.relu(),
+            nn.conv2d(param(2, 2, 3, 2), param(2, scale=0.1)),
+            nn.maxpool2d(2),
+            nn.flatten(),
+            nn.dense(param(2, 2), param(2, scale=0.1)),
+            nn.softmax(),
+        ),
+        input_shape=(4, 4, 1),
+        num_classes=2,
+    )
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
@@ -158,6 +182,53 @@ class TestTrain:
         for line in lines[1:]:
             epoch, loss, train_acc, test_acc = line.split(",")
             float(loss), float(train_acc), float(test_acc)
+
+    def test_log_and_test_data_leave_weights_unchanged(self, tmp_path):
+        # the per-epoch accuracy pass runs only for the log; with or without
+        # it, and with or without a test split, the weights are the same bits
+        data = blob_split()
+        held_out = blob_split(n_per_class=10, seed=4)
+        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.2, rng_seed=5)
+        runs = []
+        for log in (None, tmp_path / "log.csv"):
+            for test_data in (None, held_out):
+                model = train(tiny_conv_arch(), data, cfg, test_data=test_data, log_path=log)
+                runs.append(
+                    [t.array for l in model.layers for t in (l.weights, l.bias) if t is not None]
+                )
+        for other in runs[1:]:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0], other))
+
+    def test_conv_parameter_gradients_match_finite_differences(self):
+        from neurofuzz.trainer import _batch_loss_and_grads
+
+        data = blob_split(n_per_class=4, seed=6, spread=0.2)
+        model = tiny_conv_arch(seed=2, precision="double")
+        xb = data.images.array.astype(np.float64)
+        yb = np.asarray(data.labels)
+        _, grads = _batch_loss_and_grads(model, xb, yb)
+        eps = 1e-6
+        for li, layer in enumerate(model.layers):
+            if layer.weights is None:
+                continue
+            for which, param in ((0, layer.weights.array), (1, layer.bias.array)):
+                for flat in range(param.size):
+                    losses = []
+                    for sign in (1, -1):
+                        bumped = param.copy()
+                        bumped.flat[flat] += sign * eps
+                        w = bumped if which == 0 else layer.weights.array
+                        b = bumped if which == 1 else layer.bias.array
+                        layers = list(model.layers)
+                        layers[li] = nn.Layer(
+                            layer.kind, Tensor.wrap(w), Tensor.wrap(b), dict(layer.hyper)
+                        )
+                        probe = nn.Model(tuple(layers), model.input_shape, model.num_classes)
+                        losses.append(_batch_loss_and_grads(probe, xb, yb)[0])
+                    numeric = (losses[0] - losses[1]) / (2 * eps)
+                    assert grads[li][which].flat[flat] == pytest.approx(
+                        numeric, rel=1e-5, abs=1e-8
+                    )
 
     def test_plain_sgd_supported(self):
         data = blob_split()
