@@ -118,8 +118,6 @@ def _add_fuzz_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-seeds-per-input", type=int, default=None)
     p.add_argument("--pixel-range", type=float, nargs=2, default=None,
                    metavar=("LO", "HI"))
-    p.add_argument("--recompute-grad-each-iter", action=argparse.BooleanOptionalAction,
-                   default=None)
     p.add_argument("--use-logits", action=argparse.BooleanOptionalAction, default=None,
                    help="build class terms from logits instead of confidences")
     p.add_argument("--seed", type=int, default=None, help="campaign rng seed")
@@ -139,7 +137,6 @@ _FLAG_TO_FIELD = {
     "step_size": "step_size",
     "max_seeds_per_input": "max_seeds_per_input",
     "pixel_range": "pixel_range",
-    "recompute_grad_each_iter": "recompute_grad_each_iter",
     "use_logits": "use_logits",
     "seed": "rng_seed",
 }
@@ -197,12 +194,12 @@ def cmd_fuzz(args, parser) -> int:
     test_split = _load_split(data_dir, "t10k")
     inputs = _pick_inputs(test_split, args.num_inputs, cfg.rng_seed)
 
-    report = fuzz_corpus(model, inputs, cfg, parallel=args.parallel)
+    report = fuzz_corpus(model, inputs, cfg)
     write_campaign_report(report, args.out_dir)
     print(f"guided   {_summary(report)}")
 
     if args.baseline == "random":
-        baseline = fuzz_corpus(model, inputs, cfg, mutation="random", parallel=args.parallel)
+        baseline = fuzz_corpus(model, inputs, cfg, mutation="random")
         write_campaign_report(baseline, Path(args.out_dir) / "baseline_random")
         print(f"random   {_summary(baseline)}")
         verdict = "beats" if report.final_coverage > baseline.final_coverage else "does NOT beat"
@@ -250,11 +247,10 @@ def cmd_compare_strategies(args, parser) -> int:
 
     curves = {}
     for strategy in (1, 2, 3, 4):
-        report = fuzz_corpus(model, inputs, replace(cfg, strategies=(strategy,)),
-                             parallel=args.parallel)
+        report = fuzz_corpus(model, inputs, replace(cfg, strategies=(strategy,)))
         curves[f"s{strategy}"] = report
         print(f"strategy {strategy}  {_summary(report)}")
-    baseline = fuzz_corpus(model, inputs, cfg, mutation="random", parallel=args.parallel)
+    baseline = fuzz_corpus(model, inputs, cfg, mutation="random")
     curves["random"] = baseline
     print(f"random      {_summary(baseline)}")
 
@@ -309,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--num-inputs", type=_count, default=20)
     p_fuzz.add_argument("--out-dir", default="campaign")
     p_fuzz.add_argument("--baseline", choices=["none", "random"], default="none")
-    p_fuzz.add_argument("--parallel", type=int, default=1,
-                        help="worker threads; >1 forfeits reproducibility")
     _add_fuzz_config_flags(p_fuzz)
     p_fuzz.set_defaults(func=cmd_fuzz)
 
@@ -339,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--data-dir", default=None)
     p_cmp.add_argument("--num-inputs", type=_count, default=20)
     p_cmp.add_argument("--out-dir", default="strategy_comparison")
-    p_cmp.add_argument("--parallel", type=int, default=1)
     _add_fuzz_config_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare_strategies)
 

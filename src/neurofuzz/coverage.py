@@ -84,19 +84,31 @@ def neuron_value(model: Model, trace: ActivationTrace, nid: NeuronId) -> float:
     return float(out[nid.unit_index])
 
 
-def neuron_outputs(model: Model, trace: ActivationTrace) -> dict[NeuronId, float]:
-    """Observed value of every neuron for one trace."""
+def _layer_values(model: Model, trace: ActivationTrace) -> list[np.ndarray]:
+    """Observed values of each neuron layer's units, as float64 arrays in
+    neuron_layers order."""
     _check_trace(model, trace)
-    values = {}
-    for li, units in neuron_layers(model):
+    values = []
+    for li, _ in neuron_layers(model):
         out = trace.outputs[activation_layer_index(model, li)].array
         if out.ndim == 3:
-            vals = out.mean(axis=(0, 1), dtype=np.float64)
+            values.append(out.mean(axis=(0, 1), dtype=np.float64))
         else:
-            vals = out
-        for u in range(units):
-            values[NeuronId(li, u)] = float(vals[u])
+            values.append(out.astype(np.float64))
     return values
+
+
+def neuron_outputs(model: Model, trace: ActivationTrace) -> dict[NeuronId, float]:
+    """Observed value of every neuron for one trace."""
+    flat = np.concatenate(_layer_values(model, trace))
+    return dict(zip(all_neurons(model), flat.tolist()))
+
+
+def _scale(arr: np.ndarray) -> np.ndarray:
+    lo, hi = arr.min(), arr.max()
+    if hi == lo:
+        return np.zeros_like(arr)
+    return (arr - lo) / (hi - lo)
 
 
 def scale_layer(outputs: Sequence[float]) -> list[float]:
@@ -104,11 +116,13 @@ def scale_layer(outputs: Sequence[float]) -> list[float]:
     are all equal scales to zeros (it cannot self-activate)."""
     if len(outputs) == 0:
         raise ContractViolation("scale_layer needs a non-empty layer")
-    arr = np.asarray(outputs, dtype=np.float64)
-    lo, hi = arr.min(), arr.max()
-    if hi == lo:
-        return [0.0] * len(outputs)
-    return list((arr - lo) / (hi - lo))
+    return _scale(np.asarray(outputs, dtype=np.float64)).tolist()
+
+
+def scaled_outputs(model: Model, trace: ActivationTrace) -> np.ndarray:
+    """Every neuron's value for one trace, min-max scaled within its layer
+    (see scale_layer), as one float64 vector in all_neurons order."""
+    return np.concatenate([_scale(v) for v in _layer_values(model, trace)])
 
 
 def _check_trace(model: Model, trace: ActivationTrace):
@@ -118,22 +132,13 @@ def _check_trace(model: Model, trace: ActivationTrace):
         raise ContractViolation("trace does not match this model")
 
 
-def _scaled_by_neuron(model: Model, trace: ActivationTrace) -> dict[NeuronId, float]:
-    values = neuron_outputs(model, trace)
-    scaled = {}
-    for li, units in neuron_layers(model):
-        ids = [NeuronId(li, u) for u in range(units)]
-        for nid, s in zip(ids, scale_layer([values[n] for n in ids])):
-            scaled[nid] = s
-    return scaled
-
-
 def activated_neurons(
     model: Model, trace: ActivationTrace, threshold: float
 ) -> frozenset[NeuronId]:
     """Neurons whose scaled value exceeds the threshold for this one trace."""
-    scaled = _scaled_by_neuron(model, trace)
-    return frozenset(n for n, s in scaled.items() if s > threshold)
+    ids = all_neurons(model)
+    active = np.flatnonzero(scaled_outputs(model, trace) > threshold)
+    return frozenset(ids[i] for i in active)
 
 
 class CoverageTracker:
@@ -141,8 +146,7 @@ class CoverageTracker:
 
     covered flags are monotone; activation_count counts activating traces;
     last_scaled_output remembers each neuron's scaled value from the most
-    recent update. Not thread-safe: concurrent updates must be serialized by
-    the caller.
+    recent update. All three are flat arrays in all_neurons order.
     """
 
     def __init__(
@@ -178,7 +182,7 @@ class CoverageTracker:
         return float(self._last_scaled[self._index[nid]])
 
     def covered_neurons(self) -> frozenset[NeuronId]:
-        return frozenset(nid for nid, c in zip(self._ids, self._covered) if c)
+        return frozenset(self._ids[i] for i in np.flatnonzero(self._covered))
 
     def covered_count(self) -> int:
         return int(self._covered.sum())
@@ -189,14 +193,12 @@ def update(tracker: CoverageTracker, model: Model, trace: ActivationTrace) -> in
     uncovered to covered."""
     if tuple(neuron_layers(model)) != tracker._signature:
         raise ContractViolation("tracker was built for a different model")
-    scaled = _scaled_by_neuron(model, trace)
+    scaled = scaled_outputs(model, trace)
+    active = scaled > tracker.activation_threshold
     before = tracker.covered_count()
-    for nid, s in scaled.items():
-        i = tracker._index[nid]
-        tracker._last_scaled[i] = s
-        if s > tracker.activation_threshold:
-            tracker._covered[i] = True
-            tracker._count[i] += 1
+    tracker._last_scaled[:] = scaled
+    tracker._covered |= active
+    tracker._count += active
     return tracker.covered_count() - before
 
 
@@ -204,35 +206,21 @@ def coverage_rate(tracker: CoverageTracker) -> float:
     return tracker.covered_count() / tracker.total_neurons
 
 
-def _strategy_key(tracker: CoverageTracker, model: Model, strategy: int):
-    """Sort key over candidate neurons; lower sorts first. Every strategy
-    falls back to (layer_index, unit_index) so the order is total."""
+def _rank_key(tracker: CoverageTracker, model: Model, strategy: int) -> np.ndarray:
+    """Per-neuron sort key of a strategy, in all_neurons order; lower ranks
+    first."""
     if strategy == 1:
-        return lambda n: (-tracker.activation_count(n), n.layer_index, n.unit_index)
+        return -tracker._count
     if strategy == 2:
-        return lambda n: (tracker.activation_count(n), n.layer_index, n.unit_index)
+        return tracker._count
     if strategy == 3:
-        scores = _weight_scores(model)
-        return lambda n: (-scores[n], n.layer_index, n.unit_index)
-    if strategy == 4:
-        t = tracker.activation_threshold
-        return lambda n: (
-            abs(tracker.last_scaled_output(n) - t),
-            n.layer_index,
-            n.unit_index,
-        )
-    raise ContractViolation(f"unknown strategy {strategy}; expected 1-4")
-
-
-def _weight_scores(model: Model) -> dict[NeuronId, float]:
-    """Strategy 3 score: L1 norm of the weights feeding each neuron."""
-    scores = {}
-    for li, units in neuron_layers(model):
-        w = np.abs(model.layers[li].weights.array.astype(np.float64))
-        mag = w.sum(axis=tuple(range(w.ndim - 1)))
-        for u in range(units):
-            scores[NeuronId(li, u)] = float(mag[u])
-    return scores
+        # L1 norm of the weights feeding each neuron, largest first
+        mags = []
+        for li, _ in neuron_layers(model):
+            w = np.abs(model.layers[li].weights.array.astype(np.float64))
+            mags.append(w.sum(axis=tuple(range(w.ndim - 1))))
+        return -np.concatenate(mags)
+    return np.abs(tracker._last_scaled - tracker.activation_threshold)
 
 
 def select_neurons(
@@ -241,16 +229,15 @@ def select_neurons(
     strategies: Iterable[int],
     m: int,
     trace: ActivationTrace,
-    rng=None,
 ) -> list[NeuronId]:
     """Pick up to m distinct neurons to push toward activation.
 
     Candidates are the neurons NOT activated by the current trace. m is split
     as evenly as possible among the given strategies, remainder going to the
     earlier ones; each strategy ranks the remaining candidates and takes its
-    share. All four strategies are deterministic, so rng is accepted only for
-    signature stability and never consulted. Returns fewer than m ids when
-    the candidate pool is smaller than m.
+    share. Ties fall back to (layer_index, unit_index) order, so every
+    strategy is deterministic. Returns fewer than m ids when the candidate
+    pool is smaller than m.
     """
     strategies = list(strategies)
     if m < 1:
@@ -260,15 +247,18 @@ def select_neurons(
     for s in strategies:
         if s not in (1, 2, 3, 4):
             raise ContractViolation(f"unknown strategy {s}; expected 1-4")
-    active = activated_neurons(model, trace, tracker.activation_threshold)
-    remaining = [n for n in tracker.neuron_ids if n not in active]
+    # flat indices of the candidates; all_neurons order is (layer, unit) order,
+    # so the index breaks every tie the way the NeuronId order would
+    active = scaled_outputs(model, trace) > tracker.activation_threshold
+    remaining = np.flatnonzero(~active)
     base, rem = divmod(m, len(strategies))
-    chosen: list[NeuronId] = []
+    chosen: list[int] = []
     for pos, strategy in enumerate(strategies):
         quota = base + (1 if pos < rem else 0)
-        if quota == 0 or not remaining:
+        if quota == 0 or remaining.size == 0:
             continue
-        remaining.sort(key=_strategy_key(tracker, model, strategy))
-        chosen.extend(remaining[:quota])
-        remaining = remaining[quota:]
-    return chosen
+        key = _rank_key(tracker, model, strategy)[remaining]
+        order = np.lexsort((remaining, key))
+        chosen.extend(remaining[order[:quota]].tolist())
+        remaining = remaining[order[quota:]]
+    return [tracker.neuron_ids[i] for i in chosen]

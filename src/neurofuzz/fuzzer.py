@@ -74,7 +74,6 @@ class FuzzConfig:
     step_size: float | None = None
     max_seeds_per_input: int = 64
     pixel_range: tuple[float, float] = (0.0, 1.0)
-    recompute_grad_each_iter: bool = False
     use_logits: bool = False
     rng_seed: int = 0
 
@@ -120,11 +119,39 @@ class FuzzConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FuzzConfig":
+        """Build a config from JSON-shaped values, as to_dict writes them."""
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ContractViolation(f"unknown config fields: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name in d and not _FIELD_CHECKS[f.type](d[f.name]):
+                raise ContractViolation(
+                    f"config field {f.name!r} must be {f.type}, got {d[f.name]!r}"
+                )
         return cls(**d)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the values a JSON config may hold, by the annotation of the FuzzConfig field
+_FIELD_CHECKS = {
+    "int": _is_int,
+    "float": _is_number,
+    "float | None": lambda v: v is None or _is_number(v),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+    "tuple[float, float]": lambda v: (
+        isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -221,7 +248,7 @@ def _shorten_to(pert: Tensor, budget: float) -> Tensor:
     """Scale a perturbation down, if needed, so its L2 norm is at most
     budget (a budget at or below zero gives the zero perturbation)."""
     norm = l2_norm(pert)
-    if norm <= budget:
+    if norm <= budget or norm == 0.0:
         return pert
     scale = max(budget, 0.0) / norm
     return Tensor.wrap(pert.array * pert.array.dtype.type(scale))
@@ -252,38 +279,29 @@ def fuzz_one_input(
     cfg: FuzzConfig,
     input_index: int = 0,
     rng: np.random.Generator | None = None,
-) -> tuple[list[AdversarialRecord], float]:
+    mutation: str = "guided",
+) -> tuple[list[AdversarialRecord], int]:
     """Run the full mutation loop for one input against a shared tracker.
 
-    Returns the adversarial records found and the coverage-rate delta this
-    input contributed. An empty record list is a normal outcome.
+    Returns the adversarial records found and the number of seeds processed;
+    an empty record list is a normal outcome, and the coverage this input
+    added is read from the tracker. An all-zero input has no relative
+    distance to mutate within, so it is skipped: no records, no seeds.
+    Random mutation draws its noise from rng.
     """
-    records, delta, _ = _fuzz_one(model, tracker, x, cfg, input_index, rng, "guided")
-    return records, delta
-
-
-def _fuzz_one(
-    model: nn.Model,
-    tracker: cov.CoverageTracker,
-    x: Tensor,
-    cfg: FuzzConfig,
-    input_index: int,
-    rng: np.random.Generator | None,
-    mutation: str,
-    update_lock=None,
-) -> tuple[list[AdversarialRecord], float, int]:
     if mutation not in MUTATION_MODES:
         raise ContractViolation(f"mutation must be one of {MUTATION_MODES}")
     if mutation == "random" and rng is None:
         raise ContractViolation("random mutation needs an rng")
     _check_pixels(x, cfg)
-    lo, hi = cfg.pixel_range
     x_norm = l2_norm(x)
+    if x_norm == 0.0:
+        return [], 0
+    lo, hi = cfg.pixel_range
     # float32 rounding of seed + step can lengthen a step by up to this much
     # in L2; it is held back from the room under the cap, so a shortened
     # first mutant passes the distance gate exactly
     slack = np.finfo(x.array.dtype).eps * max(abs(lo), abs(hi)) * np.sqrt(x.array.size)
-    covered_before = tracker.covered_count()
 
     trace0 = nn.predict(model, x)
     c_orig = trace0.predicted_label
@@ -297,13 +315,9 @@ def _fuzz_one(
         requirement = cfg.gain_requirement(processed)
         processed += 1
 
-        grad = None
-        spec = None
         if mutation == "guided":
             topk = nn.top_k_other_labels(seed.trace, cfg.k)
-            neurons = cov.select_neurons(
-                tracker, model, cfg.strategies, cfg.m, seed.trace, rng
-            )
+            neurons = cov.select_neurons(tracker, model, cfg.strategies, cfg.m, seed.trace)
             spec = nn.ObjectiveSpec(
                 original_label=seed.trace.predicted_label,
                 topk_labels=tuple(topk),
@@ -320,8 +334,6 @@ def _fuzz_one(
         budget = (cfg.distance_max - seed.distance) * x_norm - slack
         for iteration in range(1, cfg.iter_times + 1):
             if mutation == "guided":
-                if cfg.recompute_grad_each_iter and iteration > 1:
-                    grad = nn.input_gradient(model, cur, spec)
                 pert = process_gradient(grad, cfg.grad_mode, cfg.step_size)
             else:
                 noise = rng.standard_normal(x.shape).astype(x.array.dtype)
@@ -331,11 +343,7 @@ def _fuzz_one(
             cur = clip(elementwise_add(cur, pert), lo, hi)
 
             trace_m = nn.predict(model, cur)
-            if update_lock is None:
-                newly = cov.update(tracker, model, trace_m)
-            else:
-                with update_lock:
-                    newly = cov.update(tracker, model, trace_m)
+            newly = cov.update(tracker, model, trace_m)
             gain_ratio = newly / tracker.total_neurons
             dist = relative_distance(cur, x)
             c_m = trace_m.predicted_label
@@ -358,8 +366,7 @@ def _fuzz_one(
             if gain_ratio >= requirement and dist <= cfg.distance_max:
                 queue.push(_Seed(cur, seed.generation + 1, trace_m, dist))
 
-    delta = (tracker.covered_count() - covered_before) / tracker.total_neurons
-    return records, delta, processed
+    return records, processed
 
 
 def fuzz_corpus(
@@ -367,66 +374,31 @@ def fuzz_corpus(
     inputs: list[Tensor],
     cfg: FuzzConfig,
     mutation: str = "guided",
-    parallel: int = 1,
 ) -> CampaignReport:
     """Fuzz inputs in order against one shared tracker.
 
     mutation="random" replaces the gradient with seeded Gaussian noise pushed
     through the same processing, keeping the mutation budget identical; it is
-    the paired baseline for judging guidance. With a fixed rng_seed and
-    parallel=1 the campaign is reproducible bit-for-bit in either mode.
-
-    parallel > 1 fuzzes distinct inputs on worker threads sharing one tracker
-    (updates serialized by a lock). That reorders tracker updates between
-    inputs, so parallel campaigns are NOT reproducible; coverage-curve points
-    are snapshots taken as each input finishes, listed in completion order.
+    the paired baseline for judging guidance. Each input draws from its own
+    generator spawned from rng_seed, so with a fixed rng_seed the campaign is
+    reproducible bit for bit in either mode. The coverage curve has one point
+    per input, taken after it.
     """
-    if parallel < 1:
-        raise ContractViolation("parallel must be >= 1")
     tracker = cov.CoverageTracker(model, cfg.activation_threshold)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(max(len(inputs), 1))
     records: list[AdversarialRecord] = []
     curve: list[CoveragePoint] = []
     walls: list[float] = []
     cumulative_seeds = 0
-    if parallel == 1:
-        for i, x in enumerate(inputs):
-            start = time.perf_counter()
-            recs, _, processed = _fuzz_one(
-                model, tracker, x, cfg, i, np.random.default_rng(seeds[i]), mutation
-            )
-            walls.append(time.perf_counter() - start)
-            records.extend(recs)
-            cumulative_seeds += processed
-            curve.append(CoveragePoint(i, cumulative_seeds, cov.coverage_rate(tracker)))
-    else:
-        import threading
-        from concurrent.futures import ThreadPoolExecutor, as_completed
-
-        lock = threading.Lock()
-
-        def work(i: int, x: Tensor):
-            start = time.perf_counter()
-            recs, _, processed = _fuzz_one(
-                model, tracker, x, cfg, i, np.random.default_rng(seeds[i]), mutation, lock
-            )
-            return i, recs, processed, time.perf_counter() - start
-
-        wall_by_input = [0.0] * len(inputs)
-        recs_by_input: list[list[AdversarialRecord]] = [[] for _ in inputs]
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            futures = [pool.submit(work, i, x) for i, x in enumerate(inputs)]
-            for fut in as_completed(futures):
-                i, recs, processed, wall = fut.result()
-                recs_by_input[i] = recs
-                wall_by_input[i] = wall
-                cumulative_seeds += processed
-                with lock:
-                    rate = cov.coverage_rate(tracker)
-                curve.append(CoveragePoint(i, cumulative_seeds, rate))
-        for recs in recs_by_input:
-            records.extend(recs)
-        walls = wall_by_input
+    for i, x in enumerate(inputs):
+        start = time.perf_counter()
+        recs, processed = fuzz_one_input(
+            model, tracker, x, cfg, i, np.random.default_rng(seeds[i]), mutation
+        )
+        walls.append(time.perf_counter() - start)
+        records.extend(recs)
+        cumulative_seeds += processed
+        curve.append(CoveragePoint(i, cumulative_seeds, cov.coverage_rate(tracker)))
     final = cov.coverage_rate(tracker) if inputs else 0.0
     return CampaignReport(
         records=tuple(records),
@@ -506,20 +478,29 @@ def read_campaign_records(campaign_dir: str | Path) -> list[AdversarialRecord]:
     lines = manifest.read_text(encoding="ascii").splitlines()
     records = []
     seq: Counter[int] = Counter()
-    for line in lines[1:]:
-        idx, orig, adv, dist, dist_abs, gen, it = line.split(",")
-        name = _adv_name(int(idx), seq[int(idx)], int(orig), int(adv))
-        seq[int(idx)] += 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != 7:
+            raise ContractViolation(
+                f"{manifest} line {lineno}: expected 7 fields, got {len(cells)}"
+            )
+        try:
+            idx, orig, adv, gen, it = (int(cells[i]) for i in (0, 1, 2, 5, 6))
+            dist, dist_abs = float(cells[3]), float(cells[4])
+        except ValueError as exc:
+            raise ContractViolation(f"{manifest} line {lineno}: {exc}") from None
+        name = _adv_name(idx, seq[idx], orig, adv)
+        seq[idx] += 1
         records.append(
             AdversarialRecord(
-                input_index=int(idx),
-                original_label=int(orig),
-                adversarial_label=int(adv),
+                input_index=idx,
+                original_label=orig,
+                adversarial_label=adv,
                 mutated=import_image_pgm(campaign / "adversarial" / name),
-                distance=float(dist),
-                distance_abs=float(dist_abs),
-                seed_generation=int(gen),
-                iteration=int(it),
+                distance=dist,
+                distance_abs=dist_abs,
+                seed_generation=gen,
+                iteration=it,
             )
         )
     return records

@@ -64,6 +64,23 @@ class TestUsageErrors:
         assert len(err.strip().splitlines()) == 1
         assert str(config) in err
 
+    @pytest.mark.parametrize("text", ['{"k": "4"}', '{"lam": "x"}', '{"strategies": "12"}'])
+    def test_wrongly_typed_config_field_exits_1(self, capsys, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, _, err = run(
+            capsys,
+            "fuzz",
+            "--model", str(tmp_path / "m.json"),
+            "--data-dir", str(tmp_path),
+            "--config", str(config),
+            "--out-dir", str(tmp_path / "campaign"),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert repr(next(iter(json.loads(text)))) in err
+
     def test_missing_model_file_exits_1(self, capsys, data_dir, tmp_path):
         code, _, err = run(
             capsys,
@@ -219,6 +236,26 @@ class TestRetrain:
         )
         assert code == 1
         assert "no adversarial records" in err
+
+    @pytest.mark.parametrize("row", ["0,3,5,0.01,0.1,0", "0,3,x,0.01,0.1,0,1"])
+    def test_malformed_manifest_exits_1(self, capsys, data_dir, model_path,
+                                        tmp_path, row):
+        campaign = tmp_path / "campaign"
+        campaign.mkdir()
+        header = "input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"
+        (campaign / "manifest.csv").write_text(f"{header}\n{row}\n")
+        code, _, err = run(
+            capsys,
+            "retrain",
+            "--model", str(model_path),
+            "--data-dir", str(data_dir),
+            "--campaign-dir", str(campaign),
+            "--out", str(tmp_path / "retrained.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "manifest.csv line 2" in err
 
 
 class TestCompareStrategies:

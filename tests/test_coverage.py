@@ -5,6 +5,8 @@ The set-union oracle recomputes the covered set from scratch for every trace,
 so tracker bookkeeping is checked against an independent implementation.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,10 @@ from neurofuzz.coverage import (
     CoverageTracker,
     NeuronId,
     activated_neurons,
+    activation_layer_index,
     all_neurons,
     coverage_rate,
+    neuron_layers,
     neuron_outputs,
     scale_layer,
     select_neurons,
@@ -335,3 +339,107 @@ class TestSelectNeurons:
         first = select_neurons(tracker, model, (1, 3), 4, trace)
         second = select_neurons(tracker, model, (1, 3), 4, trace)
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# reference: the dict-per-trace bookkeeping the flat arrays replaced
+
+
+def ref_scaled_by_neuron(model, trace):
+    """Per-neuron dict of min-max scaled values, built one layer at a time."""
+    scaled = {}
+    for li, units in neuron_layers(model):
+        out = trace.outputs[activation_layer_index(model, li)].array
+        vals = out.mean(axis=(0, 1), dtype=np.float64) if out.ndim == 3 else out
+        arr = np.asarray([float(vals[u]) for u in range(units)], dtype=np.float64)
+        lo, hi = arr.min(), arr.max()
+        layer = [0.0] * units if hi == lo else list((arr - lo) / (hi - lo))
+        for u in range(units):
+            scaled[NeuronId(li, u)] = layer[u]
+    return scaled
+
+
+def ref_update(tracker, model, trace):
+    before = tracker.covered_count()
+    for nid, s in ref_scaled_by_neuron(model, trace).items():
+        i = tracker._index[nid]
+        tracker._last_scaled[i] = s
+        if s > tracker.activation_threshold:
+            tracker._covered[i] = True
+            tracker._count[i] += 1
+    return tracker.covered_count() - before
+
+
+def ref_select(tracker, model, strategies, m, trace):
+    t = tracker.activation_threshold
+    scores = {}
+    for li, units in neuron_layers(model):
+        w = np.abs(model.layers[li].weights.array.astype(np.float64))
+        mag = w.sum(axis=tuple(range(w.ndim - 1)))
+        for u in range(units):
+            scores[NeuronId(li, u)] = float(mag[u])
+    keys = {
+        1: lambda n: (-tracker.activation_count(n), n.layer_index, n.unit_index),
+        2: lambda n: (tracker.activation_count(n), n.layer_index, n.unit_index),
+        3: lambda n: (-scores[n], n.layer_index, n.unit_index),
+        4: lambda n: (abs(tracker.last_scaled_output(n) - t), n.layer_index, n.unit_index),
+    }
+    scaled = ref_scaled_by_neuron(model, trace)
+    remaining = [n for n in tracker.neuron_ids if not scaled[n] > t]
+    base, rem = divmod(m, len(strategies))
+    chosen = []
+    for pos, strategy in enumerate(strategies):
+        quota = base + (1 if pos < rem else 0)
+        if quota == 0 or not remaining:
+            continue
+        remaining.sort(key=keys[strategy])
+        chosen.extend(remaining[:quota])
+        remaining = remaining[quota:]
+    return chosen
+
+
+def lenet5_with_tied_units():
+    """lenet5 whose conv1 channel 0 and dense-1 unit 0 are copied into
+    other units, so those units tie on weight score and on their outputs."""
+    model = architectures.build_model("lenet5", rng_seed=3)
+    layers = list(model.layers)
+    dense_index = next(i for i, layer in enumerate(layers) if layer.kind == "dense")
+    for li, copies in ((0, (2, 4)), (dense_index, (5, 9, 30))):
+        w = layers[li].weights.array.copy()
+        b = layers[li].bias.array.copy()
+        for u in copies:
+            w[..., u] = w[..., 0]
+            b[u] = b[0]
+        layers[li] = dataclasses.replace(
+            layers[li], weights=Tensor.wrap(w), bias=Tensor.wrap(b)
+        )
+    return nn.Model(
+        layers=tuple(layers), input_shape=model.input_shape, num_classes=model.num_classes
+    )
+
+
+class TestFlatArraysMatchDictReference:
+    def test_update_and_select_match_reference(self):
+        model = lenet5_with_tied_units()
+        tracker = CoverageTracker(model, 0.25)
+        ref = CoverageTracker(model, 0.25)
+        n = tracker.total_neurons
+        rng = np.random.default_rng(61)
+        for _ in range(6):
+            trace = nn.predict(model, rand_input(model, rng))
+            # few distinct values, so most neurons tie on count and on their
+            # distance to the threshold (0.125 and 0.375 are equally near)
+            counts = rng.integers(0, 3, size=n)
+            last = rng.choice([0.0, 0.125, 0.25, 0.375, 1.0], size=n)
+            for t in (tracker, ref):
+                t._count[:] = counts
+                t._last_scaled[:] = last
+            assert update(tracker, model, trace) == ref_update(ref, model, trace)
+            for name in ("_covered", "_count", "_last_scaled"):
+                assert getattr(tracker, name).tobytes() == getattr(ref, name).tobytes()
+
+            tracker._last_scaled[:] = last
+            for strategies in ((1,), (2,), (3,), (4,), (1, 2, 3, 4), (3, 1)):
+                for m in (1, 10, n):
+                    got = select_neurons(tracker, model, strategies, m, trace)
+                    assert got == ref_select(tracker, model, strategies, m, trace)

@@ -5,6 +5,8 @@ The linear-boundary case constructs a classifier whose decision boundary is
 a known analytic distance from the input, so exactly one flip is provable.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,16 @@ class TestFuzzConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ContractViolation):
             FuzzConfig.from_dict({"k": 4, "mystery": 1})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("k", "4"), ("k", True), ("lam", "x"), ("step_size", [1.0]),
+         ("strategies", "12"), ("strategies", [1.0]), ("pixel_range", [0.0]),
+         ("use_logits", 1), ("grad_mode", 2)],
+    )
+    def test_wrongly_typed_field_rejected(self, field, value):
+        with pytest.raises(ContractViolation, match=field):
+            FuzzConfig.from_dict({field: value})
 
 
 class TestProcessGradient:
@@ -161,11 +173,12 @@ class TestFuzzOneInput:
         model = constant_classifier()
         tracker = CoverageTracker(model, 0.25)
         cfg = FuzzConfig(grad_mode="sign", step_size=0.01, k=1, m=1)
-        records, delta = fuzz_one_input(model, tracker, Tensor([0.2, 0.4, 0.6, 0.8]), cfg)
+        records, processed = fuzz_one_input(model, tracker, Tensor([0.2, 0.4, 0.6, 0.8]), cfg)
         assert records == []
         # zero gradient -> zero perturbation -> mutants identical to input ->
         # no new coverage after the initial trace -> nothing kept
-        assert delta == coverage_rate(tracker)
+        assert processed == 1
+        assert coverage_rate(tracker) == 0.0
 
     def test_linear_boundary_exactly_one_record(self):
         # input sits 0.015 below the boundary along +x0; sign-mode mutation
@@ -230,7 +243,7 @@ class TestFuzzOneInput:
         x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
         cfg = FuzzConfig(grad_mode="scaled_raw", step_size=0.03, max_seeds_per_input=2)
         tracker = CoverageTracker(model, cfg.activation_threshold)
-        _, _, processed = fz._fuzz_one(model, tracker, x, cfg, 0, None, "guided")
+        _, processed = fuzz_one_input(model, tracker, x, cfg)
         assert processed <= 2
 
     def test_default_campaign_keeps_seeds_inside_cap(self, trained_model,
@@ -282,6 +295,9 @@ class TestFuzzOneInput:
         np.testing.assert_allclose(fz._shorten_to(pert, 1.0).array, [0.6, 0.8], rtol=1e-6)
         assert not fz._shorten_to(pert, 0.0).array.any()
         assert not fz._shorten_to(pert, -0.5).array.any()
+        # a zero perturbation has no length to shorten, whatever the budget
+        zero = Tensor([0.0, 0.0])
+        assert fz._shorten_to(zero, -0.5) is zero
 
     def test_out_of_range_input_rejected(self):
         model = constant_classifier()
@@ -341,11 +357,28 @@ class TestFuzzCorpus:
             Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
             for _ in range(2)
         ]
-        cfg = FuzzConfig(grad_mode="scaled_raw", step_size=0.3, rng_seed=7)
+        # a step at which the gradient walk flips the untrained model
+        cfg = FuzzConfig(grad_mode="scaled_raw", step_size=2.0, rng_seed=7)
         guided = fuzz_corpus(model, inputs, cfg)
         random = fuzz_corpus(model, inputs, cfg, mutation="random")
         assert guided.mutation == "guided"
         assert random.mutation == "random"
+        assert guided.records
+        assert random.records != guided.records
+
+    def test_all_zero_input_skipped(self):
+        # relative distance is undefined at norm 0: the input is skipped and
+        # the rest of the campaign runs as if it were not there
+        model = architectures.build_model("lenet1", rng_seed=8)
+        rng = np.random.default_rng(50)
+        x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
+        cfg = FuzzConfig(grad_mode="scaled_raw", step_size=2.0, rng_seed=7)
+        alone = fuzz_corpus(model, [x], cfg)
+        both = fuzz_corpus(model, [Tensor.zeros((28, 28, 1)), x], cfg)
+        assert alone.records
+        assert list(both.records) == [replace(r, input_index=1) for r in alone.records]
+        assert both.coverage_curve[0] == CoveragePoint(0, 0, 0.0)
+        assert both.coverage_curve[1] == replace(alone.coverage_curve[0], input_index=1)
 
     def test_coverage_curve_one_point_per_input_monotone(self):
         model = architectures.build_model("lenet1", rng_seed=8)
