@@ -6,21 +6,13 @@ preference for its original prediction and pushes uncovered neurons past
 their activation threshold. Mutants that stay visually interchangeable with
 the original keep mutating; label flips are recorded as adversarial inputs
 that can be rendered, audited and folded back into training.
+
+The package namespace holds the entry points; everything else is imported
+from its submodule (architectures, coverage, fuzzer, model_io, nn, tensor,
+trainer).
 """
 
-from .architectures import ARCHITECTURES, build_model
-from .coverage import (
-    CoverageTracker,
-    NeuronId,
-    activated_neurons,
-    all_neurons,
-    coverage_rate,
-    neuron_outputs,
-    neuron_value,
-    scale_layer,
-    select_neurons,
-    update,
-)
+from .architectures import build_model
 from .errors import (
     ContractViolation,
     IngestError,
@@ -28,112 +20,27 @@ from .errors import (
     NeuroFuzzError,
     TrainingError,
 )
-from .fuzzer import (
-    AdversarialRecord,
-    CampaignReport,
-    CoveragePoint,
-    FuzzConfig,
-    SeedQueue,
-    fuzz_corpus,
-    fuzz_one_input,
-    process_gradient,
-    read_campaign_records,
-    relative_distance,
-    write_campaign_report,
-)
-from .model_io import (
-    DatasetSplit,
-    export_image_pgm,
-    import_image_pgm,
-    load_mnist,
-    load_model,
-    save_model,
-)
-from .nn import (
-    ActivationTrace,
-    Layer,
-    Model,
-    ObjectiveSpec,
-    conv2d,
-    dense,
-    flatten,
-    input_gradient,
-    maxpool2d,
-    objective_value,
-    predict,
-    relu,
-    softmax,
-    top_k_other_labels,
-)
-from .tensor import Tensor, clip, elementwise_add, l2_norm
-from .trainer import (
-    RetrainResult,
-    TrainConfig,
-    adversarial_split,
-    evaluate,
-    retrain_with_adversarial,
-    train,
-)
+from .fuzzer import FuzzConfig, fuzz_corpus, read_campaign_records
+from .model_io import load_mnist, load_model
+from .tensor import Tensor
+from .trainer import TrainConfig, retrain_with_adversarial, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARCHITECTURES",
-    "ActivationTrace",
-    "AdversarialRecord",
-    "CampaignReport",
     "ContractViolation",
-    "CoveragePoint",
-    "CoverageTracker",
-    "DatasetSplit",
     "FuzzConfig",
     "IngestError",
-    "Layer",
-    "Model",
     "ModelLoadError",
     "NeuroFuzzError",
-    "NeuronId",
-    "ObjectiveSpec",
-    "RetrainResult",
-    "SeedQueue",
     "Tensor",
     "TrainConfig",
     "TrainingError",
-    "activated_neurons",
-    "adversarial_split",
-    "all_neurons",
     "build_model",
-    "clip",
-    "conv2d",
-    "coverage_rate",
-    "dense",
-    "elementwise_add",
-    "evaluate",
-    "export_image_pgm",
-    "flatten",
     "fuzz_corpus",
-    "fuzz_one_input",
-    "import_image_pgm",
-    "input_gradient",
-    "l2_norm",
     "load_mnist",
     "load_model",
-    "maxpool2d",
-    "neuron_outputs",
-    "neuron_value",
-    "objective_value",
-    "predict",
-    "process_gradient",
     "read_campaign_records",
-    "relative_distance",
-    "relu",
     "retrain_with_adversarial",
-    "save_model",
-    "scale_layer",
-    "select_neurons",
-    "softmax",
-    "top_k_other_labels",
     "train",
-    "update",
-    "write_campaign_report",
 ]

@@ -1,4 +1,8 @@
-"""Ready-made LeNet-family model builders with seeded He initialization."""
+"""Ready-made LeNet-family model builders with seeded He initialization.
+
+Every model takes a 28x28 single-channel image and scores 10 classes. Each
+5x5 valid conv followed by 2x2 pooling shrinks the map 28 -> 12 -> 4.
+"""
 
 from __future__ import annotations
 
@@ -9,91 +13,71 @@ from .nn import Layer, Model, conv2d, dense, flatten, maxpool2d, relu, softmax
 from .tensor import Tensor
 
 ARCHITECTURES = ("lenet1", "lenet4", "lenet5", "mlp")
+INPUT_SHAPE = (28, 28, 1)
+NUM_CLASSES = 10
 
 
-def build_model(
-    arch: str,
-    rng_seed: int = 0,
-    input_shape: tuple[int, int, int] = (28, 28, 1),
-    num_classes: int = 10,
-    precision: str = "single",
-) -> Model:
-    """Construct an untrained model of the named architecture."""
+def build_model(arch: str, rng_seed: int = 0) -> Model:
+    """Construct an untrained single-precision model of the named
+    architecture; Model.astype("double") gives the double-precision twin."""
     if arch not in ARCHITECTURES:
         raise ContractViolation(f"unknown architecture {arch!r}; expected {ARCHITECTURES}")
-    rng = np.random.default_rng(rng_seed)
-    maker = _MAKERS[arch]
-    layers = maker(rng, input_shape, num_classes, precision)
-    return Model(tuple(layers), input_shape, num_classes)
+    layers = _MAKERS[arch](np.random.default_rng(rng_seed))
+    return Model(tuple(layers), INPUT_SHAPE, NUM_CLASSES)
 
 
-def _he(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, precision: str) -> Tensor:
+def _he(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
+    # drawn in float64, then rounded to float32
     std = np.sqrt(2.0 / fan_in)
-    return Tensor(rng.normal(0.0, std, size=shape), precision="double").astype(precision)
+    return Tensor.wrap(rng.normal(0.0, std, size=shape).astype(np.float32))
 
 
-def _conv(rng, kh, kw, in_ch, out_ch, precision) -> Layer:
-    w = _he(rng, (kh, kw, in_ch, out_ch), kh * kw * in_ch, precision)
-    b = Tensor.zeros((out_ch,), precision)
-    return conv2d(w, b)
+def _conv(rng, in_ch, out_ch) -> Layer:
+    return conv2d(_he(rng, (5, 5, in_ch, out_ch), 25 * in_ch), Tensor.zeros((out_ch,)))
 
 
-def _dense(rng, n_in, n_out, precision) -> Layer:
-    w = _he(rng, (n_in, n_out), n_in, precision)
-    b = Tensor.zeros((n_out,), precision)
-    return dense(w, b)
+def _dense(rng, n_in, n_out) -> Layer:
+    return dense(_he(rng, (n_in, n_out), n_in), Tensor.zeros((n_out,)))
 
 
-def _flat_size(input_shape, convs):
-    """Spatial bookkeeping for 5x5 valid convs each followed by 2x2 pooling."""
-    h, w, c = input_shape
-    for out_ch in convs:
-        h, w, c = (h - 4) // 2, (w - 4) // 2, out_ch
-    return h * w * c
-
-
-def _lenet1(rng, input_shape, num_classes, p):
-    c = input_shape[2]
+def _lenet1(rng):
     return [
-        _conv(rng, 5, 5, c, 4, p), relu(), maxpool2d(2),
-        _conv(rng, 5, 5, 4, 12, p), relu(), maxpool2d(2),
+        _conv(rng, 1, 4), relu(), maxpool2d(2),
+        _conv(rng, 4, 12), relu(), maxpool2d(2),
         flatten(),
-        _dense(rng, _flat_size(input_shape, [4, 12]), num_classes, p),
+        _dense(rng, 4 * 4 * 12, NUM_CLASSES),
         softmax(),
     ]
 
 
-def _lenet4(rng, input_shape, num_classes, p):
-    c = input_shape[2]
+def _lenet4(rng):
     return [
-        _conv(rng, 5, 5, c, 4, p), relu(), maxpool2d(2),
-        _conv(rng, 5, 5, 4, 16, p), relu(), maxpool2d(2),
+        _conv(rng, 1, 4), relu(), maxpool2d(2),
+        _conv(rng, 4, 16), relu(), maxpool2d(2),
         flatten(),
-        _dense(rng, _flat_size(input_shape, [4, 16]), 120, p), relu(),
-        _dense(rng, 120, num_classes, p),
+        _dense(rng, 4 * 4 * 16, 120), relu(),
+        _dense(rng, 120, NUM_CLASSES),
         softmax(),
     ]
 
 
-def _lenet5(rng, input_shape, num_classes, p):
-    c = input_shape[2]
+def _lenet5(rng):
     return [
-        _conv(rng, 5, 5, c, 6, p), relu(), maxpool2d(2),
-        _conv(rng, 5, 5, 6, 16, p), relu(), maxpool2d(2),
+        _conv(rng, 1, 6), relu(), maxpool2d(2),
+        _conv(rng, 6, 16), relu(), maxpool2d(2),
         flatten(),
-        _dense(rng, _flat_size(input_shape, [6, 16]), 120, p), relu(),
-        _dense(rng, 120, 84, p), relu(),
-        _dense(rng, 84, num_classes, p),
+        _dense(rng, 4 * 4 * 16, 120), relu(),
+        _dense(rng, 120, 84), relu(),
+        _dense(rng, 84, NUM_CLASSES),
         softmax(),
     ]
 
 
-def _mlp(rng, input_shape, num_classes, p):
-    n = int(np.prod(input_shape))
+def _mlp(rng):
     return [
         flatten(),
-        _dense(rng, n, 128, p), relu(),
-        _dense(rng, 128, num_classes, p),
+        _dense(rng, 28 * 28, 128), relu(),
+        _dense(rng, 128, NUM_CLASSES),
         softmax(),
     ]
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .architectures import ARCHITECTURES
+from .coverage import STRATEGIES
 from .errors import ContractViolation, IngestError, NeuroFuzzError
 from .fuzzer import (
     FuzzConfig,
@@ -64,6 +65,19 @@ def _count(text: str) -> int:
     return value
 
 
+def _strategies(text: str) -> tuple[int, ...]:
+    """argparse type of --strategies: comma-separated strategy numbers 1-4."""
+    try:
+        values = tuple(int(s) for s in text.split(",") if s)
+    except ValueError:
+        values = ()
+    if not values or not set(values) <= set(STRATEGIES):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated strategies from 1-4, got {text!r}"
+        )
+    return values
+
+
 def _pick_inputs(split: DatasetSplit, num_inputs: int, rng_seed: int) -> list[Tensor]:
     """Sample test images uniformly at random; the model's own prediction on
     each original serves as its reference label, so no filtering is needed."""
@@ -100,6 +114,7 @@ def _add_fuzz_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, default=None, help="neurons targeted per seed")
     p.add_argument(
         "--strategies",
+        type=_strategies,
         default=None,
         help="comma-separated neuron-selection strategies, e.g. 1 or 2,3",
     )
@@ -139,6 +154,7 @@ _FLAG_TO_FIELD = {
     "pixel_range": "pixel_range",
     "use_logits": "use_logits",
     "seed": "rng_seed",
+    "strategies": "strategies",
 }
 
 
@@ -156,8 +172,6 @@ def _resolve_fuzz_config(args) -> FuzzConfig:
         value = getattr(args, flag)
         if value is not None:
             merged[field] = value
-    if args.strategies is not None:
-        merged["strategies"] = [int(s) for s in str(args.strategies).split(",") if s]
     return FuzzConfig.from_dict(merged)
 
 
@@ -174,9 +188,6 @@ def cmd_train(args, parser) -> int:
         batch_size=args.batch,
         learning_rate=args.lr,
         rng_seed=args.seed,
-        optimizer=args.optimizer,
-        weight_decay=args.weight_decay,
-        confidence_penalty=args.confidence_penalty,
     )
     start = load_model(args.init_model) if args.init_model else args.arch
     model = train(start, train_split, cfg, test_data=test_split, log_path=args.log)
@@ -224,7 +235,6 @@ def cmd_retrain(args, parser) -> int:
         batch_size=args.batch,
         learning_rate=args.lr,
         rng_seed=args.seed,
-        optimizer=args.optimizer,
     )
     result = retrain_with_adversarial(
         model, train_split, test_split, records, cfg, oversample=args.oversample
@@ -246,7 +256,7 @@ def cmd_compare_strategies(args, parser) -> int:
     inputs = _pick_inputs(test_split, args.num_inputs, cfg.rng_seed)
 
     curves = {}
-    for strategy in (1, 2, 3, 4):
+    for strategy in STRATEGIES:
         report = fuzz_corpus(model, inputs, replace(cfg, strategies=(strategy,)))
         curves[f"s{strategy}"] = report
         print(f"strategy {strategy}  {_summary(report)}")
@@ -289,12 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=0.05)
     p_train.add_argument("--batch", type=int, default=64)
     p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--optimizer", choices=["sgd", "sgd_momentum"],
-                         default="sgd_momentum")
-    p_train.add_argument("--weight-decay", type=float, default=0.0)
-    p_train.add_argument("--confidence-penalty", type=float, default=0.0,
-                         help="entropy bonus weight; >0 trains the model to "
-                              "keep softmax outputs away from certainty")
     p_train.add_argument("--out", default="model.json")
     p_train.add_argument("--log", default=None, help="training-log CSV path")
     p_train.set_defaults(func=cmd_train)
@@ -316,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_re.add_argument("--lr", type=float, default=0.01)
     p_re.add_argument("--batch", type=int, default=64)
     p_re.add_argument("--seed", type=int, default=0)
-    p_re.add_argument("--optimizer", choices=["sgd", "sgd_momentum"],
-                      default="sgd_momentum")
     p_re.add_argument("--oversample", type=int, default=1,
                       help="repeat the adversarial block this many times so "
                            "a small repair set registers against a large "

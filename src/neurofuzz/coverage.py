@@ -22,14 +22,7 @@ if TYPE_CHECKING:
     from .nn import ActivationTrace, Model
 
 DEFAULT_ACTIVATION_THRESHOLD = 0.25
-
-STRATEGY_NAMES = {
-    1: "most frequently activated first",
-    2: "least frequently activated first",
-    3: "largest incoming weight magnitude first",
-    4: "closest to the activation threshold first",
-}
-
+STRATEGIES = (1, 2, 3, 4)
 
 @dataclass(frozen=True, order=True)
 class NeuronId:
@@ -245,7 +238,7 @@ def select_neurons(
     if not strategies:
         raise ContractViolation("need at least one strategy")
     for s in strategies:
-        if s not in (1, 2, 3, 4):
+        if s not in STRATEGIES:
             raise ContractViolation(f"unknown strategy {s}; expected 1-4")
     # flat indices of the candidates; all_neurons order is (layer, unit) order,
     # so the index breaks every tie the way the NeuronId order would

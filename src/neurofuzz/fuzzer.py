@@ -86,6 +86,10 @@ class FuzzConfig:
             )
         if self.k < 1 or self.m < 1 or self.iter_times < 1:
             raise ContractViolation("k, m and iter_times must all be >= 1")
+        if not self.strategies or any(s not in cov.STRATEGIES for s in self.strategies):
+            raise ContractViolation(
+                f"strategies must be a non-empty list of 1-4, got {list(self.strategies)}"
+            )
         if not 0 < self.coverage_gain_decay <= 1:
             raise ContractViolation("coverage_gain_decay must be in (0, 1]")
         if self.distance_max <= 0:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,13 +82,13 @@ def load_model(path: str | Path) -> Model:
     for i, raw in enumerate(raw_layers):
         try:
             layers.append(_layer_from_doc(raw, precision))
-        except (ContractViolation, TypeError, ValueError) as exc:
+        except (ContractViolation, TypeError, ValueError, OverflowError) as exc:
             raise ModelLoadError(f"layer {i}: {exc}") from None
     try:
         return Model(
             tuple(layers), tuple(doc["input_shape"]), int(doc["num_classes"])
         )
-    except (ContractViolation, TypeError, ValueError) as exc:
+    except (ContractViolation, TypeError, ValueError, OverflowError) as exc:
         raise ModelLoadError(str(exc)) from None
 
 
@@ -96,7 +98,9 @@ def _layer_from_doc(raw: dict, precision: str) -> Layer:
     weights = raw.get("weights")
     bias = raw.get("bias")
     hyper = raw.get("hyper") or {}
-    if "pool" in hyper:
+    if not isinstance(hyper, dict):
+        raise ContractViolation("'hyper' must be a JSON object")
+    if isinstance(hyper.get("pool"), list):
         hyper = dict(hyper, pool=tuple(hyper["pool"]))
     return Layer(
         raw["kind"],
@@ -145,7 +149,7 @@ def _read_maybe_gzip(path: str | Path) -> bytes:
                 with gzip.open(f) as g:
                     return g.read()
             return f.read()
-    except OSError as exc:
+    except (OSError, EOFError, zlib.error) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
 
 
@@ -163,9 +167,9 @@ def _parse_idx(data: bytes, expect_magic: int, path) -> np.ndarray:
     if len(data) < header_end:
         raise IngestError(f"{path}: truncated IDX dimension list", offset=len(data))
     dims = struct.unpack(f">{ndim}i", data[4:header_end])
-    if any(d < 0 for d in dims):
-        raise IngestError(f"{path}: negative IDX dimension {dims}", offset=4)
-    count = int(np.prod(dims)) if dims else 0
+    if any(d < 1 for d in dims):
+        raise IngestError(f"{path}: IDX dimensions {dims} must be positive", offset=4)
+    count = math.prod(dims)
     if len(data) < header_end + count:
         raise IngestError(
             f"{path}: IDX data ends early, expected {count} bytes after header",
@@ -237,6 +241,8 @@ def import_image_pgm(path: str | Path) -> Tensor:
         except ValueError:
             raise IngestError(f"{path}: non-numeric PGM header field", offset=start) from None
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise IngestError(f"{path}: PGM size {w}x{h} must be positive")
     if maxval != 255:
         raise IngestError(f"{path}: unsupported PGM maxval {maxval}", offset=pos)
     pos += 1  # single whitespace byte after maxval

@@ -64,26 +64,31 @@ class Layer:
                 raise ContractViolation("conv2d bias shape must be [out_ch]")
             if self.hyper.get("padding", "valid") != "valid":
                 raise ContractViolation("only valid padding is supported")
-            if self.stride < 1:
-                raise ContractViolation("conv2d stride must be >= 1")
+            if not _is_int(self.stride) or self.stride < 1:
+                raise ContractViolation(f"conv2d stride must be an int >= 1, got {self.stride!r}")
         else:
             if self.weights is not None or self.bias is not None:
                 raise ContractViolation(f"{self.kind} layer takes no parameters")
             if self.kind == "maxpool2d":
-                ph, pw = self.pool
-                if ph < 1 or pw < 1:
+                p = self.hyper.get("pool", 2)
+                if not (_is_int(p) or (isinstance(p, (tuple, list)) and len(p) == 2
+                                       and all(map(_is_int, p)))):
+                    raise ContractViolation(f"pool must be an int or a pair of ints, got {p!r}")
+                if min(self.pool) < 1:
                     raise ContractViolation("pool size must be >= 1")
 
     @property
     def stride(self) -> int:
-        return int(self.hyper.get("stride", 1))
+        return self.hyper.get("stride", 1)
 
     @property
     def pool(self) -> tuple[int, int]:
         p = self.hyper.get("pool", 2)
-        if isinstance(p, int):
-            return (p, p)
-        return (int(p[0]), int(p[1]))
+        return (int(p), int(p)) if _is_int(p) else (int(p[0]), int(p[1]))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def dense(weights: Tensor, bias: Tensor) -> Layer:

@@ -8,7 +8,7 @@ scalar-loop recomputation) can use tighter tolerances.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,27 +27,10 @@ class Tensor:
 
     __slots__ = ("_arr",)
 
-    def __init__(
-        self,
-        values,
-        shape: Sequence[int] | None = None,
-        precision: str = "single",
-    ):
+    def __init__(self, values, precision: str = "single"):
         if precision not in _DTYPE_OF:
             raise ContractViolation(f"unknown precision {precision!r}")
-        arr = np.asarray(values, dtype=_DTYPE_OF[precision])
-        if shape is not None:
-            if arr.ndim != 1:
-                arr = arr.reshape(-1)
-            expected = 1
-            for dim in shape:
-                expected *= dim
-            if expected != arr.size:
-                raise ContractViolation(
-                    f"shape {tuple(shape)} wants {expected} elements, got {arr.size}"
-                )
-            arr = arr.reshape(tuple(shape))
-        self._arr = _validated(arr)
+        self._arr = _validated(np.asarray(values, dtype=_DTYPE_OF[precision]))
 
     @staticmethod
     def wrap(arr: np.ndarray) -> "Tensor":

@@ -20,8 +20,8 @@ from .fuzzer import AdversarialRecord
 from .model_io import DatasetSplit
 from .tensor import Tensor
 
-OPTIMIZERS = ("sgd", "sgd_momentum")
 MOMENTUM = 0.9
+EVAL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 0.05
     rng_seed: int = 0
-    optimizer: str = "sgd_momentum"
-    weight_decay: float = 0.0
-    confidence_penalty: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -41,12 +38,6 @@ class TrainConfig:
             raise ContractViolation("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ContractViolation("learning_rate must be >= 0")
-        if self.optimizer not in OPTIMIZERS:
-            raise ContractViolation(f"optimizer must be one of {OPTIMIZERS}")
-        if self.weight_decay < 0:
-            raise ContractViolation("weight_decay must be >= 0")
-        if self.confidence_penalty < 0:
-            raise ContractViolation("confidence_penalty must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -84,36 +75,29 @@ def _with_params(model: nn.Model, params) -> nn.Model:
     return nn.Model(tuple(layers), model.input_shape, model.num_classes)
 
 
-def _batch_loss_and_grads(model, xb, yb, confidence_penalty=0.0):
+def _batch_loss_and_grads(model, xb, yb):
     cols: dict[int, np.ndarray] = {}
     acts = nn._forward(model, xb, cols)
     logits = acts[-2].astype(np.float64)
     z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     loss = float(-log_probs[np.arange(len(yb)), yb].mean())
-    probs = np.exp(log_probs)
-    dlogits = probs.copy()
+    dlogits = np.exp(log_probs)
     dlogits[np.arange(len(yb)), yb] -= 1.0
-    if confidence_penalty:
-        # entropy bonus keeps output distributions from collapsing onto one
-        # class; the penalty term is -beta * H(p)
-        entropy = -(probs * log_probs).sum(axis=1, keepdims=True)
-        loss -= confidence_penalty * float(entropy.mean())
-        dlogits += confidence_penalty * probs * (log_probs + entropy)
     dlogits = (dlogits / len(yb)).astype(xb.dtype)
     grads = nn._backward_params(model, xb, acts, cols, dlogits)
     return loss, grads
 
 
-def evaluate(model: nn.Model, data: DatasetSplit, batch_size: int = 256) -> float:
+def evaluate(model: nn.Model, data: DatasetSplit) -> float:
     """Plain accuracy of the model on a dataset split."""
     if len(data) == 0:
         raise ContractViolation("cannot evaluate on an empty split")
     images = data.images.array
     labels = np.asarray(data.labels)
     hits = 0
-    for start in range(0, len(data), batch_size):
-        xb = images[start : start + batch_size]
+    for start in range(0, len(data), EVAL_BATCH):
+        xb = images[start : start + EVAL_BATCH]
         conf = nn._forward(model, xb)[-1]
         hits += int((conf.argmax(axis=1) == labels[start : start + len(xb)]).sum())
     return hits / len(data)
@@ -126,7 +110,8 @@ def train(
     test_data: DatasetSplit | None = None,
     log_path: str | Path | None = None,
 ) -> nn.Model:
-    """Minimize cross-entropy by mini-batch SGD; returns the trained model.
+    """Minimize cross-entropy by mini-batch SGD with momentum; returns the
+    trained model.
 
     model_or_arch is an architecture name for a fresh seeded start, or an
     existing model to continue from. Fixed rng_seed gives bit-identical
@@ -165,9 +150,7 @@ def train(
             xb = images[idx]
             yb = labels[idx]
             step_model = _with_params(model, params)
-            loss, grads = _batch_loss_and_grads(
-                step_model, xb, yb, cfg.confidence_penalty
-            )
+            loss, grads = _batch_loss_and_grads(step_model, xb, yb)
             if not np.isfinite(loss):
                 raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}")
             losses.append(loss)
@@ -175,19 +158,13 @@ def train(
                 if g is None:
                     continue
                 w, b = params[i]
-                # L2 penalty applies to weights only, never biases
-                gw = g[0] + cfg.weight_decay * w if cfg.weight_decay else g[0]
-                if cfg.optimizer == "sgd_momentum":
-                    vw, vb = velocity[i]
-                    vw *= MOMENTUM
-                    vw -= cfg.learning_rate * gw
-                    vb *= MOMENTUM
-                    vb -= cfg.learning_rate * g[1]
-                    w += vw
-                    b += vb
-                else:
-                    w -= cfg.learning_rate * gw
-                    b -= cfg.learning_rate * g[1]
+                vw, vb = velocity[i]
+                vw *= MOMENTUM
+                vw -= cfg.learning_rate * g[0]
+                vb *= MOMENTUM
+                vb -= cfg.learning_rate * g[1]
+                w += vw
+                b += vb
         if log_path is not None:
             trained = _with_params(model, params)
             train_acc = evaluate(trained, data)

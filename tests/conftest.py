@@ -22,7 +22,6 @@ from neurofuzz.trainer import TrainConfig, evaluate, train
 TRAIN_PHASES = ((15, 0.05), (3, 0.015), (8, 0.005))
 TRAIN_BATCH = 64
 TRAIN_SEED = 0
-TRAIN_WEIGHT_DECAY = 0.0
 N_TRAIN = 20000
 N_TEST = 2000
 
@@ -65,7 +64,6 @@ def train_reference_model(train_split: DatasetSplit):
                 batch_size=TRAIN_BATCH,
                 learning_rate=lr,
                 rng_seed=TRAIN_SEED,
-                weight_decay=TRAIN_WEIGHT_DECAY,
             ),
         )
     return model

@@ -47,6 +47,29 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--num-inputs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fuzz", "compare-strategies"])
+    @pytest.mark.parametrize("value", ["x", "5", "0", "1,x", ","])
+    def test_bad_strategies_exits_2(self, capsys, command, value, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "m.json", "--data-dir", str(tmp_path),
+                  "--strategies", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--strategies" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--optimizer", "sgd_momentum"],
+        ["train", "--weight-decay", "0"],
+        ["train", "--confidence-penalty", "0"],
+        ["retrain", "--model", "m.json", "--campaign-dir", "c", "--optimizer", "sgd"],
+    ])
+    def test_removed_trainer_flags_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", ['{"k": 4,', "[1, 2]", "\xff\xfe"])
     def test_malformed_config_exits_1(self, capsys, tmp_path, text):
         config = tmp_path / "config.json"
@@ -80,6 +103,23 @@ class TestUsageErrors:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert repr(next(iter(json.loads(text)))) in err
+
+    @pytest.mark.parametrize("text", ['{"strategies": [5]}', '{"strategies": []}'])
+    def test_bad_strategies_in_config_exits_1(self, capsys, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, _, err = run(
+            capsys,
+            "fuzz",
+            "--model", str(tmp_path / "m.json"),
+            "--data-dir", str(tmp_path),
+            "--config", str(config),
+            "--out-dir", str(tmp_path / "campaign"),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "strategies" in err
 
     def test_missing_model_file_exits_1(self, capsys, data_dir, tmp_path):
         code, _, err = run(

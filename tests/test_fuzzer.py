@@ -70,6 +70,15 @@ class TestFuzzConfig:
         with pytest.raises(ContractViolation):
             FuzzConfig(distance_max=0.0)
 
+    @pytest.mark.parametrize("strategies", [(), (5,), (0,), (1, 5), (-1,)])
+    def test_bad_strategies_rejected(self, strategies):
+        with pytest.raises(ContractViolation, match="strategies"):
+            FuzzConfig(strategies=strategies)
+        # a random-only campaign never selects neurons, so the config is
+        # the only place a bad value can be caught
+        with pytest.raises(ContractViolation, match="strategies"):
+            FuzzConfig.from_dict({"strategies": list(strategies)})
+
     def test_dict_round_trip(self):
         cfg = FuzzConfig(step_size=0.5, strategies=(2, 3), rng_seed=9)
         assert FuzzConfig.from_dict(cfg.to_dict()) == cfg

@@ -90,6 +90,21 @@ class TestIdxReader:
         with pytest.raises(IngestError):
             load_mnist(tmp_path / "i", tmp_path / "l")
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (1, 0, 2)])
+    def test_empty_dimension_rejected(self, tmp_path, shape):
+        (tmp_path / "i").write_bytes(idx_images_bytes(np.zeros(shape, np.uint8)))
+        (tmp_path / "l").write_bytes(idx_labels_bytes([0] * shape[0]))
+        with pytest.raises(IngestError, match="must be positive"):
+            load_mnist(tmp_path / "i", tmp_path / "l")
+
+    def test_corrupt_gzip_rejected(self, tmp_path):
+        packed = gzip.compress(idx_images_bytes(np.zeros((4, 2, 2), np.uint8)))
+        (tmp_path / "l").write_bytes(idx_labels_bytes([0, 1, 2, 3]))
+        for name, body in (("cut", packed[:-12]), ("flipped", packed[:12] + b"\xff" * 8 + packed[20:])):
+            (tmp_path / name).write_bytes(body)
+            with pytest.raises(IngestError, match="cannot read"):
+                load_mnist(tmp_path / name, tmp_path / "l")
+
     def test_count_mismatch(self, tmp_path):
         (tmp_path / "i").write_bytes(idx_images_bytes(np.zeros((2, 2, 2), np.uint8)))
         (tmp_path / "l").write_bytes(idx_labels_bytes([0, 1, 2]))
@@ -121,6 +136,12 @@ class TestPgm:
         assert back.shape == (28, 28, 1)
         err = np.abs(back.array.astype(np.float64) - x.astype(np.float64)).max()
         assert err <= 1.0 / 510.0 + 1e-9
+
+    @pytest.mark.parametrize("header", [b"P5\n-2 3\n255\n", b"P5\n2 -3\n255\n", b"P5\n0 0\n255\n"])
+    def test_import_rejects_non_positive_size(self, tmp_path, header):
+        (tmp_path / "a.pgm").write_bytes(header + bytes(6))
+        with pytest.raises(IngestError, match="must be positive"):
+            import_image_pgm(tmp_path / "a.pgm")
 
     def test_import_tolerates_comments_and_whitespace(self, tmp_path):
         body = b"P5 # binary graymap\n# comment line\n 2\t1 \n255\n\x00\xff"
@@ -223,6 +244,43 @@ class TestModelJson:
         }
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(ModelLoadError):
+            load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("hyper", [
+        {"pool": [2]}, {"pool": [2, 2, 2]}, {"pool": "22"}, {"pool": [2, 1.5]},
+        {"pool": None}, {"pool": 0}, [2, 2], "pool",
+    ])
+    def test_bad_maxpool_hyper_rejected(self, tmp_path, hyper):
+        doc = {
+            "format_version": MODEL_FORMAT_VERSION,
+            "input_shape": [4, 4, 1],
+            "num_classes": 4,
+            "layers": [
+                {"kind": "maxpool2d", "hyper": hyper},
+                {"kind": "flatten"},
+                {"kind": "softmax"},
+            ],
+        }
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match="layer 0"):
+            load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("stride", [0, 1.5, "1", 1e400, None])
+    def test_bad_conv_stride_rejected(self, tmp_path, stride):
+        doc = {
+            "format_version": MODEL_FORMAT_VERSION,
+            "input_shape": [2, 2, 1],
+            "num_classes": 1,
+            "layers": [
+                {"kind": "conv2d", "hyper": {"stride": stride},
+                 "weights": [[[[1.0]]]], "bias": [0.0]},
+                {"kind": "flatten"},
+                {"kind": "dense", "weights": [[1.0]] * 4, "bias": [0.0]},
+                {"kind": "softmax"},
+            ],
+        }
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match="layer 0"):
             load_model(tmp_path / "m.json")
 
     def test_bad_layer_reports_index(self, tmp_path):

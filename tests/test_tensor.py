@@ -10,14 +10,10 @@ from neurofuzz.tensor import Tensor, clip, elementwise_add, l2_norm
 
 class TestConstruction:
     def test_shape_data_consistency(self):
-        t = Tensor([1.0, 2.0, 3.0, 4.0], shape=(2, 2))
+        t = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert t.shape == (2, 2)
         assert t.size == 4
         assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ContractViolation):
-            Tensor([1.0, 2.0, 3.0], shape=(2, 2))
 
     def test_nan_rejected(self):
         with pytest.raises(ContractViolation):

@@ -4,6 +4,8 @@ The separable-blob dataset gives a convergence oracle: a linear-capacity
 model must reach 100% on it within a small epoch budget.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,9 @@ class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
         assert cfg.epochs == 5
-        assert cfg.optimizer == "sgd_momentum"
+        assert [f.name for f in fields(cfg)] == [
+            "epochs", "batch_size", "learning_rate", "rng_seed"
+        ]
 
     def test_invariants(self):
         with pytest.raises(ContractViolation):
@@ -85,8 +89,6 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ContractViolation):
             TrainConfig(learning_rate=-0.1)
-        with pytest.raises(ContractViolation):
-            TrainConfig(optimizer="adam")
 
 
 class TestTrain:
@@ -229,15 +231,6 @@ class TestTrain:
                     assert grads[li][which].flat[flat] == pytest.approx(
                         numeric, rel=1e-5, abs=1e-8
                     )
-
-    def test_plain_sgd_supported(self):
-        data = blob_split()
-        model = train(
-            tiny_arch(),
-            data,
-            TrainConfig(epochs=20, batch_size=8, learning_rate=0.5, optimizer="sgd"),
-        )
-        assert evaluate(model, data) >= 0.95
 
 
 class TestEvaluate:
