@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .fuzzer import (
     write_campaign_report,
 )
 from .model_io import DatasetSplit, load_mnist, load_model, save_model
+from .nn import Model
 from .tensor import Tensor
 from .trainer import TrainConfig, evaluate, retrain_with_adversarial, train
 
@@ -107,8 +108,9 @@ def _summary(report) -> str:
 
 
 def _add_fuzz_config_flags(p: argparse.ArgumentParser):
-    """Every FuzzConfig knob, defaulting to None so explicit flags can be
-    told apart from defaults when merging with --config."""
+    """Every FuzzConfig knob, each stored under its field name and
+    defaulting to None so explicit flags can be told apart from defaults
+    when merging with --config."""
     p.add_argument("--config", help="JSON file with a saved FuzzConfig to replay")
     p.add_argument("--k", type=int, default=None, help="top-k other classes in the objective")
     p.add_argument("--m", type=int, default=None, help="neurons targeted per seed")
@@ -124,38 +126,19 @@ def _add_fuzz_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--activation-threshold", type=float, default=None)
     p.add_argument("--distance-max", type=float, default=None,
                    help="relative L2 cap for keeping a mutant as a seed")
-    p.add_argument("--gain-initial", type=float, default=None,
+    p.add_argument("--gain-initial", dest="coverage_gain_initial", type=float, default=None,
                    help="starting coverage-gain ratio required to keep a seed")
-    p.add_argument("--gain-decay", type=float, default=None)
-    p.add_argument("--gain-floor", type=float, default=None)
-    p.add_argument("--grad-mode", choices=["sign", "scaled_raw"], default=None)
-    p.add_argument("--step-size", type=float, default=None)
+    p.add_argument("--gain-decay", dest="coverage_gain_decay", type=float, default=None)
+    p.add_argument("--gain-floor", dest="coverage_gain_floor", type=float, default=None)
+    p.add_argument("--step-size", type=float, default=None,
+                   help="L2 length of each mutation step")
     p.add_argument("--max-seeds-per-input", type=int, default=None)
     p.add_argument("--pixel-range", type=float, nargs=2, default=None,
                    metavar=("LO", "HI"))
     p.add_argument("--use-logits", action=argparse.BooleanOptionalAction, default=None,
                    help="build class terms from logits instead of confidences")
-    p.add_argument("--seed", type=int, default=None, help="campaign rng seed")
-
-
-_FLAG_TO_FIELD = {
-    "k": "k",
-    "m": "m",
-    "lam": "lam",
-    "iter_times": "iter_times",
-    "activation_threshold": "activation_threshold",
-    "distance_max": "distance_max",
-    "gain_initial": "coverage_gain_initial",
-    "gain_decay": "coverage_gain_decay",
-    "gain_floor": "coverage_gain_floor",
-    "grad_mode": "grad_mode",
-    "step_size": "step_size",
-    "max_seeds_per_input": "max_seeds_per_input",
-    "pixel_range": "pixel_range",
-    "use_logits": "use_logits",
-    "seed": "rng_seed",
-    "strategies": "strategies",
-}
+    p.add_argument("--seed", dest="rng_seed", type=int, default=None,
+                   help="campaign rng seed")
 
 
 def _resolve_fuzz_config(args) -> FuzzConfig:
@@ -168,11 +151,31 @@ def _resolve_fuzz_config(args) -> FuzzConfig:
         if not isinstance(saved, dict):
             raise ContractViolation(f"{args.config} does not hold a JSON object")
         merged.update(saved)
-    for flag, field in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag)
+    for f in fields(FuzzConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            merged[field] = value
+            merged[f.name] = value
     return FuzzConfig.from_dict(merged)
+
+
+def _campaign_setup(args, parser) -> tuple[FuzzConfig, Model, list[Tensor]]:
+    """Config, model and picked test inputs shared by fuzz and
+    compare-strategies."""
+    data_dir = _resolve_data_dir(args, parser)
+    cfg = _resolve_fuzz_config(args)
+    model = load_model(args.model)
+    test_split = _load_split(data_dir, "t10k")
+    return cfg, model, _pick_inputs(test_split, args.num_inputs, cfg.rng_seed)
+
+
+def _train_config(args) -> TrainConfig:
+    """The TrainConfig of train and retrain, from their shared flags."""
+    return TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        learning_rate=args.lr,
+        rng_seed=args.seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +186,8 @@ def cmd_train(args, parser) -> int:
     data_dir = _resolve_data_dir(args, parser)
     train_split = _load_split(data_dir, "train")
     test_split = _load_split(data_dir, "t10k")
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        rng_seed=args.seed,
-    )
     start = load_model(args.init_model) if args.init_model else args.arch
-    model = train(start, train_split, cfg, test_data=test_split, log_path=args.log)
+    model = train(start, train_split, _train_config(args), test_data=test_split, log_path=args.log)
     save_model(model, args.out)
     acc = evaluate(model, test_split)
     what = args.init_model or args.arch
@@ -199,12 +196,7 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_fuzz(args, parser) -> int:
-    data_dir = _resolve_data_dir(args, parser)
-    cfg = _resolve_fuzz_config(args)
-    model = load_model(args.model)
-    test_split = _load_split(data_dir, "t10k")
-    inputs = _pick_inputs(test_split, args.num_inputs, cfg.rng_seed)
-
+    cfg, model, inputs = _campaign_setup(args, parser)
     report = fuzz_corpus(model, inputs, cfg)
     write_campaign_report(report, args.out_dir)
     print(f"guided   {_summary(report)}")
@@ -230,14 +222,9 @@ def cmd_retrain(args, parser) -> int:
     if not records:
         print(f"error: {args.campaign_dir} holds no adversarial records", file=sys.stderr)
         return 1
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        rng_seed=args.seed,
-    )
     result = retrain_with_adversarial(
-        model, train_split, test_split, records, cfg, oversample=args.oversample
+        model, train_split, test_split, records, _train_config(args),
+        oversample=args.oversample,
     )
     save_model(result.model, args.out)
     print(
@@ -249,12 +236,7 @@ def cmd_retrain(args, parser) -> int:
 
 
 def cmd_compare_strategies(args, parser) -> int:
-    data_dir = _resolve_data_dir(args, parser)
-    cfg = _resolve_fuzz_config(args)
-    model = load_model(args.model)
-    test_split = _load_split(data_dir, "t10k")
-    inputs = _pick_inputs(test_split, args.num_inputs, cfg.rng_seed)
-
+    cfg, model, inputs = _campaign_setup(args, parser)
     curves = {}
     for strategy in STRATEGIES:
         report = fuzz_corpus(model, inputs, replace(cfg, strategies=(strategy,)))

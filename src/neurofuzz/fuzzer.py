@@ -33,12 +33,7 @@ from . import nn
 from .errors import ContractViolation
 from .tensor import Tensor, clip, elementwise_add, l2_norm
 
-GRAD_MODES = ("sign", "scaled_raw")
 MUTATION_MODES = ("guided", "random")
-
-# per-mode step defaults; sign steps are per-pixel, scaled_raw steps are an
-# absolute L2 length per iteration (see FuzzConfig docstring)
-_STEP_DEFAULTS = {"sign": 0.01, "scaled_raw": 1.2}
 
 
 @dataclass(frozen=True)
@@ -48,16 +43,14 @@ class FuzzConfig:
     use_logits moves the class terms of the objective from post-softmax
     confidences to pre-softmax logits; confidences are the default.
 
-    step_size left as None picks the per-mode default: sign flips each pixel
-    by a fixed 0.01, so its step is that pixel amount; scaled_raw normalizes
-    the gradient to unit L2 first, so its step is the absolute L2 length of
-    each iteration's perturbation and needs to be on the scale of the input
-    norm to matter. In either mode the first step of a seed's run is
-    shortened, when it is longer, to the L2 room the seed has left under the
-    cap: distance_max times the origin's L2 norm, less the seed's own L2
-    offset from the origin and a float32 rounding allowance. That mutant
-    thus stays inside the cap for the gain gate to judge; the other
-    iter_times - 1 steps are full length.
+    Each mutation normalizes the gradient to unit L2 and scales it by
+    step_size, so step_size is the absolute L2 length of each iteration's
+    perturbation and needs to be on the scale of the input norm to matter.
+    The first step of a seed's run is shortened, when it is longer, to the
+    L2 room the seed has left under the cap: distance_max times the origin's
+    L2 norm, less the seed's own L2 offset from the origin and a float32
+    rounding allowance. That mutant thus stays inside the cap for the gain
+    gate to judge; the other iter_times - 1 steps are full length.
     """
 
     k: int = 4
@@ -70,8 +63,7 @@ class FuzzConfig:
     coverage_gain_initial: float = 0.01
     coverage_gain_decay: float = 0.9
     coverage_gain_floor: float = 0.001
-    grad_mode: str = "scaled_raw"
-    step_size: float | None = None
+    step_size: float = 1.2
     max_seeds_per_input: int = 64
     pixel_range: tuple[float, float] = (0.0, 1.0)
     use_logits: bool = False
@@ -80,10 +72,6 @@ class FuzzConfig:
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "pixel_range", tuple(self.pixel_range))
-        if self.step_size is None:
-            object.__setattr__(
-                self, "step_size", _STEP_DEFAULTS.get(self.grad_mode, 0.01)
-            )
         if self.k < 1 or self.m < 1 or self.iter_times < 1:
             raise ContractViolation("k, m and iter_times must all be >= 1")
         if not self.strategies or any(s not in cov.STRATEGIES for s in self.strategies):
@@ -96,8 +84,6 @@ class FuzzConfig:
             raise ContractViolation("distance_max must be positive")
         if not 0 < self.activation_threshold < 1:
             raise ContractViolation("activation_threshold must be in (0, 1)")
-        if self.grad_mode not in GRAD_MODES:
-            raise ContractViolation(f"grad_mode must be one of {GRAD_MODES}")
         if self.step_size <= 0:
             raise ContractViolation("step_size must be positive")
         if self.max_seeds_per_input < 1:
@@ -148,9 +134,7 @@ def _is_number(v) -> bool:
 _FIELD_CHECKS = {
     "int": _is_int,
     "float": _is_number,
-    "float | None": lambda v: v is None or _is_number(v),
     "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
     "tuple[int, ...]": lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
     "tuple[float, float]": lambda v: (
         isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
@@ -237,15 +221,12 @@ class CampaignReport:
         return self.total_wall_s / len(self.records)
 
 
-def process_gradient(grads: Tensor, mode: str, step_size: float) -> Tensor:
-    """Turn a raw input gradient into a perturbation of bounded size."""
+def process_gradient(grads: Tensor, step_size: float) -> Tensor:
+    """Turn a raw input gradient into a perturbation of L2 length step_size:
+    the gradient normalized to unit L2, times the step. A zero gradient
+    gives the zero perturbation."""
     g = grads.array
-    if mode == "sign":
-        return Tensor.wrap(np.sign(g) * g.dtype.type(step_size))
-    if mode == "scaled_raw":
-        scale = step_size / max(l2_norm(grads), 1e-12)
-        return Tensor.wrap(g * g.dtype.type(scale))
-    raise ContractViolation(f"grad_mode must be one of {GRAD_MODES}")
+    return Tensor.wrap(g * g.dtype.type(step_size / max(l2_norm(grads), 1e-12)))
 
 
 def _shorten_to(pert: Tensor, budget: float) -> Tensor:
@@ -338,10 +319,10 @@ def fuzz_one_input(
         budget = (cfg.distance_max - seed.distance) * x_norm - slack
         for iteration in range(1, cfg.iter_times + 1):
             if mutation == "guided":
-                pert = process_gradient(grad, cfg.grad_mode, cfg.step_size)
+                pert = process_gradient(grad, cfg.step_size)
             else:
                 noise = rng.standard_normal(x.shape).astype(x.array.dtype)
-                pert = process_gradient(Tensor.wrap(noise), cfg.grad_mode, cfg.step_size)
+                pert = process_gradient(Tensor.wrap(noise), cfg.step_size)
             if iteration == 1:
                 pert = _shorten_to(pert, budget)
             cur = clip(elementwise_add(cur, pert), lo, hi)

@@ -67,13 +67,18 @@ def load_model(path: str | Path) -> Model:
     if not isinstance(doc, dict):
         raise ModelLoadError("model file must hold a JSON object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if not _is_count(version) or version != MODEL_FORMAT_VERSION:
         raise ModelLoadError(
             f"unsupported format_version {version!r}; expected {MODEL_FORMAT_VERSION}"
         )
     for key in ("input_shape", "num_classes", "layers"):
         if key not in doc:
             raise ModelLoadError(f"model file missing field {key!r}")
+    shape, num_classes = doc["input_shape"], doc["num_classes"]
+    if not isinstance(shape, list) or not shape or not all(map(_is_count, shape)):
+        raise ModelLoadError(f"input_shape must be a list of integers >= 1, got {shape!r}")
+    if not _is_count(num_classes):
+        raise ModelLoadError(f"num_classes must be an integer >= 1, got {num_classes!r}")
     precision = doc.get("precision", "single")
     raw_layers = doc["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
@@ -85,11 +90,14 @@ def load_model(path: str | Path) -> Model:
         except (ContractViolation, TypeError, ValueError, OverflowError) as exc:
             raise ModelLoadError(f"layer {i}: {exc}") from None
     try:
-        return Model(
-            tuple(layers), tuple(doc["input_shape"]), int(doc["num_classes"])
-        )
+        return Model(tuple(layers), tuple(shape), num_classes)
     except (ContractViolation, TypeError, ValueError, OverflowError) as exc:
         raise ModelLoadError(str(exc)) from None
+
+
+def _is_count(v) -> bool:
+    """A JSON integer >= 1; bools and floats such as 2.0 are not."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 def _layer_from_doc(raw: dict, precision: str) -> Layer:
@@ -130,7 +138,7 @@ class DatasetSplit:
                 f"{self.images.shape[0]} images but {len(self.labels)} labels"
             )
         arr = self.images.array
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        if arr.min() < 0.0 or arr.max() > 1.0:
             raise ContractViolation("image pixels must lie in [0, 1]")
 
     def __len__(self) -> int:

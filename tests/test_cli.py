@@ -4,13 +4,15 @@ Everything goes through main(argv) in-process; exit codes follow the
 documented contract (0 ok, 1 runtime failure, 2 usage error).
 """
 
+import argparse
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from neurofuzz.cli import main
+from neurofuzz.cli import _resolve_fuzz_config, build_parser, main
 from neurofuzz.fuzzer import FuzzConfig
 from neurofuzz.model_io import load_model
 
@@ -121,6 +123,31 @@ class TestUsageErrors:
         assert len(err.strip().splitlines()) == 1
         assert "strategies" in err
 
+    @pytest.mark.parametrize("command", ["fuzz", "compare-strategies"])
+    def test_removed_grad_mode_flag_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "m.json", "--grad-mode", "sign"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fuzz", "compare-strategies"])
+    def test_grad_mode_in_config_exits_1(self, capsys, tmp_path, command):
+        # a config saved before the sign rule was removed still names it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(FuzzConfig().to_dict(), grad_mode="scaled_raw")))
+        code, _, err = run(
+            capsys,
+            command,
+            "--model", str(tmp_path / "m.json"),
+            "--data-dir", str(tmp_path),
+            "--config", str(config),
+            "--out-dir", str(tmp_path / "campaign"),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "grad_mode" in err
+
     def test_missing_model_file_exits_1(self, capsys, data_dir, tmp_path):
         code, _, err = run(
             capsys,
@@ -131,6 +158,36 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "error:" in err
+
+
+def subcommand_parser(command: str) -> argparse.ArgumentParser:
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return subparsers.choices[command]
+
+
+@pytest.mark.parametrize("command", ["fuzz", "compare-strategies"])
+class TestFuzzConfigFlags:
+    NOT_CONFIG = {"help", "config", "model", "data_dir", "num_inputs", "out_dir", "baseline"}
+
+    def test_dests_cover_each_field_once(self, command):
+        dests = [a.dest for a in subcommand_parser(command)._actions]
+        config_dests = sorted(d for d in dests if d not in self.NOT_CONFIG)
+        assert config_dests == sorted(f.name for f in fields(FuzzConfig))
+
+    @pytest.mark.parametrize("flag, value, field, expected", [
+        ("--lambda", "0.5", "lam", 0.5),
+        ("--gain-initial", "0.02", "coverage_gain_initial", 0.02),
+        ("--gain-decay", "0.8", "coverage_gain_decay", 0.8),
+        ("--gain-floor", "0.002", "coverage_gain_floor", 0.002),
+        ("--seed", "7", "rng_seed", 7),
+    ])
+    def test_renamed_flag_lands_in_its_field(self, command, flag, value, field, expected):
+        args = build_parser().parse_args([command, "--model", "m.json", flag, value])
+        cfg = _resolve_fuzz_config(args)
+        assert getattr(cfg, field) == expected
+        assert cfg == FuzzConfig(**{field: expected})
 
 
 class TestTrain:

@@ -43,10 +43,7 @@ class TestFuzzConfig:
         assert cfg.coverage_gain_initial == 0.01
         assert cfg.coverage_gain_decay == 0.9
         assert cfg.coverage_gain_floor == 0.001
-
-    def test_sign_mode_default_step(self):
-        cfg = FuzzConfig(grad_mode="sign")
-        assert cfg.step_size == 0.01
+        assert cfg.step_size == 1.2
 
     def test_gain_requirement_schedule(self):
         cfg = FuzzConfig()
@@ -91,7 +88,7 @@ class TestFuzzConfig:
         "field, value",
         [("k", "4"), ("k", True), ("lam", "x"), ("step_size", [1.0]),
          ("strategies", "12"), ("strategies", [1.0]), ("pixel_range", [0.0]),
-         ("use_logits", 1), ("grad_mode", 2)],
+         ("use_logits", 1)],
     )
     def test_wrongly_typed_field_rejected(self, field, value):
         with pytest.raises(ContractViolation, match=field):
@@ -99,31 +96,13 @@ class TestFuzzConfig:
 
 
 class TestProcessGradient:
-    def test_sign_mode_definition(self):
-        out = process_gradient(Tensor([0.3, -0.2, 0.0]), "sign", 0.1)
-        np.testing.assert_allclose(out.array, [0.1, -0.1, 0.0], atol=1e-7)
-
     def test_scaled_raw_unit_normalized(self):
-        out = process_gradient(Tensor([3.0, 4.0]), "scaled_raw", 1.0)
+        out = process_gradient(Tensor([3.0, 4.0]), 1.0)
         np.testing.assert_allclose(out.array, [0.6, 0.8], rtol=1e-6)
-
-    def test_sign_infnorm_equals_step(self):
-        rng = np.random.default_rng(40)
-        for _ in range(20):
-            g = rng.standard_normal(30).astype(np.float32)
-            if not np.any(g):
-                continue
-            out = process_gradient(Tensor.wrap(g), "sign", 0.07)
-            assert float(np.abs(out.array).max()) == pytest.approx(0.07, rel=1e-6)
 
     def test_zero_gradient_zero_perturbation(self):
         z = Tensor([0.0, 0.0, 0.0])
-        assert not process_gradient(z, "sign", 0.1).array.any()
-        assert not process_gradient(z, "scaled_raw", 0.1).array.any()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ContractViolation):
-            process_gradient(Tensor([1.0]), "momentum", 0.1)
+        assert not process_gradient(z, 0.1).array.any()
 
 
 class TestRelativeDistance:
@@ -164,8 +143,8 @@ def constant_classifier():
 
 def linear_two_class(boundary, dims=4, axis=0):
     """Classifier over R^dims predicting class 0 iff x[axis] < boundary;
-    the gradient of (conf_1 - conf_0) points along +axis, so a sign-mode
-    walk moves straight at the boundary."""
+    the gradient of (conf_1 - conf_0) lies on that axis alone, so a
+    normalized step moves its full length straight at the boundary."""
     w = np.zeros((dims, 2), dtype=np.float32)
     w[axis, 0] = -10.0
     w[axis, 1] = 10.0
@@ -181,7 +160,7 @@ class TestFuzzOneInput:
     def test_constant_classifier_drains_queue(self):
         model = constant_classifier()
         tracker = CoverageTracker(model, 0.25)
-        cfg = FuzzConfig(grad_mode="sign", step_size=0.01, k=1, m=1)
+        cfg = FuzzConfig(step_size=0.01, k=1, m=1)
         records, processed = fuzz_one_input(model, tracker, Tensor([0.2, 0.4, 0.6, 0.8]), cfg)
         assert records == []
         # zero gradient -> zero perturbation -> mutants identical to input ->
@@ -190,15 +169,14 @@ class TestFuzzOneInput:
         assert coverage_rate(tracker) == 0.0
 
     def test_linear_boundary_exactly_one_record(self):
-        # input sits 0.015 below the boundary along +x0; sign-mode mutation
-        # moves +step per iteration on that axis, crossing within iter 2
+        # input sits 0.015 below the boundary along +x0; the gradient lies on
+        # that axis, so each normalized step moves +0.01 along it and the
+        # walk crosses within iter 2
         x = Tensor.wrap(np.full(4, 0.5, dtype=np.float32))
         model = linear_two_class(boundary=0.5 + 0.015)
         trace = nn.predict(model, x)
         assert trace.predicted_label == 0
-        cfg = FuzzConfig(
-            grad_mode="sign", step_size=0.01, k=1, lam=0.0, m=1, iter_times=3
-        )
+        cfg = FuzzConfig(step_size=0.01, k=1, lam=0.0, m=1, iter_times=3)
         tracker = CoverageTracker(model, 0.25)
         # pre-covering the original trace keeps the near-boundary mutant from
         # being queued as a seed, isolating the single first-seed flip
@@ -217,7 +195,7 @@ class TestFuzzOneInput:
     def test_boundary_beyond_reach_no_record(self):
         x = Tensor.wrap(np.full(4, 0.5, dtype=np.float32))
         model = linear_two_class(boundary=0.5 + 0.05)
-        cfg = FuzzConfig(grad_mode="sign", step_size=0.01, k=1, lam=0.0, m=1)
+        cfg = FuzzConfig(step_size=0.01, k=1, lam=0.0, m=1)
         tracker = CoverageTracker(model, 0.25)
         records, _ = fuzz_one_input(model, tracker, x, cfg)
         assert records == []
@@ -235,7 +213,7 @@ class TestFuzzOneInput:
         monkeypatch.setattr(fz.SeedQueue, "push", recording_push)
         rng = np.random.default_rng(44)
         x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
-        cfg = FuzzConfig(grad_mode="scaled_raw", step_size=0.05)
+        cfg = FuzzConfig(step_size=0.05)
         tracker = CoverageTracker(model, cfg.activation_threshold)
         fuzz_one_input(model, tracker, x, cfg)
         original_label = nn.predict(model, x).predicted_label
@@ -250,14 +228,14 @@ class TestFuzzOneInput:
         model = architectures.build_model("lenet1", rng_seed=5)
         rng = np.random.default_rng(46)
         x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
-        cfg = FuzzConfig(grad_mode="scaled_raw", step_size=0.03, max_seeds_per_input=2)
+        cfg = FuzzConfig(step_size=0.03, max_seeds_per_input=2)
         tracker = CoverageTracker(model, cfg.activation_threshold)
         _, processed = fuzz_one_input(model, tracker, x, cfg)
         assert processed <= 2
 
     def test_default_campaign_keeps_seeds_inside_cap(self, trained_model,
                                                       test_split, monkeypatch):
-        # the default scaled_raw step (L2 1.2) is several times the cap
+        # the default step (L2 1.2) is several times the cap
         # (0.02 of an input norm of about 6-12); the first step of a run must
         # still land inside it, or no mutant ever goes back into the queue
         cfg = FuzzConfig()
@@ -342,7 +320,7 @@ class TestFuzzCorpus:
         ]
         # a step large enough that the untrained model flips, so the loop
         # below compares real records
-        cfg = FuzzConfig(grad_mode="scaled_raw", step_size=2.0, rng_seed=7)
+        cfg = FuzzConfig(step_size=2.0, rng_seed=7)
         a = fuzz_corpus(model, inputs, cfg)
         b = fuzz_corpus(model, inputs, cfg)
         assert a.records
@@ -367,7 +345,7 @@ class TestFuzzCorpus:
             for _ in range(2)
         ]
         # a step at which the gradient walk flips the untrained model
-        cfg = FuzzConfig(grad_mode="scaled_raw", step_size=2.0, rng_seed=7)
+        cfg = FuzzConfig(step_size=2.0, rng_seed=7)
         guided = fuzz_corpus(model, inputs, cfg)
         random = fuzz_corpus(model, inputs, cfg, mutation="random")
         assert guided.mutation == "guided"
@@ -381,7 +359,7 @@ class TestFuzzCorpus:
         model = architectures.build_model("lenet1", rng_seed=8)
         rng = np.random.default_rng(50)
         x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
-        cfg = FuzzConfig(grad_mode="scaled_raw", step_size=2.0, rng_seed=7)
+        cfg = FuzzConfig(step_size=2.0, rng_seed=7)
         alone = fuzz_corpus(model, [x], cfg)
         both = fuzz_corpus(model, [Tensor.zeros((28, 28, 1)), x], cfg)
         assert alone.records
@@ -396,7 +374,7 @@ class TestFuzzCorpus:
             Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
             for _ in range(4)
         ]
-        report = fuzz_corpus(model, inputs, FuzzConfig(grad_mode="scaled_raw", step_size=0.2))
+        report = fuzz_corpus(model, inputs, FuzzConfig(step_size=0.2))
         assert len(report.coverage_curve) == 4
         rates = [p.coverage_rate for p in report.coverage_curve]
         assert rates == sorted(rates)
@@ -411,7 +389,7 @@ class TestCampaignArtifacts:
             Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
             for _ in range(3)
         ]
-        cfg = FuzzConfig(grad_mode="scaled_raw", step_size=0.6, rng_seed=3)
+        cfg = FuzzConfig(step_size=0.6, rng_seed=3)
         return model, fuzz_corpus(model, inputs, cfg)
 
     def test_layout_and_manifest_row_count(self, tmp_path):

@@ -223,6 +223,26 @@ class TestModelJson:
         trace = nn.predict(model, Tensor.wrap(x))
         np.testing.assert_allclose(trace.confidences.array, expected, atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_classes", "2"), ("num_classes", 2.7), ("num_classes", 2.0),
+         ("format_version", True), ("format_version", 1.0), ("input_shape", [2.0])],
+    )
+    def test_mistyped_header_rejected(self, tmp_path, field, value):
+        # each value once loaded as the two-class dense model it nearly names
+        doc = {
+            "format_version": MODEL_FORMAT_VERSION,
+            "input_shape": [2],
+            "num_classes": 2,
+            "layers": [
+                {"kind": "dense", "weights": [[1.0, 2.0], [3.0, 4.0]], "bias": [0.0, 0.0]},
+                {"kind": "softmax"},
+            ],
+        }
+        (tmp_path / "m.json").write_text(json.dumps(dict(doc, **{field: value})))
+        with pytest.raises(ModelLoadError, match=field):
+            load_model(tmp_path / "m.json")
+
     def test_version_mismatch_rejected(self, tmp_path):
         doc = {"format_version": 99, "input_shape": [2], "num_classes": 2, "layers": []}
         (tmp_path / "m.json").write_text(json.dumps(doc))
