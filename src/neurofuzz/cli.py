@@ -328,10 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except NeuroFuzzError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NeuroFuzzError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Neuron identity, campaign-wide coverage tracking, and the four
+"""Neuron identity and layout, campaign-wide coverage tracking, and the four
 neuron-selection strategies that steer the fuzzer.
 
 A neuron is a dense unit or a conv2d output channel; other layer kinds do not
@@ -7,12 +7,16 @@ that directly follows its layer (relu, or softmax for the final dense); a conv
 channel's value is the mean of its post-activation feature map. Within each
 layer the observed values are min-max scaled to [0, 1] and a neuron counts as
 activated when its scaled value exceeds the tracker's threshold.
+
+NeuronLayout owns that decision: which layers hold neurons, which layer's
+output carries their values, the channel-mean rule and its gradient. Each
+Model builds its layout once, on first use, as model.layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,68 +36,90 @@ class NeuronId:
     unit_index: int
 
 
-def neuron_layers(model: Model) -> list[tuple[int, int]]:
-    """(layer_index, unit count) for every layer that contributes neurons."""
-    out = []
-    for i, layer in enumerate(model.layers):
-        if layer.kind == "dense":
-            out.append((i, layer.weights.shape[1]))
-        elif layer.kind == "conv2d":
-            out.append((i, layer.weights.shape[3]))
-    return out
+class NeuronLayer(NamedTuple):
+    """One layer's neurons: the layer's index, the index of the layer whose
+    output carries their values, their slice of the flat neuron vector, and
+    the feature-map size a conv channel's value averages over (1 for dense)."""
+
+    index: int
+    source: int
+    span: slice
+    map_size: int
+
+
+class NeuronLayout:
+    """Where a model's neurons live, and how their values are read.
+
+    ids lists every neuron in (layer, unit) order, the order of every flat
+    neuron vector; index maps an id to its flat position. weight_l1 holds the
+    L1 norm of the weights feeding each neuron, strategy 3's score.
+    """
+
+    def __init__(self, model: Model):
+        layers, ids, mags = [], [], [np.zeros(0)]
+        for i, layer in enumerate(model.layers):
+            if layer.kind not in ("dense", "conv2d"):
+                continue
+            nxt = i + 1
+            observed = nxt < len(model.layers) and model.layers[nxt].kind in ("relu", "softmax")
+            shape = model.output_shapes[i]
+            span = slice(len(ids), len(ids) + shape[-1])
+            ids.extend(NeuronId(i, u) for u in range(shape[-1]))
+            layers.append(NeuronLayer(i, nxt if observed else i, span, int(np.prod(shape[:-1]))))
+            w = np.abs(layer.weights.array.astype(np.float64))
+            mags.append(w.sum(axis=tuple(range(w.ndim - 1))))
+        self.layers = tuple(layers)
+        self.ids = tuple(ids)
+        self.index = {nid: k for k, nid in enumerate(ids)}
+        self.weight_l1 = np.concatenate(mags)
+        self._by_layer = {nl.index: nl for nl in layers}
+        self._shapes = model.output_shapes
+
+    def _layer_of(self, nid: NeuronId) -> NeuronLayer:
+        if nid not in self.index:
+            raise ContractViolation(f"{nid} is not a neuron of this model")
+        return self._by_layer[nid.layer_index]
+
+    def values(self, trace: ActivationTrace) -> list[np.ndarray]:
+        """Observed values of each neuron layer's units, as float64 arrays in
+        layers order; a conv channel's value is the mean of its map."""
+        if len(trace.outputs) != len(self._shapes) or any(
+            t.shape != s for t, s in zip(trace.outputs, self._shapes)
+        ):
+            raise ContractViolation("trace does not match this model")
+        values = []
+        for nl in self.layers:
+            out = trace.outputs[nl.source].array
+            if out.ndim == 3:
+                values.append(out.mean(axis=(0, 1), dtype=np.float64))
+            else:
+                values.append(out.astype(np.float64))
+        return values
+
+    def value(self, trace: ActivationTrace, nid: NeuronId) -> float:
+        """Observed value of one neuron."""
+        out = trace.outputs[self._layer_of(nid).source].array
+        return float(out[..., nid.unit_index].mean(dtype=np.float64))
+
+    def value_grad(
+        self, nid: NeuronId, lam: float, acts: list[np.ndarray]
+    ) -> tuple[int, np.ndarray]:
+        """Gradient of lam times one neuron's value with respect to the output
+        of its source layer in a batch-1 forward pass, and that layer's index:
+        lam spread evenly over a conv channel's map."""
+        nl = self._layer_of(nid)
+        g = np.zeros_like(acts[nl.source])
+        g[0, ..., nid.unit_index] = lam / nl.map_size
+        return nl.source, g
 
 
 def all_neurons(model: Model) -> tuple[NeuronId, ...]:
-    return tuple(
-        NeuronId(li, u) for li, units in neuron_layers(model) for u in range(units)
-    )
-
-
-def check_neuron(model: Model, nid: NeuronId):
-    units = dict(neuron_layers(model)).get(nid.layer_index)
-    if units is None or not 0 <= nid.unit_index < units:
-        raise ContractViolation(f"{nid} is not a neuron of this model")
-
-
-def activation_layer_index(model: Model, layer_index: int) -> int:
-    """Index of the layer whose output carries the neuron's observed value:
-    the relu/softmax directly after it when present, else the layer itself."""
-    nxt = layer_index + 1
-    if nxt < len(model.layers) and model.layers[nxt].kind in ("relu", "softmax"):
-        return nxt
-    return layer_index
-
-
-def conv_map_size(model: Model, layer_index: int) -> int:
-    h, w, _ = model.output_shapes[layer_index]
-    return h * w
-
-
-def neuron_value(model: Model, trace: ActivationTrace, nid: NeuronId) -> float:
-    check_neuron(model, nid)
-    out = trace.outputs[activation_layer_index(model, nid.layer_index)].array
-    if out.ndim == 3:
-        return float(out[:, :, nid.unit_index].mean(dtype=np.float64))
-    return float(out[nid.unit_index])
-
-
-def _layer_values(model: Model, trace: ActivationTrace) -> list[np.ndarray]:
-    """Observed values of each neuron layer's units, as float64 arrays in
-    neuron_layers order."""
-    _check_trace(model, trace)
-    values = []
-    for li, _ in neuron_layers(model):
-        out = trace.outputs[activation_layer_index(model, li)].array
-        if out.ndim == 3:
-            values.append(out.mean(axis=(0, 1), dtype=np.float64))
-        else:
-            values.append(out.astype(np.float64))
-    return values
+    return model.layout.ids
 
 
 def neuron_outputs(model: Model, trace: ActivationTrace) -> dict[NeuronId, float]:
     """Observed value of every neuron for one trace."""
-    flat = np.concatenate(_layer_values(model, trace))
+    flat = np.concatenate(model.layout.values(trace))
     return dict(zip(all_neurons(model), flat.tolist()))
 
 
@@ -115,31 +141,15 @@ def scale_layer(outputs: Sequence[float]) -> list[float]:
 def scaled_outputs(model: Model, trace: ActivationTrace) -> np.ndarray:
     """Every neuron's value for one trace, min-max scaled within its layer
     (see scale_layer), as one float64 vector in all_neurons order."""
-    return np.concatenate([_scale(v) for v in _layer_values(model, trace)])
-
-
-def _check_trace(model: Model, trace: ActivationTrace):
-    if len(trace.outputs) != len(model.layers) or any(
-        t.shape != s for t, s in zip(trace.outputs, model.output_shapes)
-    ):
-        raise ContractViolation("trace does not match this model")
-
-
-def activated_neurons(
-    model: Model, trace: ActivationTrace, threshold: float
-) -> frozenset[NeuronId]:
-    """Neurons whose scaled value exceeds the threshold for this one trace."""
-    ids = all_neurons(model)
-    active = np.flatnonzero(scaled_outputs(model, trace) > threshold)
-    return frozenset(ids[i] for i in active)
+    return np.concatenate([_scale(v) for v in model.layout.values(trace)])
 
 
 class CoverageTracker:
     """Mutable per-campaign record of which neurons were ever activated.
 
-    covered flags are monotone; activation_count counts activating traces;
-    last_scaled_output remembers each neuron's scaled value from the most
-    recent update. All three are flat arrays in all_neurons order.
+    _covered flags are monotone; _count counts activating traces; _last_scaled
+    remembers each neuron's scaled value from the most recent update. All
+    three are flat arrays in neuron_ids order.
     """
 
     def __init__(
@@ -147,35 +157,25 @@ class CoverageTracker:
     ):
         if not 0 < activation_threshold < 1:
             raise ContractViolation("activation_threshold must be in (0, 1)")
-        self._signature = tuple(neuron_layers(model))
-        self._ids = all_neurons(model)
-        if not self._ids:
+        self.layout = model.layout
+        n = len(self.layout.ids)
+        if not n:
             raise ContractViolation("model has no dense or conv2d layers")
-        self._index = {nid: i for i, nid in enumerate(self._ids)}
-        self._covered = np.zeros(len(self._ids), dtype=bool)
-        self._count = np.zeros(len(self._ids), dtype=np.int64)
-        self._last_scaled = np.zeros(len(self._ids), dtype=np.float64)
+        self._covered = np.zeros(n, dtype=bool)
+        self._count = np.zeros(n, dtype=np.int64)
+        self._last_scaled = np.zeros(n, dtype=np.float64)
         self.activation_threshold = float(activation_threshold)
 
     @property
     def total_neurons(self) -> int:
-        return len(self._ids)
+        return len(self.layout.ids)
 
     @property
     def neuron_ids(self) -> tuple[NeuronId, ...]:
-        return self._ids
-
-    def covered(self, nid: NeuronId) -> bool:
-        return bool(self._covered[self._index[nid]])
-
-    def activation_count(self, nid: NeuronId) -> int:
-        return int(self._count[self._index[nid]])
-
-    def last_scaled_output(self, nid: NeuronId) -> float:
-        return float(self._last_scaled[self._index[nid]])
+        return self.layout.ids
 
     def covered_neurons(self) -> frozenset[NeuronId]:
-        return frozenset(self._ids[i] for i in np.flatnonzero(self._covered))
+        return frozenset(self.layout.ids[i] for i in np.flatnonzero(self._covered))
 
     def covered_count(self) -> int:
         return int(self._covered.sum())
@@ -184,7 +184,7 @@ class CoverageTracker:
 def update(tracker: CoverageTracker, model: Model, trace: ActivationTrace) -> int:
     """Fold one trace into the tracker; returns how many neurons flipped from
     uncovered to covered."""
-    if tuple(neuron_layers(model)) != tracker._signature:
+    if model.layout.layers != tracker.layout.layers:
         raise ContractViolation("tracker was built for a different model")
     scaled = scaled_outputs(model, trace)
     active = scaled > tracker.activation_threshold
@@ -207,12 +207,7 @@ def _rank_key(tracker: CoverageTracker, model: Model, strategy: int) -> np.ndarr
     if strategy == 2:
         return tracker._count
     if strategy == 3:
-        # L1 norm of the weights feeding each neuron, largest first
-        mags = []
-        for li, _ in neuron_layers(model):
-            w = np.abs(model.layers[li].weights.array.astype(np.float64))
-            mags.append(w.sum(axis=tuple(range(w.ndim - 1))))
-        return -np.concatenate(mags)
+        return -model.layout.weight_l1  # largest L1 first
     return np.abs(tracker._last_scaled - tracker.activation_threshold)
 
 

@@ -21,6 +21,7 @@ inconsistency by construction.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, fields
@@ -31,6 +32,7 @@ import numpy as np
 from . import coverage as cov
 from . import nn
 from .errors import ContractViolation
+from .model_io import export_image_pgm, import_image_pgm
 from .tensor import Tensor, clip, elementwise_add, l2_norm
 
 MUTATION_MODES = ("guided", "random")
@@ -72,6 +74,10 @@ class FuzzConfig:
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "pixel_range", tuple(self.pixel_range))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ContractViolation(f"{f.name} must be finite, got {value!r}")
         if self.k < 1 or self.m < 1 or self.iter_times < 1:
             raise ContractViolation("k, m and iter_times must all be >= 1")
         if not self.strategies or any(s not in cov.STRATEGIES for s in self.strategies):
@@ -89,8 +95,10 @@ class FuzzConfig:
         if self.max_seeds_per_input < 1:
             raise ContractViolation("max_seeds_per_input must be >= 1")
         lo, hi = self.pixel_range
-        if not lo < hi:
-            raise ContractViolation("pixel_range must satisfy lo < hi")
+        if not 0 <= lo < hi <= 1:
+            raise ContractViolation(
+                f"pixel_range must satisfy 0 <= lo < hi <= 1, got {list(self.pixel_range)}"
+            )
 
     def gain_requirement(self, seeds_processed: int) -> float:
         """Coverage-gain ratio a mutant must reach to stay in the queue;
@@ -370,7 +378,7 @@ def fuzz_corpus(
     per input, taken after it.
     """
     tracker = cov.CoverageTracker(model, cfg.activation_threshold)
-    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(max(len(inputs), 1))
+    seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(inputs))
     records: list[AdversarialRecord] = []
     curve: list[CoveragePoint] = []
     walls: list[float] = []
@@ -384,11 +392,10 @@ def fuzz_corpus(
         records.extend(recs)
         cumulative_seeds += processed
         curve.append(CoveragePoint(i, cumulative_seeds, cov.coverage_rate(tracker)))
-    final = cov.coverage_rate(tracker) if inputs else 0.0
     return CampaignReport(
         records=tuple(records),
         coverage_curve=tuple(curve),
-        final_coverage=final,
+        final_coverage=cov.coverage_rate(tracker),
         input_wall_s=tuple(walls),
         config=cfg,
         mutation=mutation,
@@ -399,12 +406,8 @@ def fuzz_corpus(
 # campaign artifacts
 
 
-def record_filename(record: AdversarialRecord, seq: int) -> str:
-    """PGM name carrying origin index, per-input sequence and both labels."""
-    return _adv_name(record.input_index, seq, record.original_label, record.adversarial_label)
-
-
 def _adv_name(input_index: int, seq: int, original: int, adversarial: int) -> str:
+    """PGM name carrying origin index, per-input sequence and both labels."""
     return f"adv_{input_index}_{seq}_{original}to{adversarial}.pgm"
 
 
@@ -416,15 +419,14 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
     outputs, so a fixed rng_seed reproduces them byte for byte; wall-clock
     measurements live in timing.csv only.
     """
-    from .model_io import export_image_pgm
-
     out = Path(out_dir)
     (out / "adversarial").mkdir(parents=True, exist_ok=True)
 
     seq: Counter[int] = Counter()
     manifest = ["input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"]
     for rec in report.records:
-        name = record_filename(rec, seq[rec.input_index])
+        name = _adv_name(rec.input_index, seq[rec.input_index], rec.original_label,
+                         rec.adversarial_label)
         seq[rec.input_index] += 1
         export_image_pgm(rec.mutated, out / "adversarial" / name)
         manifest.append(
@@ -454,8 +456,6 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
 def read_campaign_records(campaign_dir: str | Path) -> list[AdversarialRecord]:
     """Rebuild adversarial records from a written campaign directory by
     joining manifest.csv rows with their PGM files."""
-    from .model_io import import_image_pgm
-
     campaign = Path(campaign_dir)
     manifest = campaign / "manifest.csv"
     if not manifest.exists():

@@ -17,10 +17,12 @@ Conventions (pinned, covered by tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
+from .coverage import NeuronLayout
 from .errors import ContractViolation
 from .tensor import Tensor
 
@@ -154,6 +156,11 @@ class Model:
     def precision(self) -> str:
         return self._precision
 
+    @cached_property
+    def layout(self) -> NeuronLayout:
+        """Where this model's neurons live; built on first use, then kept."""
+        return NeuronLayout(self)
+
     def astype(self, precision: str) -> "Model":
         layers = tuple(
             Layer(
@@ -264,7 +271,8 @@ def _forward(
     """Batched forward; returns one output array [n, ...] per layer.
 
     When cols is a dict, it receives each conv2d layer's im2col matrix under
-    the layer's index, so that _backward_params can reuse it.
+    the layer's index, so that _backward can reuse it for parameter
+    gradients.
     """
     acts = []
     a = xb
@@ -299,11 +307,9 @@ def _layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
         return _maxpool_forward(x, layer.pool)
     if kind == "flatten":
         return x.reshape(x.shape[0], -1)
-    if kind == "softmax":
-        z = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
-    raise ContractViolation(f"unknown layer kind {kind!r}")
+    z = x - x.max(axis=-1, keepdims=True)  # softmax
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _im2col(x: np.ndarray, layer: Layer) -> tuple[np.ndarray, int, int]:
@@ -375,19 +381,13 @@ def top_k_other_labels(trace: ActivationTrace, k: int) -> list[int]:
 
 
 def objective_value(model: Model, x: Tensor, spec: ObjectiveSpec) -> float:
-    return objective_from_trace(model, predict(model, x), spec)
-
-
-def objective_from_trace(model: Model, trace: ActivationTrace, spec: ObjectiveSpec) -> float:
-    """Objective evaluated from an existing trace of the same model."""
-    from .coverage import neuron_value
-
+    trace = predict(model, x)
     _check_labels(model, spec)
     label_src = trace.outputs[-2] if spec.use_logits else trace.confidences
     vals = label_src.array.astype(np.float64)
     total = float(vals[list(spec.topk_labels)].sum() - vals[spec.original_label])
     for nid in spec.target_neurons:
-        total += spec.lam * neuron_value(model, trace, nid)
+        total += spec.lam * model.layout.value(trace, nid)
     return total
 
 
@@ -399,87 +399,64 @@ def _check_labels(model: Model, spec: ObjectiveSpec):
 
 def input_gradient(model: Model, x: Tensor, spec: ObjectiveSpec) -> Tensor:
     """Gradient of the objective with respect to every input element."""
-    from .coverage import activation_layer_index, conv_map_size, check_neuron
-
     _check_input(model, x)
     _check_labels(model, spec)
     xb = x.array[None, ...]
     acts = _forward(model, xb)
-
-    inject: dict[int, np.ndarray] = {}
-
-    def add(layer_index: int, grad: np.ndarray):
-        if layer_index in inject:
-            inject[layer_index] = inject[layer_index] + grad
-        else:
-            inject[layer_index] = grad
 
     label_layer = len(model.layers) - (2 if spec.use_logits else 1)
     v = np.zeros_like(acts[label_layer])
     for c in spec.topk_labels:
         v[0, c] += 1.0
     v[0, spec.original_label] -= 1.0
-    add(label_layer, v)
-
+    inject = {label_layer: v}
     for nid in spec.target_neurons:
-        check_neuron(model, nid)
-        li = activation_layer_index(model, nid.layer_index)
-        g = np.zeros_like(acts[li])
-        if len(g.shape) == 4:  # conv feature map: neuron value is the channel mean
-            g[0, :, :, nid.unit_index] = spec.lam / conv_map_size(model, nid.layer_index)
-        else:
-            g[0, nid.unit_index] = spec.lam
-        add(li, g)
+        li, g = model.layout.value_grad(nid, spec.lam, acts)
+        inject[li] = inject[li] + g if li in inject else g
 
-    dx = _backward_input(model, xb, acts, inject)
-    return Tensor.wrap(dx[0])
+    return Tensor.wrap(_backward(model, xb, acts, inject)[0])
 
 
 # ---------------------------------------------------------------------------
 # backward
 
 
-def _backward_input(
-    model: Model, xb: np.ndarray, acts: list[np.ndarray], inject: dict[int, np.ndarray]
-) -> np.ndarray:
+def _backward(
+    model: Model,
+    xb: np.ndarray,
+    acts: list[np.ndarray],
+    inject: dict[int, np.ndarray],
+    cols: dict[int, np.ndarray] | None = None,
+):
+    """Reverse pass from gradients injected at layer outputs: inject maps a
+    layer index to the objective's gradient with respect to that layer's
+    output. acts (and cols) come from one _forward(model, xb, cols) call.
+
+    Without cols, returns the gradient with respect to xb. With cols, returns
+    each layer's parameter gradients (None for layers without parameters)
+    and skips the input gradient; the trainer injects dL/dlogits at the
+    input of the final softmax.
+    """
+    params: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(model.layers)
     g = None
     for i in range(len(model.layers) - 1, -1, -1):
         extra = inject.get(i)
         if extra is not None:
-            g = extra.copy() if g is None else g + extra
+            g = extra if g is None else g + extra
         if g is None:
             continue
-        x_in = acts[i - 1] if i > 0 else xb
-        g, _ = _layer_backward(model.layers[i], x_in, acts[i], g, need_params=False)
-    return np.zeros_like(xb) if g is None else g.astype(xb.dtype, copy=False)
-
-
-def _backward_params(
-    model: Model,
-    xb: np.ndarray,
-    acts: list[np.ndarray],
-    cols: dict[int, np.ndarray],
-    dlogits: np.ndarray,
-) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """Parameter gradients given dL/dlogits (gradient at the input of the
-    final softmax). Used by the trainer; skips the input gradient. acts and
-    cols come from one _forward(model, xb, cols) call."""
-    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(model.layers)
-    g = dlogits
-    for i in range(len(model.layers) - 2, -1, -1):
-        x_in = acts[i - 1] if i > 0 else xb
-        need_input = i > 0
-        g, pg = _layer_backward(
+        g, params[i] = _layer_backward(
             model.layers[i],
-            x_in,
+            acts[i - 1] if i > 0 else xb,
             acts[i],
             g,
-            need_params=True,
-            need_input=need_input,
-            cols=cols.get(i),
+            need_params=cols is not None,
+            need_input=cols is None or i > 0,
+            cols=None if cols is None else cols.get(i),
         )
-        grads[i] = pg
-    return grads
+    if cols is not None:
+        return params
+    return np.zeros_like(xb) if g is None else g.astype(xb.dtype, copy=False)
 
 
 def _layer_backward(
@@ -507,10 +484,8 @@ def _layer_backward(
         return _maxpool_backward(layer, x, out, g), None
     if kind == "flatten":
         return g.reshape(x.shape), None
-    if kind == "softmax":
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return out * (g - dot), None
-    raise ContractViolation(f"unknown layer kind {kind!r}")
+    dot = (g * out).sum(axis=-1, keepdims=True)  # softmax
+    return out * (g - dot), None
 
 
 def _conv2d_backward(layer, x, g, need_params, need_input, cols):

@@ -85,7 +85,7 @@ def _batch_loss_and_grads(model, xb, yb):
     dlogits = np.exp(log_probs)
     dlogits[np.arange(len(yb)), yb] -= 1.0
     dlogits = (dlogits / len(yb)).astype(xb.dtype)
-    grads = nn._backward_params(model, xb, acts, cols, dlogits)
+    grads = nn._backward(model, xb, acts, {len(model.layers) - 2: dlogits}, cols)
     return loss, grads
 
 

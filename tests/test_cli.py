@@ -148,6 +148,37 @@ class TestUsageErrors:
         assert len(err.strip().splitlines()) == 1
         assert "grad_mode" in err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--gain-initial", "nan"], "coverage_gain_initial"),
+        (["--gain-floor", "inf"], "coverage_gain_floor"),
+        (["--step-size", "nan"], "step_size"),
+        (["--lambda", "nan"], "lam"),
+        (["--lambda", "inf"], "lam"),
+        (["--distance-max", "nan"], "distance_max"),
+        (["--pixel-range", "-1", "2"], "pixel_range"),
+        ('{"lam": NaN}', "lam"),
+    ], ids=["gain-initial-nan", "gain-floor-inf", "step-size-nan", "lambda-nan", "lambda-inf",
+            "distance-max-nan", "pixel-range-wide", "config-lam-nan"])
+    def test_out_of_range_value_exits_1(self, capsys, data_dir, model_path, tmp_path,
+                                        flags, field):
+        # a string is the text of a --config file
+        if isinstance(flags, str):
+            config = tmp_path / "config.json"
+            config.write_text(flags)
+            flags = ["--config", str(config)]
+        code, _, err = run(
+            capsys,
+            "fuzz",
+            "--model", str(model_path),
+            "--data-dir", str(data_dir),
+            "--out-dir", str(tmp_path / "campaign"),
+            *flags,
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert field in err
+
     def test_missing_model_file_exits_1(self, capsys, data_dir, tmp_path):
         code, _, err = run(
             capsys,

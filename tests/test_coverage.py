@@ -14,17 +14,15 @@ from neurofuzz import architectures, nn
 from neurofuzz.coverage import (
     CoverageTracker,
     NeuronId,
-    activated_neurons,
-    activation_layer_index,
     all_neurons,
     coverage_rate,
-    neuron_layers,
     neuron_outputs,
     scale_layer,
     select_neurons,
     update,
 )
 from neurofuzz.errors import ContractViolation
+from neurofuzz.fuzzer import FuzzConfig, fuzz_corpus
 from neurofuzz.tensor import Tensor
 
 
@@ -49,6 +47,36 @@ def toy_dense_model(units=3, classes=2, seed=0):
 
 def rand_input(model, rng):
     return Tensor.wrap(rng.uniform(0, 1, size=model.input_shape).astype(np.float32))
+
+
+class TestNeuronLayout:
+    def test_lenet1_layers(self):
+        layout = architectures.build_model("lenet1").layout
+        # conv 0 seen through relu 1 (24x24 maps), conv 3 through relu 4
+        # (8x8 maps), dense 7 through the softmax at 8
+        assert [tuple(nl) for nl in layout.layers] == [
+            (0, 1, slice(0, 4), 576),
+            (3, 4, slice(4, 16), 64),
+            (7, 8, slice(16, 26), 1),
+        ]
+        assert layout.ids[4] == NeuronId(3, 0)
+        assert layout.index[NeuronId(7, 9)] == 25
+
+    def test_built_once_per_model(self, monkeypatch):
+        built = []
+        real = nn.NeuronLayout
+
+        def counting(model):
+            built.append(model)
+            return real(model)
+
+        monkeypatch.setattr(nn, "NeuronLayout", counting)
+        model = architectures.build_model("lenet1", rng_seed=1)
+        rng = np.random.default_rng(5)
+        inputs = [rand_input(model, rng) for _ in range(3)]
+        fuzz_corpus(model, inputs, FuzzConfig(strategies=(1, 2, 3, 4)))
+        fuzz_corpus(model, inputs, FuzzConfig(), mutation="random")
+        assert len(built) == 1 and built[0] is model
 
 
 class TestNeuronOutputs:
@@ -130,11 +158,10 @@ class TestTrackerUpdate:
         # non-degenerate trace covers exactly the max unit
         trace = nn.predict(model, rand_input(model, rng))
         newly = update(tracker, model, trace)
-        per_first_layer = [
-            tracker.covered(NeuronId(0, u)) for u in range(2)
-        ]
-        assert sum(per_first_layer) == 1
-        assert newly == len(activated_neurons(model, trace, 0.25))
+        # neuron_ids order puts the first layer's two units first
+        assert tracker.neuron_ids[:2] == (NeuronId(0, 0), NeuronId(0, 1))
+        assert tracker._covered[:2].sum() == 1
+        assert newly == len(activated(model, trace, 0.25))
 
     def test_repeat_trace_monotone_counts(self):
         model = toy_dense_model(seed=6)
@@ -144,9 +171,8 @@ class TestTrackerUpdate:
         again = update(tracker, model, trace)
         assert first >= 1
         assert again == 0
-        covered_ids = [n for n in tracker.neuron_ids if tracker.covered(n)]
-        for n in covered_ids:
-            assert tracker.activation_count(n) == 2
+        assert (tracker._count[tracker._covered] == 2).all()
+        assert (tracker._count[~tracker._covered] == 0).all()
 
     def test_hundred_random_traces_set_union_oracle(self):
         model = architectures.build_model("mlp", rng_seed=7)
@@ -157,11 +183,11 @@ class TestTrackerUpdate:
         for _ in range(100):
             trace = nn.predict(model, rand_input(model, rng))
             update(tracker, model, trace)
-            union |= set(activated_neurons(model, trace, 0.25))
+            union |= activated(model, trace, 0.25)
             rate = coverage_rate(tracker)
             assert rate >= rate_prev
             rate_prev = rate
-        covered = {n for n in tracker.neuron_ids if tracker.covered(n)}
+        covered = {n for n, c in zip(tracker.neuron_ids, tracker._covered) if c}
         assert covered == union
 
     def test_newly_equals_rate_delta_times_total(self):
@@ -205,7 +231,7 @@ class TestCoverageRate:
         rng = np.random.default_rng(33)
         for _ in range(25):
             update(tracker, model, nn.predict(model, rand_input(model, rng)))
-        covered = sum(tracker.covered(n) for n in tracker.neuron_ids)
+        covered = sum(bool(c) for c in tracker._covered)
         assert coverage_rate(tracker) == covered / tracker.total_neurons
 
 
@@ -222,11 +248,10 @@ def first_layer_ids():
 
 
 def stage(tracker, counts=None, last_scaled=None):
-    a, b, c = first_layer_ids()
     for nid, value in (counts or {}).items():
-        tracker._count[tracker._index[nid]] = value
+        tracker._count[tracker.neuron_ids.index(nid)] = value
     for nid, value in (last_scaled or {}).items():
-        tracker._last_scaled[tracker._index[nid]] = value
+        tracker._last_scaled[tracker.neuron_ids.index(nid)] = value
 
 
 class FakeTrace:
@@ -248,7 +273,7 @@ class TestSelectNeurons:
         a, b, c = first_layer_ids()
         stage(tracker, counts={a: 5, b: 1, c: 3})
         trace = self.quiet_trace(model)
-        candidates = set(tracker.neuron_ids) - set(activated_neurons(model, trace, 0.25))
+        candidates = set(tracker.neuron_ids) - activated(model, trace, 0.25)
         assert {a, b, c} <= candidates
         got = self.pick(tracker, model, 1, 1, trace)
         assert got == [a]
@@ -260,9 +285,9 @@ class TestSelectNeurons:
         trace = self.quiet_trace(model)
         # strategy 2 prefers B (count 1) over the never-touched later layer
         # only when counts are lowest; stage the second layer high to isolate
-        for nid in tracker.neuron_ids:
+        for k, nid in enumerate(tracker.neuron_ids):
             if nid not in (a, b, c):
-                tracker._count[tracker._index[nid]] = 10
+                tracker._count[k] = 10
         got = self.pick(tracker, model, 2, 1, trace)
         assert got == [b]
 
@@ -270,9 +295,9 @@ class TestSelectNeurons:
         model, tracker = three_neuron_tracker()
         a, b, c = first_layer_ids()
         stage(tracker, last_scaled={a: 0.24, b: 0.9, c: 0.5})
-        for nid in tracker.neuron_ids:
+        for k, nid in enumerate(tracker.neuron_ids):
             if nid not in (a, b, c):
-                tracker._last_scaled[tracker._index[nid]] = 1.0
+                tracker._last_scaled[k] = 1.0
         trace = self.quiet_trace(model)
         got = self.pick(tracker, model, 4, 1, trace)
         assert got == [a]
@@ -288,7 +313,7 @@ class TestSelectNeurons:
             score[NeuronId(0, u)] = float(np.abs(w1[:, u]).sum())
         for u in range(2):
             score[NeuronId(2, u)] = float(np.abs(w2[:, u]).sum())
-        candidates = set(tracker.neuron_ids) - set(activated_neurons(model, trace, 0.25))
+        candidates = set(tracker.neuron_ids) - activated(model, trace, 0.25)
         expected = sorted(
             candidates, key=lambda n: (-score[n], n.layer_index, n.unit_index)
         )
@@ -305,7 +330,7 @@ class TestSelectNeurons:
         model, tracker = three_neuron_tracker()
         rng = np.random.default_rng(2)
         trace = nn.predict(model, rand_input(model, rng))
-        active = set(activated_neurons(model, trace, 0.25))
+        active = activated(model, trace, 0.25)
         candidates = set(tracker.neuron_ids) - active
         got = select_neurons(tracker, model, (1, 2, 3, 4), 4, trace)
         assert not (set(got) & active)
@@ -315,9 +340,9 @@ class TestSelectNeurons:
         model, tracker = three_neuron_tracker()
         a, b, c = first_layer_ids()
         stage(tracker, counts={a: 5, b: 1, c: 3})
-        for nid in tracker.neuron_ids:
+        for k, nid in enumerate(tracker.neuron_ids):
             if nid not in (a, b, c):
-                tracker._count[tracker._index[nid]] = 4
+                tracker._count[k] = 4
         trace = self.quiet_trace(model)
         got = select_neurons(tracker, model, (1, 2), 3, trace)
         # strategy 1 gets 2 picks (remainder), strategy 2 gets 1
@@ -327,7 +352,7 @@ class TestSelectNeurons:
     def test_fewer_candidates_than_m_returns_all(self):
         model, tracker = three_neuron_tracker()
         trace = self.quiet_trace(model)
-        candidates = set(tracker.neuron_ids) - set(activated_neurons(model, trace, 0.25))
+        candidates = set(tracker.neuron_ids) - activated(model, trace, 0.25)
         got = select_neurons(tracker, model, (1,), 100, trace)
         assert set(got) == candidates
         assert len(got) == len(candidates)
@@ -345,11 +370,24 @@ class TestSelectNeurons:
 # reference: the dict-per-trace bookkeeping the flat arrays replaced
 
 
+def ref_neuron_layers(model):
+    """(layer index, observed layer index, units) of every dense and conv2d
+    layer, read off model.layers: a neuron is observed through the relu or
+    softmax directly after its layer, else through the layer itself."""
+    out = []
+    for i, layer in enumerate(model.layers):
+        if layer.kind in ("dense", "conv2d"):
+            after = model.layers[i + 1].kind if i + 1 < len(model.layers) else None
+            observed = i + 1 if after in ("relu", "softmax") else i
+            out.append((i, observed, layer.weights.shape[-1]))
+    return out
+
+
 def ref_scaled_by_neuron(model, trace):
     """Per-neuron dict of min-max scaled values, built one layer at a time."""
     scaled = {}
-    for li, units in neuron_layers(model):
-        out = trace.outputs[activation_layer_index(model, li)].array
+    for li, observed, units in ref_neuron_layers(model):
+        out = trace.outputs[observed].array
         vals = out.mean(axis=(0, 1), dtype=np.float64) if out.ndim == 3 else out
         arr = np.asarray([float(vals[u]) for u in range(units)], dtype=np.float64)
         lo, hi = arr.min(), arr.max()
@@ -359,10 +397,16 @@ def ref_scaled_by_neuron(model, trace):
     return scaled
 
 
+def activated(model, trace, threshold):
+    """Neurons the dict reference scales past the threshold for one trace."""
+    return {n for n, s in ref_scaled_by_neuron(model, trace).items() if s > threshold}
+
+
 def ref_update(tracker, model, trace):
+    flat = {n: k for k, n in enumerate(tracker.neuron_ids)}
     before = tracker.covered_count()
     for nid, s in ref_scaled_by_neuron(model, trace).items():
-        i = tracker._index[nid]
+        i = flat[nid]
         tracker._last_scaled[i] = s
         if s > tracker.activation_threshold:
             tracker._covered[i] = True
@@ -372,17 +416,20 @@ def ref_update(tracker, model, trace):
 
 def ref_select(tracker, model, strategies, m, trace):
     t = tracker.activation_threshold
+    flat = {n: k for k, n in enumerate(tracker.neuron_ids)}
+    count = {n: int(tracker._count[k]) for n, k in flat.items()}
+    last = {n: float(tracker._last_scaled[k]) for n, k in flat.items()}
     scores = {}
-    for li, units in neuron_layers(model):
+    for li, _, units in ref_neuron_layers(model):
         w = np.abs(model.layers[li].weights.array.astype(np.float64))
         mag = w.sum(axis=tuple(range(w.ndim - 1)))
         for u in range(units):
             scores[NeuronId(li, u)] = float(mag[u])
     keys = {
-        1: lambda n: (-tracker.activation_count(n), n.layer_index, n.unit_index),
-        2: lambda n: (tracker.activation_count(n), n.layer_index, n.unit_index),
+        1: lambda n: (-count[n], n.layer_index, n.unit_index),
+        2: lambda n: (count[n], n.layer_index, n.unit_index),
         3: lambda n: (-scores[n], n.layer_index, n.unit_index),
-        4: lambda n: (abs(tracker.last_scaled_output(n) - t), n.layer_index, n.unit_index),
+        4: lambda n: (abs(last[n] - t), n.layer_index, n.unit_index),
     }
     scaled = ref_scaled_by_neuron(model, trace)
     remaining = [n for n in tracker.neuron_ids if not scaled[n] > t]

@@ -76,6 +76,20 @@ class TestFuzzConfig:
         with pytest.raises(ContractViolation, match="strategies"):
             FuzzConfig.from_dict({"strategies": list(strategies)})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lam", float("nan")), ("lam", float("inf")), ("step_size", float("nan")),
+         ("distance_max", float("nan")), ("coverage_gain_initial", float("nan")),
+         ("coverage_gain_floor", float("inf")), ("coverage_gain_decay", float("nan")),
+         ("activation_threshold", float("nan")), ("pixel_range", (-1.0, 2.0)),
+         ("pixel_range", (0.0, float("inf"))), ("pixel_range", (float("nan"), 1.0)),
+         ("pixel_range", (0.5, 1.5)), ("pixel_range", (0.5, 0.5))],
+    )
+    def test_out_of_range_value_rejected(self, field, value):
+        # pixel values outside [0, 1] are what image export refuses
+        with pytest.raises(ContractViolation, match=field):
+            FuzzConfig(**{field: value})
+
     def test_dict_round_trip(self):
         cfg = FuzzConfig(step_size=0.5, strategies=(2, 3), rng_seed=9)
         assert FuzzConfig.from_dict(cfg.to_dict()) == cfg

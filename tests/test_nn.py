@@ -173,11 +173,16 @@ class TestObjectiveValue:
         )
         assert nn.objective_value(model, x, spec) == pytest.approx(expected, rel=1e-5)
 
-    def test_unknown_neuron_rejected(self):
+    @pytest.mark.parametrize("fn", [nn.objective_value, nn.input_gradient],
+                             ids=["objective_value", "input_gradient"])
+    @pytest.mark.parametrize("nid", [NeuronId(5, 0), NeuronId(1, 0), NeuronId(0, 2)],
+                             ids=["no_such_layer", "softmax_layer", "unit_out_of_range"])
+    def test_unknown_neuron_rejected(self, fn, nid):
+        # layer 0 is a two-unit dense, layer 1 the softmax
         model = dense_softmax_model(np.eye(2))
-        spec = nn.ObjectiveSpec(0, (1,), (NeuronId(5, 0),), lam=1.0)
-        with pytest.raises(ContractViolation):
-            nn.objective_value(model, Tensor([0.1, 0.2]), spec)
+        spec = nn.ObjectiveSpec(0, (1,), (nid,), lam=1.0)
+        with pytest.raises(ContractViolation, match="not a neuron of this model"):
+            fn(model, Tensor([0.1, 0.2]), spec)
 
     def test_original_in_topk_rejected(self):
         with pytest.raises(ContractViolation):

@@ -108,6 +108,15 @@ class TestTrain:
                 assert np.array_equal(a.weights.array, b.weights.array)
                 assert np.array_equal(a.bias.array, b.bias.array)
 
+    def test_training_builds_no_neuron_layout(self, monkeypatch):
+        # every SGD step builds a Model; none of them may pay for a layout
+        def refuse(model):
+            raise AssertionError("train() built a neuron layout")
+
+        monkeypatch.setattr(nn, "NeuronLayout", refuse)
+        model = train(tiny_conv_arch(), blob_split(), TrainConfig(epochs=2, batch_size=8))
+        assert "layout" not in vars(model)
+
     def test_zero_epochs_identity(self):
         data = blob_split()
         start = tiny_arch()
