@@ -101,16 +101,18 @@ class NeuronLayout:
         out = trace.outputs[self._layer_of(nid).source].array
         return float(out[..., nid.unit_index].mean(dtype=np.float64))
 
-    def value_grad(
-        self, nid: NeuronId, lam: float, acts: list[np.ndarray]
-    ) -> tuple[int, np.ndarray]:
-        """Gradient of lam times one neuron's value with respect to the output
-        of its source layer in a batch-1 forward pass, and that layer's index:
+    def add_value_grad(
+        self, grads: dict[int, np.ndarray], nid: NeuronId, lam: float, acts: list[np.ndarray]
+    ):
+        """Add the gradient of lam times one neuron's value, with respect to
+        the output of its source layer in a batch-1 forward pass, into
+        grads[source], starting from zeros when grads has no entry there:
         lam spread evenly over a conv channel's map."""
         nl = self._layer_of(nid)
-        g = np.zeros_like(acts[nl.source])
-        g[0, ..., nid.unit_index] = lam / nl.map_size
-        return nl.source, g
+        g = grads.get(nl.source)
+        if g is None:
+            g = grads[nl.source] = np.zeros_like(acts[nl.source])
+        g[0, ..., nid.unit_index] += g.dtype.type(lam / nl.map_size)
 
 
 def all_neurons(model: Model) -> tuple[NeuronId, ...]:

@@ -318,7 +318,9 @@ def fuzz_one_input(
                 lam=cfg.lam,
                 use_logits=cfg.use_logits,
             )
-            grad = nn.input_gradient(model, seed.x, spec)
+            grad = nn.input_gradient(model, seed.x, spec, seed.trace)
+            # the seed's gradient is fixed for its whole run, so is its step
+            step = process_gradient(grad, cfg.step_size)
 
         cur = seed.x
         # L2 room the seed has left under distance_max; the run's first step
@@ -327,7 +329,7 @@ def fuzz_one_input(
         budget = (cfg.distance_max - seed.distance) * x_norm - slack
         for iteration in range(1, cfg.iter_times + 1):
             if mutation == "guided":
-                pert = process_gradient(grad, cfg.step_size)
+                pert = step
             else:
                 noise = rng.standard_normal(x.shape).astype(x.array.dtype)
                 pert = process_gradient(Tensor.wrap(noise), cfg.step_size)

@@ -11,13 +11,16 @@ at arbitrary layer outputs.
 Conventions (pinned, covered by tests):
   - argmax and top-k tie-breaks go to the lowest class index;
   - relu passes no gradient at exactly-zero pre-activations;
-  - maxpool routes gradient to the first maximal element in row-major order.
+  - maxpool routes gradient to the first maximal element in row-major order;
+  - conv2d's input gradient (col2im) adds each input element's window terms
+    in kernel row-major order (ki, then kj), starting from +0.0, so it is
+    bit-equal to a loop over kernel offsets that adds one strided slice each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -313,13 +316,16 @@ def _layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, layer: Layer) -> tuple[np.ndarray, int, int]:
+    """The [n, oh, ow, kh*kw*c] matrix of x's windows, each flattened in
+    (ki, kj, c) order."""
     kh, kw, _, _ = layer.weights.shape
     s = layer.stride
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    win = win[:, ::s, ::s]  # [n, oh, ow, c, kh, kw]
-    n, oh, ow = win.shape[:3]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh, ow, -1)
-    return np.ascontiguousarray(cols), oh, ow
+    x = np.ascontiguousarray(x)
+    n, h, w, c = x.shape
+    oh, ow = (h - kh) // s + 1, (w - kw) // s + 1
+    sn, sh, sw, sc = x.strides
+    win = np.ndarray((n, oh, ow, kh, kw, c), x.dtype, x, 0, (sn, s * sh, s * sw, sh, sw, sc))
+    return np.ascontiguousarray(win.reshape(n, oh, ow, kh * kw * c)), oh, ow
 
 
 def _pool_views(x: np.ndarray, pool: tuple[int, int]):
@@ -397,12 +403,25 @@ def _check_labels(model: Model, spec: ObjectiveSpec):
         raise ContractViolation(f"class index out of range in {labels}")
 
 
-def input_gradient(model: Model, x: Tensor, spec: ObjectiveSpec) -> Tensor:
-    """Gradient of the objective with respect to every input element."""
+def input_gradient(
+    model: Model, x: Tensor, spec: ObjectiveSpec, trace: ActivationTrace | None = None
+) -> Tensor:
+    """Gradient of the objective with respect to every input element.
+
+    trace, when given, must be predict(model, x) for this very x; its layer
+    outputs stand in for the forward pass, so a caller that has already
+    predicted x does not pay for a second one. The result is the same bits
+    either way.
+    """
     _check_input(model, x)
     _check_labels(model, spec)
     xb = x.array[None, ...]
-    acts = _forward(model, xb)
+    if trace is None:
+        acts = _forward(model, xb)
+    elif trace.input is not x:
+        raise ContractViolation("trace was recorded for a different input")
+    else:
+        acts = [t.array[None, ...] for t in trace.outputs]
 
     label_layer = len(model.layers) - (2 if spec.use_logits else 1)
     v = np.zeros_like(acts[label_layer])
@@ -411,8 +430,7 @@ def input_gradient(model: Model, x: Tensor, spec: ObjectiveSpec) -> Tensor:
     v[0, spec.original_label] -= 1.0
     inject = {label_layer: v}
     for nid in spec.target_neurons:
-        li, g = model.layout.value_grad(nid, spec.lam, acts)
-        inject[li] = inject[li] + g if li in inject else g
+        model.layout.add_value_grad(inject, nid, spec.lam, acts)
 
     return Tensor.wrap(_backward(model, xb, acts, inject)[0])
 
@@ -503,13 +521,35 @@ def _conv2d_backward(layer, x, g, need_params, need_input, cols):
     if need_input:
         wmat = layer.weights.array.reshape(kh * kw * in_ch, out_ch)
         dcols = (gmat @ wmat.T).reshape(n, oh, ow, kh, kw, in_ch)
-        dx = np.zeros_like(x)
-        for ki in range(kh):
-            for kj in range(kw):
-                dx[:, ki : ki + s * oh : s, kj : kj + s * ow : s, :] += dcols[
-                    :, :, :, ki, kj, :
-                ]
+        dx = _col2im(dcols, x.shape, s)
     return dx, pg
+
+
+def _col2im(dcols: np.ndarray, shape: tuple[int, ...], stride: int) -> np.ndarray:
+    """Sum the [n, oh, ow, kh, kw, c] window gradients back onto an input
+    of the given [n, h, w, c] shape, in one np.add.at over the terms in
+    (sample, ki, kj, oh, ow, c) order."""
+    n, h, w, c = shape
+    _, _, _, kh, kw, _ = dcols.shape
+    index = _col2im_index(h, w, c, kh, kw, stride)
+    if n > 1:
+        index = (np.arange(n)[:, None] * (h * w * c) + index).reshape(-1)
+    dx = np.zeros(shape, dcols.dtype)
+    np.add.at(dx.reshape(-1), index, dcols.transpose(0, 3, 4, 1, 2, 5).reshape(-1))
+    return dx
+
+
+@lru_cache(maxsize=64)
+def _col2im_index(h: int, w: int, c: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Flat position within one [h, w, c] input of every im2col entry, in
+    (ki, kj, oh, ow, c) order. np.add.at adds in index order, so each input
+    element gets its window terms in (ki, kj) order."""
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    rows = np.arange(kh)[:, None, None, None] + stride * np.arange(oh)[None, None, :, None]
+    cols = np.arange(kw)[None, :, None, None] + stride * np.arange(ow)[None, None, None, :]
+    index = ((rows * w + cols)[..., None] * c + np.arange(c)).reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def _maxpool_backward(layer, x, out, g):

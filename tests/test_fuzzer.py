@@ -290,6 +290,34 @@ class TestFuzzOneInput:
             fuzz_one_input(model, tracker, x, cfg)
             assert relative_distance(seen[1], x) <= cfg.distance_max
 
+    def test_gradient_reuses_the_seed_forward_pass(self, monkeypatch):
+        # input_gradient reads the seed's trace, so every forward pass is
+        # one nn.predict's and the process_gradient step is one per seed
+        model = architectures.build_model("lenet1", rng_seed=5)
+        calls = {"predict": 0, "forward": 0, "process_gradient": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(nn, "predict", counting("predict", nn.predict))
+        monkeypatch.setattr(nn, "_forward", counting("forward", nn._forward))
+        monkeypatch.setattr(fz, "process_gradient",
+                            counting("process_gradient", fz.process_gradient))
+        rng = np.random.default_rng(41)
+        cfg = FuzzConfig(step_size=0.05)
+        tracker = CoverageTracker(model, cfg.activation_threshold)
+        processed = 0
+        for _ in range(4):
+            x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
+            processed += fuzz_one_input(model, tracker, x, cfg)[1]
+        assert processed > 4  # some mutant went back into the queue
+        assert calls["predict"] > processed
+        assert calls["forward"] == calls["predict"]
+        assert calls["process_gradient"] == processed
+
     def test_first_step_shortened_to_budget(self):
         pert = Tensor([3.0, 4.0])
         assert fz._shorten_to(pert, 10.0) is pert

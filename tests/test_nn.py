@@ -293,6 +293,41 @@ class TestInputGradient:
         assert got[1, 0, 0] == 0.0
         assert got[1, 1, 0] == 0.0
 
+    @pytest.mark.parametrize("use_logits", [False, True], ids=["confidences", "logits"])
+    @pytest.mark.parametrize("arch", ["lenet1", "lenet5"])
+    def test_trace_reuse_same_bits(self, arch, use_logits):
+        model = architectures.build_model(arch, rng_seed=3)
+        ids = model.layout.ids
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
+            trace = nn.predict(model, x)
+            # the last dense layer's neurons are read through the softmax, so
+            # their gradient lands on the label layer's injection too
+            picks = {ids[i] for i in rng.choice(len(ids), 8, replace=False)} | {ids[-1]}
+            spec = nn.ObjectiveSpec(
+                trace.predicted_label,
+                tuple(nn.top_k_other_labels(trace, 4)),
+                tuple(sorted(picks)),
+                lam=0.7,
+                use_logits=use_logits,
+            )
+            got = nn.input_gradient(model, x, spec, trace).array
+            want = nn.input_gradient(model, x, spec).array
+            assert_same_bits(got, want)
+
+    def test_trace_of_other_input_rejected(self):
+        model = architectures.build_model("lenet1", rng_seed=3)
+        rng = np.random.default_rng(32)
+        x, y = (Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
+                for _ in range(2))
+        trace = nn.predict(model, y)
+        spec = nn.ObjectiveSpec(
+            trace.predicted_label, tuple(nn.top_k_other_labels(trace, 4)), (), lam=0.0
+        )
+        with pytest.raises(ContractViolation, match="different input"):
+            nn.input_gradient(model, x, spec, trace)
+
     def test_gradient_shape_matches_input(self):
         model = architectures.build_model("lenet4", rng_seed=1)
         rng = np.random.default_rng(6)
@@ -401,6 +436,116 @@ class TestMaxpoolKernels:
         rng = np.random.default_rng(15)
         x = rng.standard_normal((4, 6, 6, 3))
         self.run_both(x, (3, 2), seed=4)
+
+
+def reference_im2col(x, kh, kw, stride):
+    """im2col through sliding_window_view: [n, oh, ow, kh*kw*c], each
+    window flattened in (ki, kj, c) order."""
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]  # [n, oh, ow, c, kh, kw]
+    n, oh, ow = win.shape[:3]
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh, ow, -1))
+
+
+def reference_col2im(dcols, shape, stride):
+    """col2im as one strided += per kernel offset, in (ki, kj) order."""
+    _, oh, ow, kh, kw, _ = dcols.shape
+    s = stride
+    dx = np.zeros(shape, dcols.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            dx[:, ki : ki + s * oh : s, kj : kj + s * ow : s, :] += dcols[:, :, :, ki, kj, :]
+    return dx
+
+
+def bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(bits(got), bits(want))
+
+
+# (h, w, in_ch, kh, kw, out_ch, stride): lenet1's two convolutions, and a
+# stride-2 one whose windows leave the last row and column uncovered
+CONV_GEOMETRIES = {
+    "lenet1_conv1": (28, 28, 1, 5, 5, 4, 1),
+    "lenet1_conv2": (12, 12, 4, 5, 5, 12, 1),
+    "stride2": (12, 10, 3, 3, 3, 5, 2),
+}
+
+
+class TestConvKernels:
+    """The im2col and col2im kernels against the sliding_window_view and
+    per-offset loop references, bit for bit. Batch 1 is the fuzzer's, 64
+    the trainer's, and 16 the last batch of a 2000-image shard."""
+
+    def conv_layer(self, geometry, dtype):
+        _, _, c, kh, kw, oc, stride = geometry
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((kh, kw, c, oc)).astype(dtype)
+        b = rng.standard_normal(oc).astype(dtype)
+        return nn.conv2d(Tensor.wrap(w), Tensor.wrap(b), stride)
+
+    def run_both(self, layer, x, seed=1):
+        kh, kw, c, oc = layer.weights.shape
+        cols, oh, ow = nn._im2col(x, layer)
+        want_cols = reference_im2col(x, kh, kw, layer.stride)
+        assert (oh, ow) == want_cols.shape[1:3]
+        assert_same_bits(cols, want_cols)
+
+        g = np.random.default_rng(seed).standard_normal((x.shape[0], oh, ow, oc)).astype(x.dtype)
+        dx, _ = nn._conv2d_backward(layer, x, g, True, True, cols)
+        wmat = layer.weights.array.reshape(kh * kw * c, oc)
+        dcols = (g.reshape(-1, oc) @ wmat.T).reshape(x.shape[0], oh, ow, kh, kw, c)
+        assert_same_bits(dx, reference_col2im(dcols, x.shape, layer.stride))
+
+    @pytest.mark.parametrize("batch", [1, 16, 64])
+    @pytest.mark.parametrize("name", list(CONV_GEOMETRIES))
+    def test_geometry_and_batch(self, name, batch):
+        geometry = CONV_GEOMETRIES[name]
+        h, w, c = geometry[:3]
+        x = np.random.default_rng(batch).uniform(-1, 1, size=(batch, h, w, c))
+        self.run_both(self.conv_layer(geometry, np.float32), x.astype(np.float32))
+
+    @pytest.mark.parametrize("name", list(CONV_GEOMETRIES))
+    def test_double_precision_model(self, name):
+        geometry = CONV_GEOMETRIES[name]
+        h, w, c = geometry[:3]
+        x = np.random.default_rng(7).standard_normal((3, h, w, c))
+        self.run_both(self.conv_layer(geometry, np.float64), x)
+
+    def test_non_contiguous_input(self):
+        geometry = CONV_GEOMETRIES["lenet1_conv2"]
+        wide = np.random.default_rng(8).standard_normal((4, 24, 12, 8)).astype(np.float32)
+        x = wide[:, ::2, :, 2:6]  # [4, 12, 12, 4], strided in h and c
+        assert not x.flags.c_contiguous
+        self.run_both(self.conv_layer(geometry, np.float32), x)
+        self.run_both(self.conv_layer(geometry, np.float32), np.asfortranarray(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(CONV_GEOMETRIES))
+    def test_col2im_order_signed_zeros_and_cancellation(self, name, dtype):
+        h, w, c, kh, kw, _, s = CONV_GEOMETRIES[name]
+        oh, ow = (h - kh) // s + 1, (w - kw) // s + 1
+        rng = np.random.default_rng(9)
+        shape = (5, oh, ow, kh, kw, c)
+        # a wide spread of magnitudes makes every sum depend on its order
+        dcols = (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)).astype(dtype)
+        # the first and last kernel offsets cancel exactly, with small terms
+        # between them that survive only if they are added in (ki, kj) order
+        big = dtype(2.0 ** (np.finfo(dtype).nmant + 2))
+        dcols[1, :, :, 0, 0, :] = big
+        dcols[1, :, :, kh - 1, kw - 1, :] = -big
+        # terms that meet on one input row and cancel exactly: kernel row s
+        # of window oh and kernel row 0 of window oh + 1
+        dcols[2, 1:, :, 0] = -dcols[2, :-1, :, s]
+        dcols[3] = -0.0  # every term -0.0: the sum starts from +0.0
+        dcols[4, ::2] = -0.0
+        dx = nn._col2im(dcols, (5, h, w, c), s)
+        assert_same_bits(dx, reference_col2im(dcols, (5, h, w, c), s))
+        assert not np.signbit(dx[3]).any()
 
 
 class TestModelValidation:
