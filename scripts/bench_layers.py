@@ -1,4 +1,5 @@
-"""Time each layer of lenet1 forward and backward, at batch 1 and batch 64.
+"""Time each layer of lenet1 forward and backward, at batch 1 and batch 64,
+and the fuzzer's per-mutant bookkeeping on lenet5 at batch 1.
 
     python3 scripts/bench_layers.py [--out BENCH_layers.json]
 
@@ -6,7 +7,13 @@ Batch 1 is the fuzzer's: the backward pass computes only the gradient with
 respect to the layer's input, as nn.input_gradient does. Batch 64 is the
 trainer's: the backward pass also computes the parameter gradients, and the
 first layer skips its input gradient, as trainer.train does. The weights are
-an untrained lenet1's; the shapes are those of every lenet1 model. Each time
+an untrained lenet1's; the shapes are those of every lenet1 model.
+
+The fuzzer rows use the committed lenet5 benchmark fixture, which the script
+only reads, and one uniform-noise input: coverage.update of a trace,
+coverage.select_neurons with all four strategies and m=10, and one guided
+mutant step (clip, predict, coverage update and relative distance), as the
+campaign-lenet5-s1234 workload runs them. Each time
 is the mean time per call within a round, over ROUNDS rounds: the median
 round, and the fastest, which is the one least disturbed by other work on a
 shared host. The file also records the machine: CPU count, Python, NumPy and
@@ -32,8 +39,13 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from neurofuzz import architectures, nn  # noqa: E402
+from neurofuzz import coverage as cov  # noqa: E402
+from neurofuzz import fuzzer as fz  # noqa: E402
+from neurofuzz.model_io import load_model  # noqa: E402
+from neurofuzz.tensor import Tensor  # noqa: E402
 
 BATCHES = (1, 64)
+FUZZ_MODEL = ROOT / "perfbench" / "fixtures" / "lenet5.json"
 ROUNDS = 15
 ROUND_S = 0.01  # each round repeats the call until it has run this long
 WARMUP = 3
@@ -95,6 +107,33 @@ def time_layers(model: nn.Model, batch: int) -> list[dict]:
     return rows
 
 
+def time_fuzzer_steps() -> list[dict]:
+    model = load_model(FUZZ_MODEL)
+    cfg = fz.FuzzConfig(strategies=(1, 2, 3, 4), step_size=0.1)
+    rng = np.random.default_rng(0)
+    x = Tensor.wrap(rng.uniform(0, 1, size=model.input_shape).astype(np.float32))
+    tracker = cov.CoverageTracker(model, cfg.activation_threshold)
+    trace = nn.predict(model, x)
+    cov.update(tracker, model, trace)
+    neurons = cov.select_neurons(tracker, model, cfg.strategies, cfg.m, trace)
+    spec = nn.ObjectiveSpec(trace.predicted_label, tuple(nn.top_k_other_labels(trace, cfg.k)),
+                            tuple(neurons), cfg.lam)
+    step = fz.process_gradient(nn.input_gradient(model, x, spec, trace), cfg.step_size).array
+    x64, x_norm = x.array.astype(np.float64), fz.l2_norm(x)
+    ops = {
+        "coverage.update": lambda: cov.update(tracker, model, trace),
+        "coverage.select_neurons": lambda: cov.select_neurons(
+            tracker, model, cfg.strategies, cfg.m, trace),
+        "fuzzer.mutant_step": lambda: fz._mutate(
+            model, tracker, x.array, step, cfg.pixel_range, x64, x_norm),
+    }
+    rows = []
+    for op, fn in ops.items():
+        us, us_min = per_call_us(fn)
+        rows.append({"op": op, "model": "lenet5", "batch": 1, "us": us, "us_min": us_min})
+    return rows
+
+
 def blas_threads() -> int | None:
     """Thread count of the OpenBLAS that NumPy wheels bundle, if found."""
     libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
@@ -132,12 +171,16 @@ def main(argv=None) -> int:
         "rounds": ROUNDS,
         "machine": machine(),
         "layers": [row for batch in BATCHES for row in time_layers(model, batch)],
+        "fuzzer": time_fuzzer_steps(),
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="ascii")
     for row in result["layers"]:
         print(f"batch {row['batch']:>2}  {row['layer']}:{row['kind']:<9} "
               f"forward {row['forward_us']:9.1f} (min {row['forward_us_min']:9.1f}) us  "
               f"backward {row['backward_us']:9.1f} (min {row['backward_us_min']:9.1f}) us")
+    for row in result["fuzzer"]:
+        print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} "
+              f"{row['us']:9.1f} (min {row['us_min']:9.1f}) us")
     return 0
 
 

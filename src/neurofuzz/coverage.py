@@ -51,8 +51,10 @@ class NeuronLayout:
     """Where a model's neurons live, and how their values are read.
 
     ids lists every neuron in (layer, unit) order, the order of every flat
-    neuron vector; index maps an id to its flat position. weight_l1 holds the
-    L1 norm of the weights feeding each neuron, strategy 3's score.
+    neuron vector; index maps an id to its flat position. starts holds each
+    neuron layer's first flat position and layer_of each neuron's position in
+    layers, the segments scaled_outputs scales. weight_l1 holds the L1 norm
+    of the weights feeding each neuron, strategy 3's score.
     """
 
     def __init__(self, model: Model):
@@ -71,6 +73,10 @@ class NeuronLayout:
         self.layers = tuple(layers)
         self.ids = tuple(ids)
         self.index = {nid: k for k, nid in enumerate(ids)}
+        self.starts = np.array([nl.span.start for nl in layers], dtype=np.intp)
+        self.layer_of = np.repeat(
+            np.arange(len(layers)), [nl.span.stop - nl.span.start for nl in layers]
+        )
         self.weight_l1 = np.concatenate(mags)
         self._by_layer = {nl.index: nl for nl in layers}
         self._shapes = model.output_shapes
@@ -80,39 +86,51 @@ class NeuronLayout:
             raise ContractViolation(f"{nid} is not a neuron of this model")
         return self._by_layer[nid.layer_index]
 
-    def values(self, trace: ActivationTrace) -> list[np.ndarray]:
-        """Observed values of each neuron layer's units, as float64 arrays in
-        layers order; a conv channel's value is the mean of its map."""
+    def values(self, trace: ActivationTrace) -> np.ndarray:
+        """Observed value of every neuron, as one float64 vector in ids order;
+        a conv channel's value is the mean of its map."""
         if len(trace.outputs) != len(self._shapes) or any(
             t.shape != s for t, s in zip(trace.outputs, self._shapes)
         ):
             raise ContractViolation("trace does not match this model")
-        values = []
+        flat = np.empty(len(self.ids))
         for nl in self.layers:
             out = trace.outputs[nl.source].array
             if out.ndim == 3:
-                values.append(out.mean(axis=(0, 1), dtype=np.float64))
+                # the float64 sum and division ndarray.mean(axis=(0, 1)) runs
+                v = flat[nl.span]
+                np.add.reduce(out.reshape(-1, out.shape[-1]), axis=0, dtype=np.float64, out=v)
+                v /= nl.map_size
             else:
-                values.append(out.astype(np.float64))
-        return values
+                flat[nl.span] = out
+        return flat
 
     def value(self, trace: ActivationTrace, nid: NeuronId) -> float:
         """Observed value of one neuron."""
         out = trace.outputs[self._layer_of(nid).source].array
         return float(out[..., nid.unit_index].mean(dtype=np.float64))
 
-    def add_value_grad(
-        self, grads: dict[int, np.ndarray], nid: NeuronId, lam: float, acts: list[np.ndarray]
+    def add_value_grads(
+        self,
+        grads: dict[int, np.ndarray],
+        nids: Sequence[NeuronId],
+        lam: float,
+        acts: list[np.ndarray],
     ):
-        """Add the gradient of lam times one neuron's value, with respect to
-        the output of its source layer in a batch-1 forward pass, into
-        grads[source], starting from zeros when grads has no entry there:
-        lam spread evenly over a conv channel's map."""
-        nl = self._layer_of(nid)
-        g = grads.get(nl.source)
-        if g is None:
-            g = grads[nl.source] = np.zeros_like(acts[nl.source])
-        g[0, ..., nid.unit_index] += g.dtype.type(lam / nl.map_size)
+        """Add the gradient of lam times the sum of the given neurons' values,
+        with respect to each source layer's output in a batch-1 forward pass,
+        into grads[source], starting from zeros when grads has no entry there:
+        lam spread evenly over a conv channel's map. The neurons must be
+        distinct, so each element gets one add."""
+        units: dict[int, list[int]] = {}
+        for nid in nids:
+            units.setdefault(self._layer_of(nid).index, []).append(nid.unit_index)
+        for i, us in units.items():
+            nl = self._by_layer[i]
+            g = grads.get(nl.source)
+            if g is None:
+                g = grads[nl.source] = np.zeros_like(acts[nl.source])
+            g[0, ..., us] += g.dtype.type(lam / nl.map_size)
 
 
 def all_neurons(model: Model) -> tuple[NeuronId, ...]:
@@ -121,15 +139,16 @@ def all_neurons(model: Model) -> tuple[NeuronId, ...]:
 
 def neuron_outputs(model: Model, trace: ActivationTrace) -> dict[NeuronId, float]:
     """Observed value of every neuron for one trace."""
-    flat = np.concatenate(model.layout.values(trace))
-    return dict(zip(all_neurons(model), flat.tolist()))
+    return dict(zip(all_neurons(model), model.layout.values(trace).tolist()))
 
 
-def _scale(arr: np.ndarray) -> np.ndarray:
-    lo, hi = arr.min(), arr.max()
-    if hi == lo:
-        return np.zeros_like(arr)
-    return (arr - lo) / (hi - lo)
+def _scale(v: np.ndarray, starts: np.ndarray, layer_of: np.ndarray) -> np.ndarray:
+    """Min-max scale each segment of v to [0, 1] in one pass; segment k starts
+    at starts[k], and layer_of gives each element's segment. A segment whose
+    values are all equal scales to +0.0."""
+    lo = np.minimum.reduceat(v, starts)[layer_of]
+    span = np.maximum.reduceat(v, starts)[layer_of] - lo
+    return np.divide(v - lo, span, out=np.zeros_like(v), where=span != 0)
 
 
 def scale_layer(outputs: Sequence[float]) -> list[float]:
@@ -137,13 +156,15 @@ def scale_layer(outputs: Sequence[float]) -> list[float]:
     are all equal scales to zeros (it cannot self-activate)."""
     if len(outputs) == 0:
         raise ContractViolation("scale_layer needs a non-empty layer")
-    return _scale(np.asarray(outputs, dtype=np.float64)).tolist()
+    v = np.asarray(outputs, dtype=np.float64)
+    return _scale(v, np.zeros(1, np.intp), np.zeros(v.size, np.intp)).tolist()
 
 
 def scaled_outputs(model: Model, trace: ActivationTrace) -> np.ndarray:
     """Every neuron's value for one trace, min-max scaled within its layer
     (see scale_layer), as one float64 vector in all_neurons order."""
-    return np.concatenate([_scale(v) for v in model.layout.values(trace)])
+    layout = model.layout
+    return _scale(layout.values(trace), layout.starts, layout.layer_of)
 
 
 class CoverageTracker:
@@ -190,11 +211,11 @@ def update(tracker: CoverageTracker, model: Model, trace: ActivationTrace) -> in
         raise ContractViolation("tracker was built for a different model")
     scaled = scaled_outputs(model, trace)
     active = scaled > tracker.activation_threshold
-    before = tracker.covered_count()
+    newly = np.count_nonzero(active & ~tracker._covered)
     tracker._last_scaled[:] = scaled
     tracker._covered |= active
     tracker._count += active
-    return tracker.covered_count() - before
+    return int(newly)
 
 
 def coverage_rate(tracker: CoverageTracker) -> float:

@@ -33,7 +33,7 @@ from . import coverage as cov
 from . import nn
 from .errors import ContractViolation
 from .model_io import export_image_pgm, import_image_pgm
-from .tensor import Tensor, clip, elementwise_add, l2_norm
+from .tensor import Tensor, l2_norm
 
 MUTATION_MODES = ("guided", "random")
 
@@ -254,15 +254,45 @@ def relative_distance(x_prime: Tensor, x: Tensor) -> float:
     ref = l2_norm(x)
     if ref == 0.0:
         raise ContractViolation("relative distance undefined for all-zero input")
-    diff = x_prime.array.astype(np.float64) - x.array.astype(np.float64)
-    return float(np.sqrt(np.dot(diff.ravel(), diff.ravel()))) / ref
+    return _distance(x_prime.array, x.array.astype(np.float64), ref)
 
 
-def _check_pixels(x: Tensor, cfg: FuzzConfig):
+def _distance(x_prime: np.ndarray, x64: np.ndarray, ref: float) -> float:
+    """relative_distance, given the original's float64 copy and L2 norm."""
+    diff = (x_prime.astype(np.float64) - x64).ravel()
+    return float(np.sqrt(np.dot(diff, diff))) / ref
+
+
+def _check_input(model: nn.Model, x: Tensor, cfg: FuzzConfig):
+    """x must be a Tensor of the model's input shape and precision, with
+    every pixel inside pixel_range."""
+    if not isinstance(x, Tensor):
+        raise ContractViolation(f"expected a Tensor, got {type(x).__name__}")
+    nn.check_input(model, x)
     lo, hi = cfg.pixel_range
     arr = x.array
     if arr.min() < lo or arr.max() > hi:
         raise ContractViolation(f"input pixels outside pixel_range [{lo}, {hi}]")
+
+
+def _mutate(
+    model: nn.Model,
+    tracker: cov.CoverageTracker,
+    cur: np.ndarray,
+    pert: np.ndarray,
+    pixel_range: tuple[float, float],
+    x64: np.ndarray,
+    x_norm: float,
+) -> tuple[nn.ActivationTrace, int, float]:
+    """One mutation step: clip cur + pert into pixel_range, predict it and
+    fold its trace into the tracker. Returns the trace, whose input is the
+    mutant as a validated Tensor, the number of neurons it newly covered,
+    and its relative distance to the origin, given the origin's float64
+    copy x64 and L2 norm x_norm."""
+    lo, hi = pixel_range
+    trace = nn.predict(model, Tensor.wrap(np.clip(cur + pert, lo, hi)))
+    newly = cov.update(tracker, model, trace)
+    return trace, newly, _distance(trace.input.array, x64, x_norm)
 
 
 def fuzz_one_input(
@@ -281,15 +311,21 @@ def fuzz_one_input(
     added is read from the tracker. An all-zero input has no relative
     distance to mutate within, so it is skipped: no records, no seeds.
     Random mutation draws its noise from rng.
+
+    Each mutant is stepped, clipped and measured on plain arrays, against
+    the origin's float64 copy and L2 norm taken once per input, and becomes
+    a validated Tensor once, where it enters nn.predict. A guided seed's
+    perturbation is worked out once for its whole run.
     """
     if mutation not in MUTATION_MODES:
         raise ContractViolation(f"mutation must be one of {MUTATION_MODES}")
     if mutation == "random" and rng is None:
         raise ContractViolation("random mutation needs an rng")
-    _check_pixels(x, cfg)
+    _check_input(model, x, cfg)
     x_norm = l2_norm(x)
     if x_norm == 0.0:
         return [], 0
+    x64 = x.array.astype(np.float64)
     lo, hi = cfg.pixel_range
     # float32 rounding of seed + step can lengthen a step by up to this much
     # in L2; it is held back from the room under the cap, so a shortened
@@ -322,7 +358,7 @@ def fuzz_one_input(
             # the seed's gradient is fixed for its whole run, so is its step
             step = process_gradient(grad, cfg.step_size)
 
-        cur = seed.x
+        cur = seed.x.array
         # L2 room the seed has left under distance_max; the run's first step
         # is shortened to it, so every run offers the gates one mutant inside
         # the cap however large step_size is
@@ -335,31 +371,29 @@ def fuzz_one_input(
                 pert = process_gradient(Tensor.wrap(noise), cfg.step_size)
             if iteration == 1:
                 pert = _shorten_to(pert, budget)
-            cur = clip(elementwise_add(cur, pert), lo, hi)
-
-            trace_m = nn.predict(model, cur)
-            newly = cov.update(tracker, model, trace_m)
+            trace_m, newly, dist = _mutate(
+                model, tracker, cur, pert.array, cfg.pixel_range, x64, x_norm
+            )
+            cur = trace_m.input.array
             gain_ratio = newly / tracker.total_neurons
-            dist = relative_distance(cur, x)
             c_m = trace_m.predicted_label
 
             if c_m != c_orig:
-                diff = Tensor.wrap(cur.array - x.array)
                 records.append(
                     AdversarialRecord(
                         input_index=input_index,
                         original_label=c_orig,
                         adversarial_label=c_m,
-                        mutated=cur,
+                        mutated=trace_m.input,
                         distance=dist,
-                        distance_abs=l2_norm(diff),
+                        distance_abs=l2_norm(Tensor.wrap(cur - x.array)),
                         seed_generation=seed.generation,
                         iteration=iteration,
                     )
                 )
                 break
             if gain_ratio >= requirement and dist <= cfg.distance_max:
-                queue.push(_Seed(cur, seed.generation + 1, trace_m, dist))
+                queue.push(_Seed(trace_m.input, seed.generation + 1, trace_m, dist))
 
     return records, processed
 
@@ -378,7 +412,16 @@ def fuzz_corpus(
     generator spawned from rng_seed, so with a fixed rng_seed the campaign is
     reproducible bit for bit in either mode. The coverage curve has one point
     per input, taken after it.
+
+    Every input is checked (a Tensor of the model's shape and precision,
+    pixels inside pixel_range) before the first is fuzzed; a bad one raises
+    ContractViolation naming its index.
     """
+    for i, x in enumerate(inputs):
+        try:
+            _check_input(model, x, cfg)
+        except ContractViolation as exc:
+            raise ContractViolation(f"input {i}: {exc}") from None
     tracker = cov.CoverageTracker(model, cfg.activation_threshold)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(inputs))
     records: list[AdversarialRecord] = []
@@ -387,9 +430,9 @@ def fuzz_corpus(
     cumulative_seeds = 0
     for i, x in enumerate(inputs):
         start = time.perf_counter()
-        recs, processed = fuzz_one_input(
-            model, tracker, x, cfg, i, np.random.default_rng(seeds[i]), mutation
-        )
+        # guided mode draws nothing, so only random mode pays for a generator
+        rng = np.random.default_rng(seeds[i]) if mutation == "random" else None
+        recs, processed = fuzz_one_input(model, tracker, x, cfg, i, rng, mutation)
         walls.append(time.perf_counter() - start)
         records.extend(recs)
         cumulative_seeds += processed

@@ -86,10 +86,16 @@ class Layer:
     def stride(self) -> int:
         return self.hyper.get("stride", 1)
 
-    @property
+    @cached_property
     def pool(self) -> tuple[int, int]:
         p = self.hyper.get("pool", 2)
         return (int(p), int(p)) if _is_int(p) else (int(p[0]), int(p[1]))
+
+    @cached_property
+    def wmat(self) -> np.ndarray:
+        """A conv2d layer's weights as the [kh*kw*in_ch, out_ch] matrix that
+        multiplies its im2col windows."""
+        return self.weights.array.reshape(-1, self.weights.shape[-1])
 
 
 def _is_int(v) -> bool:
@@ -254,12 +260,12 @@ class ActivationTrace:
 def predict(model: Model, x: Tensor) -> ActivationTrace:
     """Forward pass recording all layer outputs; argmax of the final vector is
     the predicted label (lowest index wins ties)."""
-    _check_input(model, x)
+    check_input(model, x)
     acts = _forward(model, x.array[None, ...])
     return ActivationTrace(x, tuple(Tensor.wrap(a[0]) for a in acts))
 
 
-def _check_input(model: Model, x: Tensor):
+def check_input(model: Model, x: Tensor):
     if x.shape != model.input_shape:
         raise ContractViolation(f"input shape {x.shape} != model {model.input_shape}")
     if x.precision != model.precision:
@@ -293,10 +299,8 @@ def _forward(
 def _conv2d_forward(layer: Layer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Output [n, oh, ow, out_ch] and the im2col matrix it was computed from."""
     cols, oh, ow = _im2col(x, layer)
-    kh, kw, in_ch, out_ch = layer.weights.shape
-    wmat = layer.weights.array.reshape(kh * kw * in_ch, out_ch)
-    y = cols.reshape(-1, cols.shape[-1]) @ wmat + layer.bias.array
-    return y.reshape(x.shape[0], oh, ow, out_ch), cols
+    y = cols.reshape(-1, cols.shape[-1]) @ layer.wmat + layer.bias.array
+    return y.reshape(x.shape[0], oh, ow, -1), cols
 
 
 def _layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
@@ -372,6 +376,8 @@ class ObjectiveSpec:
             raise ContractViolation("original label cannot appear in topk_labels")
         if len(set(self.topk_labels)) != len(self.topk_labels):
             raise ContractViolation("topk_labels must be distinct")
+        if len(set(self.target_neurons)) != len(self.target_neurons):
+            raise ContractViolation("target_neurons must be distinct")
 
 
 def top_k_other_labels(trace: ActivationTrace, k: int) -> list[int]:
@@ -413,7 +419,7 @@ def input_gradient(
     predicted x does not pay for a second one. The result is the same bits
     either way.
     """
-    _check_input(model, x)
+    check_input(model, x)
     _check_labels(model, spec)
     xb = x.array[None, ...]
     if trace is None:
@@ -429,8 +435,7 @@ def input_gradient(
         v[0, c] += 1.0
     v[0, spec.original_label] -= 1.0
     inject = {label_layer: v}
-    for nid in spec.target_neurons:
-        model.layout.add_value_grad(inject, nid, spec.lam, acts)
+    model.layout.add_value_grads(inject, spec.target_neurons, spec.lam, acts)
 
     return Tensor.wrap(_backward(model, xb, acts, inject)[0])
 
@@ -519,8 +524,7 @@ def _conv2d_backward(layer, x, g, need_params, need_input, cols):
         pg = (dw.reshape(kh, kw, in_ch, out_ch), gmat.sum(axis=0))
     dx = None
     if need_input:
-        wmat = layer.weights.array.reshape(kh * kw * in_ch, out_ch)
-        dcols = (gmat @ wmat.T).reshape(n, oh, ow, kh, kw, in_ch)
+        dcols = (gmat @ layer.wmat.T).reshape(n, oh, ow, kh, kw, in_ch)
         dx = _col2im(dcols, x.shape, s)
     return dx, pg
 
@@ -529,25 +533,25 @@ def _col2im(dcols: np.ndarray, shape: tuple[int, ...], stride: int) -> np.ndarra
     """Sum the [n, oh, ow, kh, kw, c] window gradients back onto an input
     of the given [n, h, w, c] shape, in one np.add.at over the terms in
     (sample, ki, kj, oh, ow, c) order."""
-    n, h, w, c = shape
     _, _, _, kh, kw, _ = dcols.shape
-    index = _col2im_index(h, w, c, kh, kw, stride)
-    if n > 1:
-        index = (np.arange(n)[:, None] * (h * w * c) + index).reshape(-1)
+    index = _col2im_index(*shape, kh, kw, stride)
     dx = np.zeros(shape, dcols.dtype)
     np.add.at(dx.reshape(-1), index, dcols.transpose(0, 3, 4, 1, 2, 5).reshape(-1))
     return dx
 
 
-@lru_cache(maxsize=64)
-def _col2im_index(h: int, w: int, c: int, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Flat position within one [h, w, c] input of every im2col entry, in
-    (ki, kj, oh, ow, c) order. np.add.at adds in index order, so each input
-    element gets its window terms in (ki, kj) order."""
+@lru_cache(maxsize=8)
+def _col2im_index(n: int, h: int, w: int, c: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Flat position within one [n, h, w, c] input of every im2col entry, in
+    (sample, ki, kj, oh, ow, c) order. np.add.at adds in index order, so each
+    input element gets its window terms in (ki, kj) order. The fuzzer asks
+    for batch 1 and the trainer for its batch size and its last, shorter
+    batch, so a few entries serve both."""
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
     rows = np.arange(kh)[:, None, None, None] + stride * np.arange(oh)[None, None, :, None]
     cols = np.arange(kw)[None, :, None, None] + stride * np.arange(ow)[None, None, None, :]
     index = ((rows * w + cols)[..., None] * c + np.arange(c)).reshape(-1)
+    index = (np.arange(n)[:, None] * (h * w * c) + index).reshape(-1)
     index.flags.writeable = False
     return index
 

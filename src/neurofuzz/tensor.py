@@ -97,9 +97,9 @@ class Tensor:
 def _validated(arr: np.ndarray) -> np.ndarray:
     if arr.dtype not in _PRECISION_OF:
         raise ContractViolation(f"unsupported dtype {arr.dtype}")
-    if arr.ndim == 0 or any(d < 1 for d in arr.shape):
+    if arr.ndim == 0 or 0 in arr.shape:
         raise ContractViolation(f"shape {arr.shape} must be rank >= 1 with positive dims")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ContractViolation("tensor contains NaN or Inf")
     arr = arr.view()
     arr.flags.writeable = False

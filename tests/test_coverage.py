@@ -18,6 +18,7 @@ from neurofuzz.coverage import (
     coverage_rate,
     neuron_outputs,
     scale_layer,
+    scaled_outputs,
     select_neurons,
     update,
 )
@@ -125,6 +126,23 @@ class TestNeuronOutputs:
                 else:
                     expected = float(observed[u])
                 assert outs[NeuronId(layer_index, u)] == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("arch", ["lenet1", "lenet5"])
+    def test_channel_means_match_ndarray_mean_bits(self, arch, precision):
+        model = architectures.build_model(arch, rng_seed=4).astype(precision)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            x = Tensor.wrap(rng.uniform(0, 1, size=model.input_shape)).astype(precision)
+            trace = nn.predict(model, x)
+            flat = model.layout.values(trace)
+            for nl in model.layout.layers:
+                out = trace.outputs[nl.source].array
+                if out.ndim == 3:
+                    want = out.mean(axis=(0, 1), dtype=np.float64)
+                else:
+                    want = out.astype(np.float64)
+                assert flat[nl.span].tobytes() == want.tobytes()
 
 
 class TestScaleLayer:
@@ -465,28 +483,64 @@ def lenet5_with_tied_units():
     )
 
 
+def with_flat_layers(model, trace, rng):
+    """The trace with lenet5's first conv layer observing one constant, its
+    first dense layer zeros of both signs (equal values, so also a constant
+    layer), and its second dense layer both zeros among larger values."""
+    outputs = [t.array.copy() for t in trace.outputs]
+    const, zeros, mixed = (model.layout.layers[k].source for k in (0, 2, 3))
+    outputs[const][...] = 0.5
+    outputs[zeros][...] = rng.choice([-0.0, 0.0], size=outputs[zeros].shape)
+    outputs[mixed][...] = rng.choice([-0.0, 0.0, 0.5, 2.0], size=outputs[mixed].shape)
+    return nn.ActivationTrace(trace.input, tuple(Tensor.wrap(o) for o in outputs))
+
+
+def assert_matches_reference(flat_layers):
+    """update and select_neurons on each of six lenet5 traces, bit for bit
+    against the dict reference; flat_layers edits the traces with
+    with_flat_layers."""
+    model = lenet5_with_tied_units()
+    tracker = CoverageTracker(model, 0.25)
+    ref = CoverageTracker(model, 0.25)
+    n = tracker.total_neurons
+    rng = np.random.default_rng(61)
+    for _ in range(6):
+        trace = nn.predict(model, rand_input(model, rng))
+        if flat_layers:
+            trace = with_flat_layers(model, trace, rng)
+        # few distinct values, so most neurons tie on count and on their
+        # distance to the threshold (0.125 and 0.375 are equally near)
+        counts = rng.integers(0, 3, size=n)
+        last = rng.choice([0.0, 0.125, 0.25, 0.375, 1.0], size=n)
+        for t in (tracker, ref):
+            t._count[:] = counts
+            t._last_scaled[:] = last
+        assert update(tracker, model, trace) == ref_update(ref, model, trace)
+        for name in ("_covered", "_count", "_last_scaled"):
+            assert getattr(tracker, name).tobytes() == getattr(ref, name).tobytes()
+
+        tracker._last_scaled[:] = last
+        for strategies in ((1,), (2,), (3,), (4,), (1, 2, 3, 4), (3, 1)):
+            for m in (1, 10, n):
+                got = select_neurons(tracker, model, strategies, m, trace)
+                assert got == ref_select(tracker, model, strategies, m, trace)
+
+
 class TestFlatArraysMatchDictReference:
     def test_update_and_select_match_reference(self):
-        model = lenet5_with_tied_units()
-        tracker = CoverageTracker(model, 0.25)
-        ref = CoverageTracker(model, 0.25)
-        n = tracker.total_neurons
-        rng = np.random.default_rng(61)
-        for _ in range(6):
-            trace = nn.predict(model, rand_input(model, rng))
-            # few distinct values, so most neurons tie on count and on their
-            # distance to the threshold (0.125 and 0.375 are equally near)
-            counts = rng.integers(0, 3, size=n)
-            last = rng.choice([0.0, 0.125, 0.25, 0.375, 1.0], size=n)
-            for t in (tracker, ref):
-                t._count[:] = counts
-                t._last_scaled[:] = last
-            assert update(tracker, model, trace) == ref_update(ref, model, trace)
-            for name in ("_covered", "_count", "_last_scaled"):
-                assert getattr(tracker, name).tobytes() == getattr(ref, name).tobytes()
+        assert_matches_reference(flat_layers=False)
 
-            tracker._last_scaled[:] = last
-            for strategies in ((1,), (2,), (3,), (4,), (1, 2, 3, 4), (3, 1)):
-                for m in (1, 10, n):
-                    got = select_neurons(tracker, model, strategies, m, trace)
-                    assert got == ref_select(tracker, model, strategies, m, trace)
+    def test_equal_valued_and_signed_zero_layers_match_reference(self):
+        assert_matches_reference(flat_layers=True)
+
+    def test_equal_valued_layer_scales_to_positive_zeros(self):
+        # v - lo gives -0.0 where v is -0.0 and lo is +0.0; a layer whose
+        # values are all equal must still scale to +0.0 throughout
+        model = lenet5_with_tied_units()
+        rng = np.random.default_rng(62)
+        for _ in range(10):
+            trace = with_flat_layers(model, nn.predict(model, rand_input(model, rng)), rng)
+            scaled = scaled_outputs(model, trace)
+            for nl in (model.layout.layers[0], model.layout.layers[2]):
+                zeros = np.zeros(nl.span.stop - nl.span.start)
+                assert scaled[nl.span].tobytes() == zeros.tobytes()

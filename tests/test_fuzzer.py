@@ -409,6 +409,43 @@ class TestFuzzCorpus:
         assert both.coverage_curve[0] == CoveragePoint(0, 0, 0.0)
         assert both.coverage_curve[1] == replace(alone.coverage_curve[0], input_index=1)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Tensor.zeros((28, 27, 1)),
+            Tensor.zeros((28, 28, 1), precision="double"),
+            Tensor.wrap(np.full((28, 28, 1), 1.5, dtype=np.float32)),
+            np.zeros((28, 28, 1), dtype=np.float32),
+        ],
+        ids=["shape", "precision", "pixel_range", "not_a_tensor"],
+    )
+    def test_bad_input_rejected_before_any_is_fuzzed(self, bad, monkeypatch):
+        model = architectures.build_model("lenet1", rng_seed=8)
+        rng = np.random.default_rng(53)
+        good = [Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
+                for _ in range(3)]
+        fuzzed = []
+        real = fz.fuzz_one_input
+        monkeypatch.setattr(
+            fz, "fuzz_one_input", lambda *a, **k: fuzzed.append(a[2]) or real(*a, **k)
+        )
+        with pytest.raises(ContractViolation, match=r"^input 2: "):
+            fuzz_corpus(model, [*good[:2], bad, good[2]], FuzzConfig())
+        assert fuzzed == []
+
+    def test_guided_campaign_builds_no_generator(self, monkeypatch):
+        model = architectures.build_model("lenet1", rng_seed=8)
+        rng = np.random.default_rng(54)
+        inputs = [Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
+                  for _ in range(2)]
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or real(*a))
+        fuzz_corpus(model, inputs, FuzzConfig())
+        assert built == []
+        fuzz_corpus(model, inputs, FuzzConfig(), mutation="random")
+        assert len(built) == 2
+
     def test_coverage_curve_one_point_per_input_monotone(self):
         model = architectures.build_model("lenet1", rng_seed=8)
         rng = np.random.default_rng(52)

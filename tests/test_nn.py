@@ -6,6 +6,8 @@ conventions (relu at exactly zero, maxpool ties) are pinned by crafted
 inputs whose analytic gradient is known.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,10 @@ class TestObjectiveValue:
         with pytest.raises(ContractViolation):
             nn.ObjectiveSpec(0, (0, 1), (), lam=0.0)
 
+    def test_repeated_target_neuron_rejected(self):
+        with pytest.raises(ContractViolation, match="target_neurons must be distinct"):
+            nn.ObjectiveSpec(0, (1,), (NeuronId(0, 1), NeuronId(0, 1)), lam=1.0)
+
 
 def finite_difference(model, x, spec, h=1e-4):
     model64 = model.astype("double")
@@ -204,7 +210,54 @@ def finite_difference(model, x, spec, h=1e-4):
     return grad
 
 
+def reference_injection(model, spec, acts):
+    """The objective's gradient at each layer output, one add per neuron: the
+    label terms, then lam / map size over each target neuron's channel at the
+    layer that carries its value (the relu or softmax right after it)."""
+    label_layer = len(model.layers) - (2 if spec.use_logits else 1)
+    v = np.zeros_like(acts[label_layer])
+    for c in spec.topk_labels:
+        v[0, c] += 1.0
+    v[0, spec.original_label] -= 1.0
+    inject = {label_layer: v}
+    for nid in spec.target_neurons:
+        nxt = nid.layer_index + 1
+        observed = nxt < len(model.layers) and model.layers[nxt].kind in ("relu", "softmax")
+        source = nxt if observed else nid.layer_index
+        g = inject.setdefault(source, np.zeros_like(acts[source]))
+        map_size = int(np.prod(acts[source].shape[1:-1]))
+        g[0, ..., nid.unit_index] += g.dtype.type(spec.lam / map_size)
+    return inject
+
+
 class TestInputGradient:
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("use_logits", [False, True], ids=["confidences", "logits"])
+    def test_grouped_injection_matches_per_neuron_adds(self, use_logits, precision):
+        model = architectures.build_model("lenet5", rng_seed=5).astype(precision)
+        ids = model.layout.ids
+        rng = np.random.default_rng(33)
+        x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1))).astype(precision)
+        trace = nn.predict(model, x)
+        acts = [t.array[None, ...] for t in trace.outputs]
+        c = trace.predicted_label
+        topk = tuple(nn.top_k_other_labels(trace, 4))
+        final = model.layout.layers[-1].index
+        # the final dense layer's units are read through the softmax, so with
+        # confidences they share the label layer's array: one target is a
+        # top-k label, one the original label, one neither
+        other = next(u for u in range(10) if u != c and u not in topk)
+        labels = {NeuronId(final, u) for u in (topk[0], c, other)}
+        for lam in (1.0, 0.7, 1 / 3):
+            picks = {ids[i] for i in rng.choice(len(ids) - 10, 12, replace=False)}
+            spec = nn.ObjectiveSpec(c, topk, tuple(sorted(picks | labels)), lam, use_logits)
+            want = reference_injection(model, spec, acts)
+            got = reference_injection(model, dataclasses.replace(spec, target_neurons=()), acts)
+            model.layout.add_value_grads(got, spec.target_neurons, lam, acts)
+            assert sorted(got) == sorted(want)
+            for layer in want:
+                assert_same_bits(got[layer], want[layer])
+
     def test_linear_model_exact_column_difference(self):
         rng = np.random.default_rng(12)
         w = rng.standard_normal((4, 3)).astype(np.float32)
