@@ -13,11 +13,15 @@ The fuzzer rows use the committed lenet5 benchmark fixture, which the script
 only reads, and one uniform-noise input: coverage.update of a trace,
 coverage.select_neurons with all four strategies and m=10, and one guided
 mutant step (clip, predict, coverage update and relative distance), as the
-campaign-lenet5-s1234 workload runs them. Each time
-is the mean time per call within a round, over ROUNDS rounds: the median
-round, and the fastest, which is the one least disturbed by other work on a
-shared host. The file also records the machine: CPU count, Python, NumPy and
-the BLAS library with its thread count.
+campaign-lenet5-s1234 workload runs them.
+
+BLAS runs on one thread, pinned before NumPy is imported, as the benchmark
+pins it. Every row's call runs once, untimed, before any row is timed, so
+that the first rows do not pay for the caches and allocations the later ones
+share. Each time is the mean time per call within a round, over ROUNDS
+rounds: the median round, and the fastest, which is the one least disturbed
+by other work on a shared host. The file also records the machine: CPU
+count, Python, NumPy and the BLAS library with its thread count.
 """
 
 from __future__ import annotations
@@ -34,7 +38,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import env  # noqa: E402
+
+env.configure()  # pins BLAS threads, so it must run before NumPy's import
 
 import numpy as np  # noqa: E402
 
@@ -75,7 +83,8 @@ def forward(layer: nn.Layer, x: np.ndarray):
     return nn._layer_forward(layer, x), None
 
 
-def time_layers(model: nn.Model, batch: int) -> list[dict]:
+def layer_rows(model: nn.Model, batch: int) -> list[tuple[dict, dict]]:
+    """One (row, {column: call}) per layer: the forward and backward calls."""
     rng = np.random.default_rng(0)
     x = rng.uniform(0, 1, size=(batch, *model.input_shape)).astype(np.float32)
     rows = []
@@ -89,25 +98,21 @@ def time_layers(model: nn.Model, batch: int) -> list[dict]:
             nn._layer_backward(layer, x, out, g, need_params=train,
                                need_input=need_input, cols=cols)
 
-        fwd, fwd_min = per_call_us(lambda layer=layer, x=x: forward(layer, x))
-        bwd, bwd_min = per_call_us(backward)
-        rows.append({
+        row = {
             "layer": i,
             "kind": layer.kind,
             "batch": batch,
             "input_shape": list(x.shape[1:]),
-            "forward_us": fwd,
-            "forward_us_min": fwd_min,
-            "backward_us": bwd,
-            "backward_us_min": bwd_min,
             "backward_computes": (["input"] if need_input else [])
             + (["params"] if train and layer.weights is not None else []),
-        })
+        }
+        rows.append((row, {"forward_us": lambda layer=layer, x=x: forward(layer, x),
+                           "backward_us": backward}))
         x = out
     return rows
 
 
-def time_fuzzer_steps() -> list[dict]:
+def fuzzer_rows() -> list[tuple[dict, dict]]:
     model = load_model(FUZZ_MODEL)
     cfg = fz.FuzzConfig(strategies=(1, 2, 3, 4), step_size=0.1)
     rng = np.random.default_rng(0)
@@ -127,11 +132,18 @@ def time_fuzzer_steps() -> list[dict]:
         "fuzzer.mutant_step": lambda: fz._mutate(
             model, tracker, x.array, step, cfg.pixel_range, x64, x_norm),
     }
-    rows = []
-    for op, fn in ops.items():
-        us, us_min = per_call_us(fn)
-        rows.append({"op": op, "model": "lenet5", "batch": 1, "us": us, "us_min": us_min})
-    return rows
+    return [({"op": op, "model": "lenet5", "batch": 1}, {"us": fn}) for op, fn in ops.items()]
+
+
+def timed(rows: list[tuple[dict, dict]]) -> list[dict]:
+    """Each row with a median and a fastest time per call column."""
+    out = []
+    for row, calls in rows:
+        row = dict(row)
+        for column, fn in calls.items():
+            row[column], row[column + "_min"] = per_call_us(fn)
+        out.append(row)
+    return out
 
 
 def blas_threads() -> int | None:
@@ -165,13 +177,18 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
     args = p.parse_args(argv)
     model = architectures.build_model("lenet1")
+    layers = [row for batch in BATCHES for row in layer_rows(model, batch)]
+    fuzzer = fuzzer_rows()
+    for _, calls in layers + fuzzer:  # the untimed pass over every row
+        for fn in calls.values():
+            fn()
     result = {
         "model": "lenet1",
         "unit": "us per call",
         "rounds": ROUNDS,
         "machine": machine(),
-        "layers": [row for batch in BATCHES for row in time_layers(model, batch)],
-        "fuzzer": time_fuzzer_steps(),
+        "layers": timed(layers),
+        "fuzzer": timed(fuzzer),
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="ascii")
     for row in result["layers"]:

@@ -81,10 +81,12 @@ class NeuronLayout:
         self._by_layer = {nl.index: nl for nl in layers}
         self._shapes = model.output_shapes
 
-    def _layer_of(self, nid: NeuronId) -> NeuronLayer:
-        if nid not in self.index:
+    def position(self, nid: NeuronId) -> int:
+        """The neuron's flat position; raises for an id that is not one."""
+        k = self.index.get(nid)
+        if k is None:
             raise ContractViolation(f"{nid} is not a neuron of this model")
-        return self._by_layer[nid.layer_index]
+        return k
 
     def values(self, trace: ActivationTrace) -> np.ndarray:
         """Observed value of every neuron, as one float64 vector in ids order;
@@ -105,11 +107,6 @@ class NeuronLayout:
                 flat[nl.span] = out
         return flat
 
-    def value(self, trace: ActivationTrace, nid: NeuronId) -> float:
-        """Observed value of one neuron."""
-        out = trace.outputs[self._layer_of(nid).source].array
-        return float(out[..., nid.unit_index].mean(dtype=np.float64))
-
     def add_value_grads(
         self,
         grads: dict[int, np.ndarray],
@@ -124,7 +121,8 @@ class NeuronLayout:
         distinct, so each element gets one add."""
         units: dict[int, list[int]] = {}
         for nid in nids:
-            units.setdefault(self._layer_of(nid).index, []).append(nid.unit_index)
+            self.position(nid)  # rejects an id that is not a neuron
+            units.setdefault(nid.layer_index, []).append(nid.unit_index)
         for i, us in units.items():
             nl = self._by_layer[i]
             g = grads.get(nl.source)

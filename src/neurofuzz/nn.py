@@ -14,7 +14,9 @@ Conventions (pinned, covered by tests):
   - maxpool routes gradient to the first maximal element in row-major order;
   - conv2d's input gradient (col2im) adds each input element's window terms
     in kernel row-major order (ki, then kj), starting from +0.0, so it is
-    bit-equal to a loop over kernel offsets that adds one strided slice each.
+    bit-equal to a loop over kernel offsets that adds one strided slice each;
+  - conv2d's bias gradient adds the rows of the [n*oh*ow, out_ch] output
+    gradient in row order (sample, oh, ow), bit-equal to gmat.sum(axis=0).
 """
 
 from __future__ import annotations
@@ -299,7 +301,8 @@ def _forward(
 def _conv2d_forward(layer: Layer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Output [n, oh, ow, out_ch] and the im2col matrix it was computed from."""
     cols, oh, ow = _im2col(x, layer)
-    y = cols.reshape(-1, cols.shape[-1]) @ layer.wmat + layer.bias.array
+    y = cols.reshape(-1, cols.shape[-1]) @ layer.wmat
+    y += layer.bias.array
     return y.reshape(x.shape[0], oh, ow, -1), cols
 
 
@@ -321,15 +324,35 @@ def _layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
 
 def _im2col(x: np.ndarray, layer: Layer) -> tuple[np.ndarray, int, int]:
     """The [n, oh, ow, kh*kw*c] matrix of x's windows, each flattened in
-    (ki, kj, c) order."""
+    (ki, kj, c) order.
+
+    With one input channel a window row holds only kw floats, so a strided
+    copy of the window view moves short runs; a gather through a cached flat
+    index builds the same matrix faster. With more channels the strided copy
+    is the faster of the two."""
     kh, kw, _, _ = layer.weights.shape
     s = layer.stride
-    x = np.ascontiguousarray(x)
     n, h, w, c = x.shape
     oh, ow = (h - kh) // s + 1, (w - kw) // s + 1
+    if c == 1:
+        index = _im2col_index(h, w, kh, kw, s)
+        return np.take(x.reshape(n, -1), index, axis=1).reshape(n, oh, ow, kh * kw), oh, ow
+    x = np.ascontiguousarray(x)
     sn, sh, sw, sc = x.strides
     win = np.ndarray((n, oh, ow, kh, kw, c), x.dtype, x, 0, (sn, s * sh, s * sw, sh, sw, sc))
     return np.ascontiguousarray(win.reshape(n, oh, ow, kh * kw * c)), oh, ow
+
+
+@lru_cache(maxsize=8)
+def _im2col_index(h: int, w: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Flat position within one one-channel [h, w] input of every im2col
+    entry, in (oh, ow, ki, kj) order."""
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    rows = stride * np.arange(oh)[:, None, None, None] + np.arange(kh)[None, None, :, None]
+    cols = stride * np.arange(ow)[None, :, None, None] + np.arange(kw)[None, None, None, :]
+    index = (rows * w + cols).reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def _pool_views(x: np.ndarray, pool: tuple[int, int]):
@@ -398,8 +421,10 @@ def objective_value(model: Model, x: Tensor, spec: ObjectiveSpec) -> float:
     label_src = trace.outputs[-2] if spec.use_logits else trace.confidences
     vals = label_src.array.astype(np.float64)
     total = float(vals[list(spec.topk_labels)].sum() - vals[spec.original_label])
+    layout = model.layout
+    values = layout.values(trace)
     for nid in spec.target_neurons:
-        total += spec.lam * model.layout.value(trace, nid)
+        total += spec.lam * float(values[layout.position(nid)])
     return total
 
 
@@ -521,7 +546,8 @@ def _conv2d_backward(layer, x, g, need_params, need_input, cols):
     pg = None
     if need_params:
         dw = cols.reshape(-1, kh * kw * in_ch).T @ gmat
-        pg = (dw.reshape(kh, kw, in_ch, out_ch), gmat.sum(axis=0))
+        # einsum adds the rows in the order gmat.sum(axis=0) does, faster
+        pg = (dw.reshape(kh, kw, in_ch, out_ch), np.einsum("ij->j", gmat))
     dx = None
     if need_input:
         dcols = (gmat @ layer.wmat.T).reshape(n, oh, ow, kh, kw, in_ch)

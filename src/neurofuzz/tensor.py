@@ -106,23 +106,8 @@ def _validated(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def elementwise_add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of identical shape and precision."""
-    if a.shape != b.shape:
-        raise ContractViolation(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.precision != b.precision:
-        raise ContractViolation(f"precision mismatch: {a.precision} vs {b.precision}")
-    return Tensor.wrap(a.array + b.array)
-
-
 def l2_norm(a: Tensor) -> float:
     """Euclidean norm sqrt(sum(a[i]^2)), accumulated in double precision."""
     flat = a.data.astype(np.float64, copy=False)
     return float(np.sqrt(np.dot(flat, flat)))
 
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp every element into [lo, hi]."""
-    if lo > hi:
-        raise ContractViolation(f"clip bounds inverted: lo={lo} > hi={hi}")
-    return Tensor.wrap(np.clip(a.array, lo, hi))

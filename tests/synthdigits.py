@@ -59,24 +59,36 @@ def _transform(points: np.ndarray, rng: np.random.Generator, params) -> np.ndarr
 
 
 def _raster(polylines: list[np.ndarray], thickness: float) -> np.ndarray:
-    """Distance-to-segment rasterization with a soft anti-aliased edge."""
+    """Distance-to-segment rasterization with a soft anti-aliased edge.
+
+    A pixel farther than thickness + aa from the strokes' bounding box is
+    farther than that from every stroke, so it renders as exactly 0; only
+    the pixels inside the widened box get their distances computed."""
+    aa = 0.55 / SIZE
     coords = (np.arange(SIZE) + 0.5) / SIZE
-    gx, gy = np.meshgrid(coords, coords)
-    pix = np.stack([gx.ravel(), gy.ravel()], axis=1)  # [784, 2], (x, y)
+    pts = np.concatenate(polylines)
+    margin = thickness + aa
+    xs = np.flatnonzero((coords >= pts[:, 0].min() - margin) & (coords <= pts[:, 0].max() + margin))
+    ys = np.flatnonzero((coords >= pts[:, 1].min() - margin) & (coords <= pts[:, 1].max() + margin))
+    img = np.zeros((SIZE, SIZE))
+    if not (xs.size and ys.size):
+        return img
+    gx, gy = np.meshgrid(coords[xs], coords[ys])
+    pix = np.stack([gx.ravel(), gy.ravel()], axis=1)  # [npix, 2], (x, y)
     best = np.full(len(pix), np.inf)
     for line in polylines:
         a, b = line[:-1], line[1:]
         ab = b - a  # [nseg, 2]
         denom = (ab * ab).sum(axis=1)
         denom[denom == 0] = 1e-12
-        ap = pix[:, None, :] - a[None, :, :]  # [784, nseg, 2]
+        ap = pix[:, None, :] - a[None, :, :]  # [npix, nseg, 2]
         t = np.clip((ap * ab[None, :, :]).sum(axis=2) / denom, 0.0, 1.0)
         closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
         d = np.sqrt(((pix[:, None, :] - closest) ** 2).sum(axis=2)).min(axis=1)
         best = np.minimum(best, d)
-    aa = 0.55 / SIZE
-    img = np.clip((thickness - best) / aa + 0.5, 0.0, 1.0)
-    return img.reshape(SIZE, SIZE)
+    box = np.clip((thickness - best) / aa + 0.5, 0.0, 1.0)
+    img[ys[0] : ys[-1] + 1, xs[0] : xs[-1] + 1] = box.reshape(len(ys), len(xs))
+    return img
 
 
 def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
@@ -85,8 +97,8 @@ def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
     kernel = np.exp(-0.5 * (t / sigma) ** 2)
     kernel /= kernel.sum()
     padded = np.pad(img, radius, mode="edge")
-    rows = np.apply_along_axis(lambda r: np.convolve(r, kernel, "valid"), 1, padded)
-    return np.apply_along_axis(lambda col: np.convolve(col, kernel, "valid"), 0, rows)
+    rows = np.array([np.convolve(r, kernel, "valid") for r in padded])
+    return np.stack([np.convolve(c, kernel, "valid") for c in rows.T], axis=1)
 
 
 def _stroke(digit: int, rng: np.random.Generator) -> np.ndarray:

@@ -520,26 +520,51 @@ def assert_same_bits(got, want):
     assert np.array_equal(bits(got), bits(want))
 
 
-# (h, w, in_ch, kh, kw, out_ch, stride): lenet1's two convolutions, and a
-# stride-2 one whose windows leave the last row and column uncovered
+def reference_bias_grad(g):
+    """The conv bias gradient as the rows' sum in row order."""
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
+def reference_forward(model, xb):
+    """_forward with every conv2d through reference_im2col and the
+    out-of-place bias add."""
+    acts, a = [], xb
+    for layer in model.layers:
+        if layer.kind == "conv2d":
+            kh, kw, c, oc = layer.weights.shape
+            cols = reference_im2col(a, kh, kw, layer.stride)
+            y = cols.reshape(-1, kh * kw * c) @ layer.weights.array.reshape(-1, oc)
+            a = (y + layer.bias.array).reshape(*cols.shape[:3], oc)
+        else:
+            a = nn._layer_forward(layer, a)
+        acts.append(a)
+    return acts
+
+
+# (h, w, in_ch, kh, kw, out_ch, stride): lenet1's two convolutions, and two
+# stride-2 ones whose windows leave the last row and column uncovered, the
+# second with one input channel, which _im2col gathers through an index
 CONV_GEOMETRIES = {
     "lenet1_conv1": (28, 28, 1, 5, 5, 4, 1),
     "lenet1_conv2": (12, 12, 4, 5, 5, 12, 1),
     "stride2": (12, 10, 3, 3, 3, 5, 2),
+    "stride2_one_channel": (13, 11, 1, 3, 3, 5, 2),
 }
+
+
+def conv_layer(geometry, dtype):
+    _, _, c, kh, kw, oc, stride = geometry
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((kh, kw, c, oc)).astype(dtype)
+    b = rng.standard_normal(oc).astype(dtype)
+    return nn.conv2d(Tensor.wrap(w), Tensor.wrap(b), stride)
 
 
 class TestConvKernels:
     """The im2col and col2im kernels against the sliding_window_view and
     per-offset loop references, bit for bit. Batch 1 is the fuzzer's, 64
-    the trainer's, and 16 the last batch of a 2000-image shard."""
-
-    def conv_layer(self, geometry, dtype):
-        _, _, c, kh, kw, oc, stride = geometry
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((kh, kw, c, oc)).astype(dtype)
-        b = rng.standard_normal(oc).astype(dtype)
-        return nn.conv2d(Tensor.wrap(w), Tensor.wrap(b), stride)
+    the trainer's, 16 the last batch of a 2000-image shard and 256
+    evaluate's."""
 
     def run_both(self, layer, x, seed=1):
         kh, kw, c, oc = layer.weights.shape
@@ -554,28 +579,28 @@ class TestConvKernels:
         dcols = (g.reshape(-1, oc) @ wmat.T).reshape(x.shape[0], oh, ow, kh, kw, c)
         assert_same_bits(dx, reference_col2im(dcols, x.shape, layer.stride))
 
-    @pytest.mark.parametrize("batch", [1, 16, 64])
+    @pytest.mark.parametrize("batch", [1, 16, 64, 256])
     @pytest.mark.parametrize("name", list(CONV_GEOMETRIES))
     def test_geometry_and_batch(self, name, batch):
         geometry = CONV_GEOMETRIES[name]
         h, w, c = geometry[:3]
         x = np.random.default_rng(batch).uniform(-1, 1, size=(batch, h, w, c))
-        self.run_both(self.conv_layer(geometry, np.float32), x.astype(np.float32))
+        self.run_both(conv_layer(geometry, np.float32), x.astype(np.float32))
 
     @pytest.mark.parametrize("name", list(CONV_GEOMETRIES))
     def test_double_precision_model(self, name):
         geometry = CONV_GEOMETRIES[name]
         h, w, c = geometry[:3]
         x = np.random.default_rng(7).standard_normal((3, h, w, c))
-        self.run_both(self.conv_layer(geometry, np.float64), x)
+        self.run_both(conv_layer(geometry, np.float64), x)
 
     def test_non_contiguous_input(self):
         geometry = CONV_GEOMETRIES["lenet1_conv2"]
         wide = np.random.default_rng(8).standard_normal((4, 24, 12, 8)).astype(np.float32)
         x = wide[:, ::2, :, 2:6]  # [4, 12, 12, 4], strided in h and c
         assert not x.flags.c_contiguous
-        self.run_both(self.conv_layer(geometry, np.float32), x)
-        self.run_both(self.conv_layer(geometry, np.float32), np.asfortranarray(x))
+        self.run_both(conv_layer(geometry, np.float32), x)
+        self.run_both(conv_layer(geometry, np.float32), np.asfortranarray(x))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", list(CONV_GEOMETRIES))
@@ -599,6 +624,46 @@ class TestConvKernels:
         dx = nn._col2im(dcols, (5, h, w, c), s)
         assert_same_bits(dx, reference_col2im(dcols, (5, h, w, c), s))
         assert not np.signbit(dx[3]).any()
+
+
+class TestConvBiasGradient:
+    """The conv bias gradient against the rows' sum in row order, bit for
+    bit, at the row counts of the fuzzer's batch, the last batch of a
+    2000-image shard and its neighbours, the trainer's and evaluate's."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 16, 17, 18, 64, 256])
+    @pytest.mark.parametrize("name", ["lenet1_conv1", "lenet1_conv2"])
+    def test_matches_row_sum(self, name, batch, dtype):
+        geometry = CONV_GEOMETRIES[name]
+        h, w, c, oc = *geometry[:3], geometry[5]
+        layer = conv_layer(geometry, dtype)
+        x = np.random.default_rng(batch).uniform(0, 1, size=(batch, h, w, c)).astype(dtype)
+        cols, oh, ow = nn._im2col(x, layer)
+        rng = np.random.default_rng(batch + 1)
+        shape = (batch, oh, ow, oc)
+        # a wide spread of magnitudes makes every sum depend on its order
+        g = (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)).astype(dtype)
+        g[..., 0] = -0.0  # one channel of -0.0 terms only, one of mixed zeros
+        g[..., 1] = np.where(rng.random(shape[:-1]) < 0.5, -0.0, 0.0)
+        _, (_, db) = nn._conv2d_backward(layer, x, g, True, False, cols)
+        assert_same_bits(db, reference_bias_grad(g))
+
+
+class TestForwardMatchesReference:
+    """Whole lenet1 forward passes against reference_forward, bit for bit.
+    OpenBLAS picks a small-matrix kernel for short products, so every batch
+    up to 17 is checked, in both precisions."""
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_every_small_batch(self, precision):
+        model = architectures.build_model("lenet1", rng_seed=3).astype(precision)
+        dtype = np.float32 if precision == "single" else np.float64
+        for batch in range(1, 18):
+            xb = np.random.default_rng(batch).uniform(0, 1, size=(batch, 28, 28, 1))
+            xb = xb.astype(dtype)
+            for got, want in zip(nn._forward(model, xb), reference_forward(model, xb)):
+                assert_same_bits(got, want)
 
 
 class TestModelValidation:
