@@ -18,10 +18,14 @@ campaign-lenet5-s1234 workload runs them.
 BLAS runs on one thread, pinned before NumPy is imported, as the benchmark
 pins it. Every row's call runs once, untimed, before any row is timed, so
 that the first rows do not pay for the caches and allocations the later ones
-share. Each time is the mean time per call within a round, over ROUNDS
-rounds: the median round, and the fastest, which is the one least disturbed
-by other work on a shared host. The file also records the machine: CPU
-count, Python, NumPy and the BLAS library with its thread count.
+share. Each time is the mean time per call within a round. Every row is timed
+in two passes of ROUNDS rounds, with all the other rows run between them; a
+row reports the median round over both passes, the fastest round, which is
+the one least disturbed by other work on a shared host, and each pass's
+median. A host that slows down for seconds shows as two pass medians more
+than UNSTABLE_RATIO apart: such a row is listed under "unstable" and named
+on stderr. The file also records the machine: CPU count, Python, NumPy and
+the BLAS library with its thread count.
 """
 
 from __future__ import annotations
@@ -54,13 +58,15 @@ from neurofuzz.tensor import Tensor  # noqa: E402
 
 BATCHES = (1, 64)
 FUZZ_MODEL = ROOT / "perfbench" / "fixtures" / "lenet5.json"
+PASSES = 2
 ROUNDS = 15
 ROUND_S = 0.01  # each round repeats the call until it has run this long
+UNSTABLE_RATIO = 2.0
 WARMUP = 3
 
 
-def per_call_us(fn) -> tuple[float, float]:
-    """Median and fastest round's time per call."""
+def rounds_us(fn) -> list[float]:
+    """Time per call in each of ROUNDS rounds."""
     for _ in range(WARMUP):
         fn()
     loops, start = 0, time.perf_counter()
@@ -73,7 +79,7 @@ def per_call_us(fn) -> tuple[float, float]:
         for _ in range(loops):
             fn()
         rounds.append((time.perf_counter() - start) / loops * 1e6)
-    return statistics.median(rounds), min(rounds)
+    return rounds
 
 
 def forward(layer: nn.Layer, x: np.ndarray):
@@ -135,15 +141,26 @@ def fuzzer_rows() -> list[tuple[dict, dict]]:
     return [({"op": op, "model": "lenet5", "batch": 1}, {"us": fn}) for op, fn in ops.items()]
 
 
-def timed(rows: list[tuple[dict, dict]]) -> list[dict]:
-    """Each row with a median and a fastest time per call column."""
-    out = []
-    for row, calls in rows:
-        row = dict(row)
-        for column, fn in calls.items():
-            row[column], row[column + "_min"] = per_call_us(fn)
-        out.append(row)
-    return out
+def timed(rows: list[tuple[dict, dict]]) -> tuple[list[dict], list[dict]]:
+    """Each row with its median, fastest and per-pass median time per call
+    columns, and the unstable entries: one per column whose pass medians
+    differ more than UNSTABLE_RATIO times."""
+    passes = [[{column: rounds_us(fn) for column, fn in calls.items()} for _, calls in rows]
+              for _ in range(PASSES)]
+    out, unstable = [], []
+    for i, (row, calls) in enumerate(rows):
+        timed_row = dict(row)
+        for column in calls:
+            per_pass = [p[i][column] for p in passes]
+            medians = [statistics.median(r) for r in per_pass]
+            every = [t for r in per_pass for t in r]
+            timed_row[column] = statistics.median(every)
+            timed_row[column + "_min"] = min(every)
+            timed_row[column + "_passes"] = medians
+            if max(medians) > UNSTABLE_RATIO * min(medians):
+                unstable.append({**row, "column": column, "pass_medians_us": medians})
+        out.append(timed_row)
+    return out, unstable
 
 
 def blas_threads() -> int | None:
@@ -182,13 +199,16 @@ def main(argv=None) -> int:
     for _, calls in layers + fuzzer:  # the untimed pass over every row
         for fn in calls.values():
             fn()
+    rows, unstable = timed(layers + fuzzer)
     result = {
         "model": "lenet1",
         "unit": "us per call",
+        "passes": PASSES,
         "rounds": ROUNDS,
         "machine": machine(),
-        "layers": timed(layers),
-        "fuzzer": timed(fuzzer),
+        "layers": rows[: len(layers)],
+        "fuzzer": rows[len(layers):],
+        "unstable": unstable,
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="ascii")
     for row in result["layers"]:
@@ -198,6 +218,8 @@ def main(argv=None) -> int:
     for row in result["fuzzer"]:
         print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} "
               f"{row['us']:9.1f} (min {row['us_min']:9.1f}) us")
+    for entry in unstable:
+        print(f"bench_layers: warning: unstable row {json.dumps(entry)}", file=sys.stderr)
     return 0
 
 

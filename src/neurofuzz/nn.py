@@ -558,26 +558,26 @@ def _conv2d_backward(layer, x, g, need_params, need_input, cols):
 def _col2im(dcols: np.ndarray, shape: tuple[int, ...], stride: int) -> np.ndarray:
     """Sum the [n, oh, ow, kh, kw, c] window gradients back onto an input
     of the given [n, h, w, c] shape, in one np.add.at over the terms in
-    (sample, ki, kj, oh, ow, c) order."""
+    reverse memory order. Along one input element's terms oh and ow fall as
+    ki and kj rise, so it gets them in (ki, kj) order without reordering dcols."""
     _, _, _, kh, kw, _ = dcols.shape
     index = _col2im_index(*shape, kh, kw, stride)
     dx = np.zeros(shape, dcols.dtype)
-    np.add.at(dx.reshape(-1), index, dcols.transpose(0, 3, 4, 1, 2, 5).reshape(-1))
+    np.add.at(dx.reshape(-1), index, dcols.reshape(-1)[::-1])
     return dx
 
 
 @lru_cache(maxsize=8)
 def _col2im_index(n: int, h: int, w: int, c: int, kh: int, kw: int, stride: int) -> np.ndarray:
     """Flat position within one [n, h, w, c] input of every im2col entry, in
-    (sample, ki, kj, oh, ow, c) order. np.add.at adds in index order, so each
-    input element gets its window terms in (ki, kj) order. The fuzzer asks
-    for batch 1 and the trainer for its batch size and its last, shorter
-    batch, so a few entries serve both."""
+    reverse (sample, oh, ow, ki, kj, c) order, stored contiguous; np.add.at
+    adds in index order. The fuzzer asks for batch 1 and the trainer for its
+    batch size and its last, shorter batch, so a few entries serve both."""
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    rows = np.arange(kh)[:, None, None, None] + stride * np.arange(oh)[None, None, :, None]
-    cols = np.arange(kw)[None, :, None, None] + stride * np.arange(ow)[None, None, None, :]
+    rows = stride * np.arange(oh)[:, None, None, None] + np.arange(kh)[None, None, :, None]
+    cols = stride * np.arange(ow)[None, :, None, None] + np.arange(kw)[None, None, None, :]
     index = ((rows * w + cols)[..., None] * c + np.arange(c)).reshape(-1)
-    index = (np.arange(n)[:, None] * (h * w * c) + index).reshape(-1)
+    index = np.ascontiguousarray((np.arange(n)[:, None] * (h * w * c) + index).reshape(-1)[::-1])
     index.flags.writeable = False
     return index
 

@@ -520,6 +520,12 @@ def assert_same_bits(got, want):
     assert np.array_equal(bits(got), bits(want))
 
 
+def spread_terms(rng, shape, dtype):
+    """Normal terms scaled over twelve orders of magnitude, so that every
+    sum of them depends on its order."""
+    return (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)).astype(dtype)
+
+
 def reference_bias_grad(g):
     """The conv bias gradient as the rows' sum in row order."""
     return g.reshape(-1, g.shape[-1]).sum(axis=0)
@@ -609,8 +615,7 @@ class TestConvKernels:
         oh, ow = (h - kh) // s + 1, (w - kw) // s + 1
         rng = np.random.default_rng(9)
         shape = (5, oh, ow, kh, kw, c)
-        # a wide spread of magnitudes makes every sum depend on its order
-        dcols = (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)).astype(dtype)
+        dcols = spread_terms(rng, shape, dtype)
         # the first and last kernel offsets cancel exactly, with small terms
         # between them that survive only if they are added in (ki, kj) order
         big = dtype(2.0 ** (np.finfo(dtype).nmant + 2))
@@ -624,6 +629,30 @@ class TestConvKernels:
         dx = nn._col2im(dcols, (5, h, w, c), s)
         assert_same_bits(dx, reference_col2im(dcols, (5, h, w, c), s))
         assert not np.signbit(dx[3]).any()
+
+    @pytest.mark.parametrize("name", list(CONV_GEOMETRIES))
+    def test_col2im_non_contiguous_window_gradients(self, name):
+        h, w, c, kh, kw, _, s = CONV_GEOMETRIES[name]
+        oh, ow = (h - kh) // s + 1, (w - kw) // s + 1
+        wide = spread_terms(np.random.default_rng(10), (3, oh, 2 * ow, kh, kw, c), np.float32)
+        strided = wide[:, :, ::2]  # [3, oh, ow, kh, kw, c], strided in ow
+        assert not strided.flags.c_contiguous
+        for dcols in (strided, np.asfortranarray(strided)):
+            dx = nn._col2im(dcols, (3, h, w, c), s)
+            assert_same_bits(dx, reference_col2im(dcols, (3, h, w, c), s))
+
+    def test_col2im_interleaved_batches(self):
+        """Batch sizes in turn, so that each cached index is read again
+        after the indexes of other batches were built."""
+        nn._col2im_index.cache_clear()
+        rng = np.random.default_rng(11)
+        for batch in (1, 64, 16, 64, 1):
+            for h, w, c, kh, kw, _, s in CONV_GEOMETRIES.values():
+                oh, ow = (h - kh) // s + 1, (w - kw) // s + 1
+                dcols = spread_terms(rng, (batch, oh, ow, kh, kw, c), np.float32)
+                dx = nn._col2im(dcols, (batch, h, w, c), s)
+                assert_same_bits(dx, reference_col2im(dcols, (batch, h, w, c), s))
+        assert nn._col2im_index.cache_info().hits > 0
 
 
 class TestConvBiasGradient:
@@ -642,8 +671,7 @@ class TestConvBiasGradient:
         cols, oh, ow = nn._im2col(x, layer)
         rng = np.random.default_rng(batch + 1)
         shape = (batch, oh, ow, oc)
-        # a wide spread of magnitudes makes every sum depend on its order
-        g = (rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)).astype(dtype)
+        g = spread_terms(rng, shape, dtype)
         g[..., 0] = -0.0  # one channel of -0.0 terms only, one of mixed zeros
         g[..., 1] = np.where(rng.random(shape[:-1]) < 0.5, -0.0, 0.0)
         _, (_, db) = nn._conv2d_backward(layer, x, g, True, False, cols)
