@@ -24,8 +24,10 @@ row reports the median round over both passes, the fastest round, which is
 the one least disturbed by other work on a shared host, and each pass's
 median. A host that slows down for seconds shows as two pass medians more
 than UNSTABLE_RATIO apart: such a row is listed under "unstable" and named
-on stderr. The file also records the machine: CPU count, Python, NumPy and
-the BLAS library with its thread count.
+on stderr. A row whose slower pass median is under UNSTABLE_FLOOR_US is not
+listed, because loop and timer overhead alone can move a median that much
+there. The file also records the machine: CPU count, Python, NumPy and the
+BLAS library with its thread count.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ PASSES = 2
 ROUNDS = 15
 ROUND_S = 0.01  # each round repeats the call until it has run this long
 UNSTABLE_RATIO = 2.0
+UNSTABLE_FLOOR_US = 10.0
 WARMUP = 3
 
 
@@ -129,8 +132,8 @@ def fuzzer_rows() -> list[tuple[dict, dict]]:
     neurons = cov.select_neurons(tracker, model, cfg.strategies, cfg.m, trace)
     spec = nn.ObjectiveSpec(trace.predicted_label, tuple(nn.top_k_other_labels(trace, cfg.k)),
                             tuple(neurons), cfg.lam)
-    step = fz.process_gradient(nn.input_gradient(model, x, spec, trace), cfg.step_size).array
-    x64, x_norm = x.array.astype(np.float64), fz.l2_norm(x)
+    step = fz.process_gradient(nn.input_gradient(model, x, spec, trace).array, cfg.step_size)
+    x64, x_norm = x.array.astype(np.float64), fz.l2_norm(x.array)
     ops = {
         "coverage.update": lambda: cov.update(tracker, model, trace),
         "coverage.select_neurons": lambda: cov.select_neurons(
@@ -144,7 +147,7 @@ def fuzzer_rows() -> list[tuple[dict, dict]]:
 def timed(rows: list[tuple[dict, dict]]) -> tuple[list[dict], list[dict]]:
     """Each row with its median, fastest and per-pass median time per call
     columns, and the unstable entries: one per column whose pass medians
-    differ more than UNSTABLE_RATIO times."""
+    differ more than UNSTABLE_RATIO times, the slower above UNSTABLE_FLOOR_US."""
     passes = [[{column: rounds_us(fn) for column, fn in calls.items()} for _, calls in rows]
               for _ in range(PASSES)]
     out, unstable = [], []
@@ -157,7 +160,7 @@ def timed(rows: list[tuple[dict, dict]]) -> tuple[list[dict], list[dict]]:
             timed_row[column] = statistics.median(every)
             timed_row[column + "_min"] = min(every)
             timed_row[column + "_passes"] = medians
-            if max(medians) > UNSTABLE_RATIO * min(medians):
+            if max(medians) > max(UNSTABLE_RATIO * min(medians), UNSTABLE_FLOOR_US):
                 unstable.append({**row, "column": column, "pass_medians_us": medians})
         out.append(timed_row)
     return out, unstable

@@ -229,29 +229,27 @@ class CampaignReport:
         return self.total_wall_s / len(self.records)
 
 
-def process_gradient(grads: Tensor, step_size: float) -> Tensor:
+def process_gradient(grads: np.ndarray, step_size: float) -> np.ndarray:
     """Turn a raw input gradient into a perturbation of L2 length step_size:
     the gradient normalized to unit L2, times the step. A zero gradient
     gives the zero perturbation."""
-    g = grads.array
-    return Tensor.wrap(g * g.dtype.type(step_size / max(l2_norm(grads), 1e-12)))
+    return grads * grads.dtype.type(step_size / max(l2_norm(grads), 1e-12))
 
 
-def _shorten_to(pert: Tensor, budget: float) -> Tensor:
+def _shorten_to(pert: np.ndarray, budget: float) -> np.ndarray:
     """Scale a perturbation down, if needed, so its L2 norm is at most
     budget (a budget at or below zero gives the zero perturbation)."""
     norm = l2_norm(pert)
     if norm <= budget or norm == 0.0:
         return pert
-    scale = max(budget, 0.0) / norm
-    return Tensor.wrap(pert.array * pert.array.dtype.type(scale))
+    return pert * pert.dtype.type(max(budget, 0.0) / norm)
 
 
 def relative_distance(x_prime: Tensor, x: Tensor) -> float:
     """L2 norm of the perturbation over the L2 norm of the original."""
     if x_prime.shape != x.shape:
         raise ContractViolation(f"shape mismatch {x_prime.shape} vs {x.shape}")
-    ref = l2_norm(x)
+    ref = l2_norm(x.array)
     if ref == 0.0:
         raise ContractViolation("relative distance undefined for all-zero input")
     return _distance(x_prime.array, x.array.astype(np.float64), ref)
@@ -259,8 +257,7 @@ def relative_distance(x_prime: Tensor, x: Tensor) -> float:
 
 def _distance(x_prime: np.ndarray, x64: np.ndarray, ref: float) -> float:
     """relative_distance, given the original's float64 copy and L2 norm."""
-    diff = (x_prime.astype(np.float64) - x64).ravel()
-    return float(np.sqrt(np.dot(diff, diff))) / ref
+    return l2_norm(x_prime.astype(np.float64) - x64) / ref
 
 
 def _check_input(model: nn.Model, x: Tensor, cfg: FuzzConfig):
@@ -322,7 +319,7 @@ def fuzz_one_input(
     if mutation == "random" and rng is None:
         raise ContractViolation("random mutation needs an rng")
     _check_input(model, x, cfg)
-    x_norm = l2_norm(x)
+    x_norm = l2_norm(x.array)
     if x_norm == 0.0:
         return [], 0
     x64 = x.array.astype(np.float64)
@@ -356,7 +353,7 @@ def fuzz_one_input(
             )
             grad = nn.input_gradient(model, seed.x, spec, seed.trace)
             # the seed's gradient is fixed for its whole run, so is its step
-            step = process_gradient(grad, cfg.step_size)
+            step = process_gradient(grad.array, cfg.step_size)
 
         cur = seed.x.array
         # L2 room the seed has left under distance_max; the run's first step
@@ -368,11 +365,11 @@ def fuzz_one_input(
                 pert = step
             else:
                 noise = rng.standard_normal(x.shape).astype(x.array.dtype)
-                pert = process_gradient(Tensor.wrap(noise), cfg.step_size)
+                pert = process_gradient(noise, cfg.step_size)
             if iteration == 1:
                 pert = _shorten_to(pert, budget)
             trace_m, newly, dist = _mutate(
-                model, tracker, cur, pert.array, cfg.pixel_range, x64, x_norm
+                model, tracker, cur, pert, cfg.pixel_range, x64, x_norm
             )
             cur = trace_m.input.array
             gain_ratio = newly / tracker.total_neurons
@@ -386,7 +383,7 @@ def fuzz_one_input(
                         adversarial_label=c_m,
                         mutated=trace_m.input,
                         distance=dist,
-                        distance_abs=l2_norm(Tensor.wrap(cur - x.array)),
+                        distance_abs=l2_norm(cur - x.array),
                         seed_generation=seed.generation,
                         iteration=iteration,
                     )

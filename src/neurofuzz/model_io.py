@@ -4,6 +4,15 @@ binary PGM image export/import.
 The model file is UTF-8 JSON with nested weight arrays. Values are written as
 Python's shortest decimal repr, which reconstructs single-precision weights
 bit-exactly (at most 9 significant digits are ever needed).
+
+Each layer's "hyper" object holds the settings of its kind, and load_model
+rejects any key its kind does not take:
+  - conv2d: "stride", an integer >= 1 (default 1), and "padding", which must
+    be "valid" (the default);
+  - maxpool2d: "pool", an integer p >= 1 for a p x p window, or a pair
+    [ph, pw] (default 2);
+  - every other kind: no keys.
+save_model writes every key of its layer's kind, the pool as a pair.
 """
 
 from __future__ import annotations
@@ -52,11 +61,11 @@ def save_model(model: Model, path: str | Path):
 
 
 def _jsonable_hyper(layer: Layer) -> dict:
-    hyper = dict(layer.hyper)
-    if "pool" in hyper:
-        ph, pw = layer.pool
-        hyper["pool"] = [ph, pw]
-    return hyper
+    if layer.kind == "conv2d":
+        return {"stride": layer.stride, "padding": "valid"}
+    if layer.kind == "maxpool2d":
+        return {"pool": list(layer.pool)}
+    return {}
 
 
 def load_model(path: str | Path) -> Model:
@@ -100,21 +109,34 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
+_HYPER_KEYS = {"conv2d": {"stride", "padding"}, "maxpool2d": {"pool"}}
+
+
 def _layer_from_doc(raw: dict, precision: str) -> Layer:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ContractViolation("each layer needs a 'kind' field")
-    weights = raw.get("weights")
-    bias = raw.get("bias")
+    kind, weights, bias = raw["kind"], raw.get("weights"), raw.get("bias")
     hyper = raw.get("hyper") or {}
     if not isinstance(hyper, dict):
         raise ContractViolation("'hyper' must be a JSON object")
-    if isinstance(hyper.get("pool"), list):
-        hyper = dict(hyper, pool=tuple(hyper["pool"]))
+    unknown = set(hyper) - _HYPER_KEYS.get(kind, set())
+    if unknown:
+        raise ContractViolation(f"{kind} takes no hyper keys {sorted(unknown)}")
+    stride = hyper.get("stride", 1)
+    if not _is_count(stride):
+        raise ContractViolation(f"conv2d stride must be an integer >= 1, got {stride!r}")
+    if hyper.get("padding", "valid") != "valid":
+        raise ContractViolation(f"only valid padding is supported, got {hyper['padding']!r}")
+    pool = hyper.get("pool", 2)
+    pool = [pool, pool] if _is_count(pool) else pool
+    if not (isinstance(pool, list) and len(pool) == 2 and all(map(_is_count, pool))):
+        raise ContractViolation(f"pool must be an integer or a pair of integers >= 1, got {pool!r}")
     return Layer(
-        raw["kind"],
+        kind,
         None if weights is None else Tensor(weights, precision=precision),
         None if bias is None else Tensor(bias, precision=precision),
-        hyper,
+        stride,
+        tuple(pool),
     )
 
 

@@ -21,9 +21,8 @@ Conventions (pinned, covered by tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -42,15 +41,15 @@ LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d", "flatten", "softmax")
 class Layer:
     """One layer of a sequential model.
 
-    weights/bias are present for dense and conv2d only. hyper carries
-    kind-specific settings: conv2d {"stride": int, "padding": "valid"},
-    maxpool2d {"pool": (ph, pw)}.
+    weights/bias are present for dense and conv2d only. stride is read by
+    conv2d (valid padding) and pool, the (ph, pw) window, by maxpool2d.
     """
 
     kind: str
     weights: Tensor | None = None
     bias: Tensor | None = None
-    hyper: Mapping = field(default_factory=dict)
+    stride: int = 1
+    pool: tuple[int, int] = (2, 2)
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -69,29 +68,13 @@ class Layer:
                 raise ContractViolation("conv2d weights must be [kh, kw, in_ch, out_ch]")
             if self.bias.shape != (self.weights.shape[3],):
                 raise ContractViolation("conv2d bias shape must be [out_ch]")
-            if self.hyper.get("padding", "valid") != "valid":
-                raise ContractViolation("only valid padding is supported")
-            if not _is_int(self.stride) or self.stride < 1:
-                raise ContractViolation(f"conv2d stride must be an int >= 1, got {self.stride!r}")
+            if self.stride < 1:
+                raise ContractViolation(f"conv2d stride must be >= 1, got {self.stride!r}")
         else:
             if self.weights is not None or self.bias is not None:
                 raise ContractViolation(f"{self.kind} layer takes no parameters")
-            if self.kind == "maxpool2d":
-                p = self.hyper.get("pool", 2)
-                if not (_is_int(p) or (isinstance(p, (tuple, list)) and len(p) == 2
-                                       and all(map(_is_int, p)))):
-                    raise ContractViolation(f"pool must be an int or a pair of ints, got {p!r}")
-                if min(self.pool) < 1:
-                    raise ContractViolation("pool size must be >= 1")
-
-    @property
-    def stride(self) -> int:
-        return self.hyper.get("stride", 1)
-
-    @cached_property
-    def pool(self) -> tuple[int, int]:
-        p = self.hyper.get("pool", 2)
-        return (int(p), int(p)) if _is_int(p) else (int(p[0]), int(p[1]))
+            if self.kind == "maxpool2d" and min(self.pool) < 1:
+                raise ContractViolation(f"pool size must be >= 1, got {self.pool!r}")
 
     @cached_property
     def wmat(self) -> np.ndarray:
@@ -100,16 +83,12 @@ class Layer:
         return self.weights.array.reshape(-1, self.weights.shape[-1])
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def dense(weights: Tensor, bias: Tensor) -> Layer:
     return Layer("dense", weights, bias)
 
 
 def conv2d(weights: Tensor, bias: Tensor, stride: int = 1) -> Layer:
-    return Layer("conv2d", weights, bias, {"stride": stride, "padding": "valid"})
+    return Layer("conv2d", weights, bias, stride=stride)
 
 
 def relu() -> Layer:
@@ -117,9 +96,7 @@ def relu() -> Layer:
 
 
 def maxpool2d(pool: int | tuple[int, int] = 2) -> Layer:
-    if isinstance(pool, int):
-        pool = (pool, pool)
-    return Layer("maxpool2d", hyper={"pool": tuple(pool)})
+    return Layer("maxpool2d", pool=(pool, pool) if isinstance(pool, int) else tuple(pool))
 
 
 def flatten() -> Layer:
@@ -174,12 +151,9 @@ class Model:
 
     def astype(self, precision: str) -> "Model":
         layers = tuple(
-            Layer(
-                l.kind,
-                l.weights.astype(precision) if l.weights is not None else None,
-                l.bias.astype(precision) if l.bias is not None else None,
-                dict(l.hyper),
-            )
+            replace(l, weights=l.weights.astype(precision), bias=l.bias.astype(precision))
+            if l.weights is not None
+            else l
             for l in self.layers
         )
         return Model(layers, self.input_shape, self.num_classes)
@@ -573,10 +547,7 @@ def _col2im_index(n: int, h: int, w: int, c: int, kh: int, kw: int, stride: int)
     reverse (sample, oh, ow, ki, kj, c) order, stored contiguous; np.add.at
     adds in index order. The fuzzer asks for batch 1 and the trainer for its
     batch size and its last, shorter batch, so a few entries serve both."""
-    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    rows = stride * np.arange(oh)[:, None, None, None] + np.arange(kh)[None, None, :, None]
-    cols = stride * np.arange(ow)[None, :, None, None] + np.arange(kw)[None, None, None, :]
-    index = ((rows * w + cols)[..., None] * c + np.arange(c)).reshape(-1)
+    index = (_im2col_index(h, w, kh, kw, stride)[:, None] * c + np.arange(c)).reshape(-1)
     index = np.ascontiguousarray((np.arange(n)[:, None] * (h * w * c) + index).reshape(-1)[::-1])
     index.flags.writeable = False
     return index

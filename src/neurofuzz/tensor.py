@@ -60,11 +60,6 @@ class Tensor:
         """Read-only ndarray view of the contents."""
         return self._arr
 
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only flat row-major view of the contents."""
-        return self._arr.reshape(-1)
-
     def astype(self, precision: str) -> "Tensor":
         if precision not in _DTYPE_OF:
             raise ContractViolation(f"unknown precision {precision!r}")
@@ -106,8 +101,9 @@ def _validated(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def l2_norm(a: Tensor) -> float:
-    """Euclidean norm sqrt(sum(a[i]^2)), accumulated in double precision."""
-    flat = a.data.astype(np.float64, copy=False)
+def l2_norm(a: np.ndarray) -> float:
+    """Euclidean norm sqrt(sum(a[i]^2)) over every element, accumulated in
+    double precision."""
+    flat = a.reshape(-1).astype(np.float64, copy=False)
     return float(np.sqrt(np.dot(flat, flat)))
 

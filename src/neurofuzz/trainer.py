@@ -8,7 +8,7 @@ label is inherited as ground truth for retraining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +71,7 @@ def _with_params(model: nn.Model, params) -> nn.Model:
                 w, b = Tensor.wrap(p[0].copy()), Tensor.wrap(p[1].copy())
             except ContractViolation as exc:
                 raise TrainingError(f"training diverged: {exc}") from None
-            layers.append(nn.Layer(layer.kind, w, b, dict(layer.hyper)))
+            layers.append(replace(layer, weights=w, bias=b))
     return nn.Model(tuple(layers), model.input_shape, model.num_classes)
 
 
@@ -202,16 +202,14 @@ def retrain_with_adversarial(
     corpus and barely registers at a learning rate gentle enough to preserve
     test accuracy; repeating it gives the repair cases enough gradient weight
     without touching the rate. Accuracy is always reported against the
-    distinct records, never the repeated stream.
+    distinct records, never the repeated stream. records must not be empty.
     """
     if oversample < 1:
         raise ContractViolation("oversample must be >= 1")
-    adv = adversarial_split(records) if records else None
-    if adv is None and cfg.epochs > 0:
-        raise ContractViolation("no adversarial records to retrain with")
+    adv = adversarial_split(records)
 
     test_before = evaluate(model, test_data)
-    adv_before = evaluate(model, adv) if adv is not None else float("nan")
+    adv_before = evaluate(model, adv)
 
     if cfg.epochs == 0:
         merged_model = model
@@ -224,5 +222,5 @@ def retrain_with_adversarial(
         merged_model = train(model, merged, cfg)
 
     test_after = evaluate(merged_model, test_data)
-    adv_after = evaluate(merged_model, adv) if adv is not None else float("nan")
+    adv_after = evaluate(merged_model, adv)
     return RetrainResult(merged_model, test_before, test_after, adv_before, adv_after)

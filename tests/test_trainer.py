@@ -4,7 +4,7 @@ The separable-blob dataset gives a convergence oracle: a linear-capacity
 model must reach 100% on it within a small epoch budget.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -231,9 +231,7 @@ class TestTrain:
                         w = bumped if which == 0 else layer.weights.array
                         b = bumped if which == 1 else layer.bias.array
                         layers = list(model.layers)
-                        layers[li] = nn.Layer(
-                            layer.kind, Tensor.wrap(w), Tensor.wrap(b), dict(layer.hyper)
-                        )
+                        layers[li] = replace(layer, weights=Tensor.wrap(w), bias=Tensor.wrap(b))
                         probe = nn.Model(tuple(layers), model.input_shape, model.num_classes)
                         losses.append(_batch_loss_and_grads(probe, xb, yb)[0])
                     numeric = (losses[0] - losses[1]) / (2 * eps)
@@ -292,6 +290,12 @@ class TestRetrain:
     def test_empty_records_rejected(self):
         with pytest.raises(ContractViolation):
             adversarial_split([])
+
+    def test_retrain_rejects_empty_records(self):
+        # even with nothing to train, there is no adversarial set to score
+        data = blob_split()
+        with pytest.raises(ContractViolation, match="no adversarial records"):
+            retrain_with_adversarial(tiny_arch(), data, data, [], TrainConfig(epochs=0))
 
     def test_retrain_zero_epochs_keeps_model(self):
         data = blob_split()
