@@ -220,8 +220,7 @@ def cmd_retrain(args, parser) -> int:
     test_split = _load_split(data_dir, "t10k")
     records = read_campaign_records(args.campaign_dir)
     if not records:
-        print(f"error: {args.campaign_dir} holds no adversarial records", file=sys.stderr)
-        return 1
+        raise ContractViolation(f"{args.campaign_dir} holds no adversarial records")
     result = retrain_with_adversarial(
         model, train_split, test_split, records, _train_config(args),
         oversample=args.oversample,

@@ -25,8 +25,8 @@ from .errors import ContractViolation
 if TYPE_CHECKING:
     from .nn import ActivationTrace, Model
 
-DEFAULT_ACTIVATION_THRESHOLD = 0.25
 STRATEGIES = (1, 2, 3, 4)
+
 
 @dataclass(frozen=True, order=True)
 class NeuronId:
@@ -173,9 +173,7 @@ class CoverageTracker:
     three are flat arrays in neuron_ids order.
     """
 
-    def __init__(
-        self, model: Model, activation_threshold: float = DEFAULT_ACTIVATION_THRESHOLD
-    ):
+    def __init__(self, model: Model, activation_threshold: float):
         if not 0 < activation_threshold < 1:
             raise ContractViolation("activation_threshold must be in (0, 1)")
         self.layout = model.layout

@@ -260,18 +260,6 @@ def _distance(x_prime: np.ndarray, x64: np.ndarray, ref: float) -> float:
     return l2_norm(x_prime.astype(np.float64) - x64) / ref
 
 
-def _check_input(model: nn.Model, x: Tensor, cfg: FuzzConfig):
-    """x must be a Tensor of the model's input shape and precision, with
-    every pixel inside pixel_range."""
-    if not isinstance(x, Tensor):
-        raise ContractViolation(f"expected a Tensor, got {type(x).__name__}")
-    nn.check_input(model, x)
-    lo, hi = cfg.pixel_range
-    arr = x.array
-    if arr.min() < lo or arr.max() > hi:
-        raise ContractViolation(f"input pixels outside pixel_range [{lo}, {hi}]")
-
-
 def _mutate(
     model: nn.Model,
     tracker: cov.CoverageTracker,
@@ -292,33 +280,29 @@ def _mutate(
     return trace, newly, _distance(trace.input.array, x64, x_norm)
 
 
-def fuzz_one_input(
+def _fuzz_one(
     model: nn.Model,
     tracker: cov.CoverageTracker,
     x: Tensor,
     cfg: FuzzConfig,
-    input_index: int = 0,
-    rng: np.random.Generator | None = None,
-    mutation: str = "guided",
+    input_index: int,
+    rng: np.random.Generator | None,
 ) -> tuple[list[AdversarialRecord], int]:
-    """Run the full mutation loop for one input against a shared tracker.
+    """Run the full mutation loop for one input against a shared tracker;
+    fuzz_corpus has checked the input, so nothing is checked here.
 
     Returns the adversarial records found and the number of seeds processed;
     an empty record list is a normal outcome, and the coverage this input
     added is read from the tracker. An all-zero input has no relative
     distance to mutate within, so it is skipped: no records, no seeds.
-    Random mutation draws its noise from rng.
+    Without rng the mutation is guided by the gradient; with one, it is
+    random noise drawn from rng.
 
     Each mutant is stepped, clipped and measured on plain arrays, against
     the origin's float64 copy and L2 norm taken once per input, and becomes
     a validated Tensor once, where it enters nn.predict. A guided seed's
     perturbation is worked out once for its whole run.
     """
-    if mutation not in MUTATION_MODES:
-        raise ContractViolation(f"mutation must be one of {MUTATION_MODES}")
-    if mutation == "random" and rng is None:
-        raise ContractViolation("random mutation needs an rng")
-    _check_input(model, x, cfg)
     x_norm = l2_norm(x.array)
     if x_norm == 0.0:
         return [], 0
@@ -341,7 +325,7 @@ def fuzz_one_input(
         requirement = cfg.gain_requirement(processed)
         processed += 1
 
-        if mutation == "guided":
+        if rng is None:
             topk = nn.top_k_other_labels(seed.trace, cfg.k)
             neurons = cov.select_neurons(tracker, model, cfg.strategies, cfg.m, seed.trace)
             spec = nn.ObjectiveSpec(
@@ -361,7 +345,7 @@ def fuzz_one_input(
         # the cap however large step_size is
         budget = (cfg.distance_max - seed.distance) * x_norm - slack
         for iteration in range(1, cfg.iter_times + 1):
-            if mutation == "guided":
+            if rng is None:
                 pert = step
             else:
                 noise = rng.standard_normal(x.shape).astype(x.array.dtype)
@@ -410,15 +394,23 @@ def fuzz_corpus(
     reproducible bit for bit in either mode. The coverage curve has one point
     per input, taken after it.
 
-    Every input is checked (a Tensor of the model's shape and precision,
-    pixels inside pixel_range) before the first is fuzzed; a bad one raises
-    ContractViolation naming its index.
+    This is the campaign's one checked entry: it checks the mutation mode,
+    then every input (a Tensor of the model's shape and precision, pixels
+    inside pixel_range), before it fuzzes the first. A bad mode raises
+    ContractViolation, and so does a bad input, naming its index.
     """
+    if mutation not in MUTATION_MODES:
+        raise ContractViolation(f"mutation must be one of {MUTATION_MODES}")
+    lo, hi = cfg.pixel_range
     for i, x in enumerate(inputs):
+        if not isinstance(x, Tensor):
+            raise ContractViolation(f"input {i}: expected a Tensor, got {type(x).__name__}")
         try:
-            _check_input(model, x, cfg)
+            nn.check_input(model, x)
         except ContractViolation as exc:
             raise ContractViolation(f"input {i}: {exc}") from None
+        if x.array.min() < lo or x.array.max() > hi:
+            raise ContractViolation(f"input {i}: pixels outside pixel_range [{lo}, {hi}]")
     tracker = cov.CoverageTracker(model, cfg.activation_threshold)
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(inputs))
     records: list[AdversarialRecord] = []
@@ -429,7 +421,7 @@ def fuzz_corpus(
         start = time.perf_counter()
         # guided mode draws nothing, so only random mode pays for a generator
         rng = np.random.default_rng(seeds[i]) if mutation == "random" else None
-        recs, processed = fuzz_one_input(model, tracker, x, cfg, i, rng, mutation)
+        recs, processed = _fuzz_one(model, tracker, x, cfg, i, rng)
         walls.append(time.perf_counter() - start)
         records.extend(recs)
         cumulative_seeds += processed

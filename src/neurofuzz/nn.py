@@ -413,20 +413,19 @@ def input_gradient(
 ) -> Tensor:
     """Gradient of the objective with respect to every input element.
 
-    trace, when given, must be predict(model, x) for this very x; its layer
-    outputs stand in for the forward pass, so a caller that has already
-    predicted x does not pay for a second one. The result is the same bits
-    either way.
+    The layer outputs come from trace, which must be predict(model, x) for
+    this very x; without one, x is predicted here. A caller that has already
+    predicted x thus does not pay for a second forward pass, and the result
+    is the same bits either way.
     """
     check_input(model, x)
     _check_labels(model, spec)
-    xb = x.array[None, ...]
     if trace is None:
-        acts = _forward(model, xb)
+        trace = predict(model, x)
     elif trace.input is not x:
         raise ContractViolation("trace was recorded for a different input")
-    else:
-        acts = [t.array[None, ...] for t in trace.outputs]
+    xb = x.array[None, ...]
+    acts = [t.array[None, ...] for t in trace.outputs]
 
     label_layer = len(model.layers) - (2 if spec.use_logits else 1)
     v = np.zeros_like(acts[label_layer])

@@ -54,27 +54,6 @@ def _check_labels(data: DatasetSplit, num_classes: int):
         raise ContractViolation(f"labels must lie in [0, {num_classes})")
 
 
-def _params_of(model: nn.Model) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    return [
-        (l.weights.array.copy(), l.bias.array.copy()) if l.weights is not None else None
-        for l in model.layers
-    ]
-
-
-def _with_params(model: nn.Model, params) -> nn.Model:
-    layers = []
-    for layer, p in zip(model.layers, params):
-        if p is None:
-            layers.append(layer)
-        else:
-            try:
-                w, b = Tensor.wrap(p[0].copy()), Tensor.wrap(p[1].copy())
-            except ContractViolation as exc:
-                raise TrainingError(f"training diverged: {exc}") from None
-            layers.append(replace(layer, weights=w, bias=b))
-    return nn.Model(tuple(layers), model.input_shape, model.num_classes)
-
-
 def _batch_loss_and_grads(model, xb, yb):
     cols: dict[int, np.ndarray] = {}
     acts = nn._forward(model, xb, cols)
@@ -87,6 +66,29 @@ def _batch_loss_and_grads(model, xb, yb):
     dlogits = (dlogits / len(yb)).astype(xb.dtype)
     grads = nn._backward(model, xb, acts, {len(model.layers) - 2: dlogits}, cols)
     return loss, grads
+
+
+def _sgd_step(model: nn.Model, grads, velocity, lr: float) -> nn.Model:
+    """One momentum step: updates each velocity in place and returns the
+    model with the stepped parameters. A non-finite parameter fails the
+    Tensor check and raises TrainingError."""
+    layers = list(model.layers)
+    for i, g in enumerate(grads):
+        if g is None:
+            continue
+        vw, vb = velocity[i]
+        vw *= MOMENTUM
+        vw -= lr * g[0]
+        vb *= MOMENTUM
+        vb -= lr * g[1]
+        layer = layers[i]
+        try:
+            w = Tensor.wrap(layer.weights.array + vw)
+            b = Tensor.wrap(layer.bias.array + vb)
+        except ContractViolation as exc:
+            raise TrainingError(f"training diverged: {exc}") from None
+        layers[i] = replace(layer, weights=w, bias=b)
+    return nn.Model(tuple(layers), model.input_shape, model.num_classes)
 
 
 def evaluate(model: nn.Model, data: DatasetSplit) -> float:
@@ -112,10 +114,11 @@ def train(
     trained model.
 
     model_or_arch is an architecture name for a fresh seeded start, or an
-    existing model to continue from. Fixed rng_seed gives bit-identical
-    weights. Optional log_path gets a CSV row (epoch, loss, train_acc,
-    test_acc) per epoch. The per-epoch accuracies on data and test_data
-    are computed only when log_path is given; they feed nothing but the log.
+    existing model to continue from; with zero epochs that model comes back
+    as it is. Fixed rng_seed gives bit-identical weights. Optional log_path
+    gets a CSV row (epoch, loss, train_acc, test_acc) per epoch. The
+    per-epoch accuracies on data and test_data are computed only when
+    log_path is given; they feed nothing but the log.
     """
     if isinstance(model_or_arch, str):
         model = build_model(model_or_arch, rng_seed=cfg.rng_seed)
@@ -129,10 +132,9 @@ def train(
         )
 
     rng = np.random.default_rng(cfg.rng_seed)
-    params = _params_of(model)
     velocity = [
-        None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1]))
-        for p in params
+        None if l.weights is None else (np.zeros_like(l.weights.array), np.zeros_like(l.bias.array))
+        for l in model.layers
     ]
     images = data.images.array
     labels = np.asarray(data.labels)
@@ -143,37 +145,22 @@ def train(
         losses = []
         for start in range(0, len(data), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb = images[idx]
-            yb = labels[idx]
-            step_model = _with_params(model, params)
-            loss, grads = _batch_loss_and_grads(step_model, xb, yb)
+            loss, grads = _batch_loss_and_grads(model, images[idx], labels[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}")
             losses.append(loss)
-            for i, g in enumerate(grads):
-                if g is None:
-                    continue
-                w, b = params[i]
-                vw, vb = velocity[i]
-                vw *= MOMENTUM
-                vw -= cfg.learning_rate * g[0]
-                vb *= MOMENTUM
-                vb -= cfg.learning_rate * g[1]
-                w += vw
-                b += vb
+            model = _sgd_step(model, grads, velocity, cfg.learning_rate)
         if log_path is not None:
-            trained = _with_params(model, params)
-            train_acc = evaluate(trained, data)
-            test_acc = evaluate(trained, test_data) if test_data is not None else None
+            train_acc = evaluate(model, data)
+            test_acc = evaluate(model, test_data) if test_data is not None else None
             log_rows.append(
                 f"{epoch},{float(np.mean(losses))!r},{train_acc!r},"
                 f"{'' if test_acc is None else repr(test_acc)}"
             )
 
-    final = _with_params(model, params)
     if log_path is not None:
         Path(log_path).write_text("\n".join(log_rows) + "\n", encoding="ascii")
-    return final
+    return model
 
 
 def adversarial_split(records: list[AdversarialRecord]) -> DatasetSplit:
@@ -211,15 +198,9 @@ def retrain_with_adversarial(
     test_before = evaluate(model, test_data)
     adv_before = evaluate(model, adv)
 
-    if cfg.epochs == 0:
-        merged_model = model
-    else:
-        images = np.concatenate(
-            [train_data.images.array] + [adv.images.array] * oversample
-        )
-        labels = train_data.labels + adv.labels * oversample
-        merged = DatasetSplit(Tensor.wrap(images), labels)
-        merged_model = train(model, merged, cfg)
+    images = np.concatenate([train_data.images.array] + [adv.images.array] * oversample)
+    labels = train_data.labels + adv.labels * oversample
+    merged_model = train(model, DatasetSplit(Tensor.wrap(images), labels), cfg)
 
     test_after = evaluate(merged_model, test_data)
     adv_after = evaluate(merged_model, adv)

@@ -20,8 +20,8 @@ from neurofuzz.fuzzer import (
     CampaignReport,
     CoveragePoint,
     FuzzConfig,
+    _fuzz_one,
     fuzz_corpus,
-    fuzz_one_input,
     process_gradient,
     read_campaign_records,
     relative_distance,
@@ -176,7 +176,8 @@ class TestFuzzOneInput:
         model = constant_classifier()
         tracker = CoverageTracker(model, 0.25)
         cfg = FuzzConfig(step_size=0.01, k=1, m=1)
-        records, processed = fuzz_one_input(model, tracker, Tensor([0.2, 0.4, 0.6, 0.8]), cfg)
+        x = Tensor([0.2, 0.4, 0.6, 0.8])
+        records, processed = _fuzz_one(model, tracker, x, cfg, 0, None)
         assert records == []
         # zero gradient -> zero perturbation -> mutants identical to input ->
         # no new coverage after the initial trace -> nothing kept
@@ -198,7 +199,7 @@ class TestFuzzOneInput:
         from neurofuzz.coverage import update
 
         update(tracker, model, nn.predict(model, x))
-        records, _ = fuzz_one_input(model, tracker, x, cfg)
+        records, _ = _fuzz_one(model, tracker, x, cfg, 0, None)
         assert len(records) == 1
         rec = records[0]
         assert rec.original_label == 0
@@ -212,7 +213,7 @@ class TestFuzzOneInput:
         model = linear_two_class(boundary=0.5 + 0.05)
         cfg = FuzzConfig(step_size=0.01, k=1, lam=0.0, m=1)
         tracker = CoverageTracker(model, 0.25)
-        records, _ = fuzz_one_input(model, tracker, x, cfg)
+        records, _ = _fuzz_one(model, tracker, x, cfg, 0, None)
         assert records == []
 
     def test_kept_seeds_respect_distance_and_label(self, monkeypatch):
@@ -230,7 +231,7 @@ class TestFuzzOneInput:
         x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
         cfg = FuzzConfig(step_size=0.05)
         tracker = CoverageTracker(model, cfg.activation_threshold)
-        fuzz_one_input(model, tracker, x, cfg)
+        _fuzz_one(model, tracker, x, cfg, 0, None)
         original_label = nn.predict(model, x).predicted_label
         gen_zero = [s for s in kept if s.generation == 0]
         later = [s for s in kept if s.generation > 0]
@@ -245,7 +246,7 @@ class TestFuzzOneInput:
         x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
         cfg = FuzzConfig(step_size=0.03, max_seeds_per_input=2)
         tracker = CoverageTracker(model, cfg.activation_threshold)
-        _, processed = fuzz_one_input(model, tracker, x, cfg)
+        _, processed = _fuzz_one(model, tracker, x, cfg, 0, None)
         assert processed <= 2
 
     def test_default_campaign_keeps_seeds_inside_cap(self, trained_model,
@@ -288,7 +289,7 @@ class TestFuzzOneInput:
             x = Tensor.wrap(rng.uniform(0.25, 0.75, size=(28, 28, 1)).astype(np.float32))
             seen.clear()
             tracker = CoverageTracker(model, cfg.activation_threshold)
-            fuzz_one_input(model, tracker, x, cfg)
+            _fuzz_one(model, tracker, x, cfg, 0, None)
             assert relative_distance(seen[1], x) <= cfg.distance_max
 
     def test_gradient_reuses_the_seed_forward_pass(self, monkeypatch):
@@ -313,7 +314,7 @@ class TestFuzzOneInput:
         processed = 0
         for _ in range(4):
             x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
-            processed += fuzz_one_input(model, tracker, x, cfg)[1]
+            processed += _fuzz_one(model, tracker, x, cfg, 0, None)[1]
         assert processed > 4  # some mutant went back into the queue
         assert calls["predict"] > processed
         assert calls["forward"] == calls["predict"]
@@ -328,12 +329,6 @@ class TestFuzzOneInput:
         # a zero perturbation has no length to shorten, whatever the budget
         zero = np.zeros(2, np.float32)
         assert fz._shorten_to(zero, -0.5) is zero
-
-    def test_out_of_range_input_rejected(self):
-        model = constant_classifier()
-        tracker = CoverageTracker(model, 0.25)
-        with pytest.raises(ContractViolation):
-            fuzz_one_input(model, tracker, Tensor([2.0, 0.0, 0.0, 0.0]), FuzzConfig())
 
 
 class TestAdversarialRecord:
@@ -426,13 +421,42 @@ class TestFuzzCorpus:
         good = [Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
                 for _ in range(3)]
         fuzzed = []
-        real = fz.fuzz_one_input
-        monkeypatch.setattr(
-            fz, "fuzz_one_input", lambda *a, **k: fuzzed.append(a[2]) or real(*a, **k)
-        )
+        real = fz._fuzz_one
+        monkeypatch.setattr(fz, "_fuzz_one", lambda *a: fuzzed.append(a[2]) or real(*a))
         with pytest.raises(ContractViolation, match=r"^input 2: "):
             fuzz_corpus(model, [*good[:2], bad, good[2]], FuzzConfig())
         assert fuzzed == []
+
+    def test_unknown_mutation_mode_rejected(self):
+        # the mode is checked before the inputs, so even an empty corpus fails
+        with pytest.raises(ContractViolation, match="mutation must be one of"):
+            fuzz_corpus(constant_classifier(), [], FuzzConfig(), mutation="bogus")
+
+    def test_queue_cap_never_changes_outputs(self, trained_model, test_split, monkeypatch):
+        # a push dropped at a full queue would be seed C+1 or later of its
+        # input, and a run processes at most C seeds, so the cap bounds memory
+        # and never work: with it lifted every output is the same. With the
+        # gain gate off and short steps every mutant inside the cap is kept,
+        # so the queue fills up.
+        cfg = FuzzConfig(step_size=0.05, coverage_gain_initial=0.0,
+                         coverage_gain_floor=0.0, max_seeds_per_input=4)
+        inputs = _pick_inputs(test_split, 10, cfg.rng_seed)
+        drops = []
+        real_push = fz.SeedQueue.push
+
+        def counting_push(self, seed):
+            drops.append(len(self) >= self._max_len)
+            real_push(self, seed)
+
+        monkeypatch.setattr(fz.SeedQueue, "push", counting_push)
+        capped = fuzz_corpus(trained_model, inputs, cfg)
+        monkeypatch.setattr(fz.SeedQueue, "push", lambda self, seed: self._q.append(seed))
+        uncapped = fuzz_corpus(trained_model, inputs, cfg)
+        assert sum(drops) > 0
+        assert capped.records
+        assert capped.records == uncapped.records
+        assert capped.coverage_curve == uncapped.coverage_curve
+        assert capped.final_coverage == uncapped.final_coverage
 
     def test_guided_campaign_builds_no_generator(self, monkeypatch):
         model = architectures.build_model("lenet1", rng_seed=8)

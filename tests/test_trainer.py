@@ -15,7 +15,9 @@ from neurofuzz.fuzzer import AdversarialRecord
 from neurofuzz.model_io import DatasetSplit
 from neurofuzz.tensor import Tensor
 from neurofuzz.trainer import (
+    MOMENTUM,
     TrainConfig,
+    _batch_loss_and_grads,
     adversarial_split,
     evaluate,
     retrain_with_adversarial,
@@ -74,6 +76,41 @@ def tiny_conv_arch(seed=0, precision="single"):
     )
 
 
+def reference_train(model, data, cfg):
+    """The momentum loop train() must match bit for bit: the parameters are
+    updated in place in copies, and every step's model is rebuilt from fresh
+    copies of them."""
+
+    def rebuilt(params):
+        layers = [
+            l if p is None
+            else replace(l, weights=Tensor.wrap(p[0].copy()), bias=Tensor.wrap(p[1].copy()))
+            for l, p in zip(model.layers, params)
+        ]
+        return nn.Model(tuple(layers), model.input_shape, model.num_classes)
+
+    params = [
+        None if l.weights is None else (l.weights.array.copy(), l.bias.array.copy())
+        for l in model.layers
+    ]
+    velocity = [None if p is None else (np.zeros_like(p[0]), np.zeros_like(p[1])) for p in params]
+    rng = np.random.default_rng(cfg.rng_seed)
+    images, labels = data.images.array, np.asarray(data.labels)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        for start in range(0, len(data), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, grads = _batch_loss_and_grads(rebuilt(params), images[idx], labels[idx])
+            for p, v, g in zip(params, velocity, grads):
+                if g is None:
+                    continue
+                for param, vel, grad in zip(p, v, g):
+                    vel *= MOMENTUM
+                    vel -= cfg.learning_rate * grad
+                    param += vel
+    return rebuilt(params)
+
+
 class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
@@ -126,8 +163,6 @@ class TestTrain:
                 assert np.array_equal(a.weights.array, b.weights.array)
 
     def test_loss_decreases_on_frozen_batch(self):
-        from neurofuzz.trainer import _batch_loss_and_grads
-
         data = blob_split(n_per_class=8, seed=3)
         model = tiny_arch(seed=1)
         xb = data.images.array
@@ -210,9 +245,29 @@ class TestTrain:
         for other in runs[1:]:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0], other))
 
-    def test_conv_parameter_gradients_match_finite_differences(self):
-        from neurofuzz.trainer import _batch_loss_and_grads
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("arch", ["lenet1", "lenet5"])
+    def test_matches_reference_momentum_loop(self, arch, precision):
+        # two chained calls, as a phased schedule runs them: the second starts
+        # from the first's model with fresh velocities; 40 images in batches
+        # of 16 end every epoch on a short batch
+        rng = np.random.default_rng(9)
+        dtype = np.float32 if precision == "single" else np.float64
+        data = DatasetSplit(
+            Tensor.wrap(rng.uniform(0, 1, size=(40, 28, 28, 1)).astype(dtype)),
+            tuple(int(c) for c in rng.integers(0, 10, size=40)),
+        )
+        got = want = architectures.build_model(arch, rng_seed=3).astype(precision)
+        for epochs, lr in ((2, 0.05), (1, 0.01)):
+            cfg = TrainConfig(epochs=epochs, batch_size=16, learning_rate=lr, rng_seed=4)
+            got = train(got, data, cfg)
+            want = reference_train(want, data, cfg)
+        for a, b in zip(got.layers, want.layers):
+            if a.weights is not None:
+                assert a.weights.array.tobytes() == b.weights.array.tobytes()
+                assert a.bias.array.tobytes() == b.bias.array.tobytes()
 
+    def test_conv_parameter_gradients_match_finite_differences(self):
         data = blob_split(n_per_class=4, seed=6, spread=0.2)
         model = tiny_conv_arch(seed=2, precision="double")
         xb = data.images.array.astype(np.float64)
