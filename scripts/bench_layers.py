@@ -129,7 +129,7 @@ def fuzzer_rows() -> list[tuple[dict, dict]]:
     tracker = cov.CoverageTracker(model, cfg.activation_threshold)
     trace = nn.predict(model, x)
     cov.update(tracker, model, trace)
-    neurons = cov.select_neurons(tracker, model, cfg.strategies, cfg.m, trace)
+    neurons = cov.select_neurons(tracker, cfg.strategies, cfg.m, trace)
     spec = nn.ObjectiveSpec(trace.predicted_label, tuple(nn.top_k_other_labels(trace, cfg.k)),
                             tuple(neurons), cfg.lam)
     step = fz.process_gradient(nn.input_gradient(model, x, spec, trace).array, cfg.step_size)
@@ -137,7 +137,7 @@ def fuzzer_rows() -> list[tuple[dict, dict]]:
     ops = {
         "coverage.update": lambda: cov.update(tracker, model, trace),
         "coverage.select_neurons": lambda: cov.select_neurons(
-            tracker, model, cfg.strategies, cfg.m, trace),
+            tracker, cfg.strategies, cfg.m, trace),
         "fuzzer.mutant_step": lambda: fz._mutate(
             model, tracker, x.array, step, cfg.pixel_range, x64, x_norm),
     }

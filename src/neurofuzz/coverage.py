@@ -51,10 +51,8 @@ class NeuronLayout:
     """Where a model's neurons live, and how their values are read.
 
     ids lists every neuron in (layer, unit) order, the order of every flat
-    neuron vector; index maps an id to its flat position. starts holds each
-    neuron layer's first flat position and layer_of each neuron's position in
-    layers, the segments scaled_outputs scales. weight_l1 holds the L1 norm
-    of the weights feeding each neuron, strategy 3's score.
+    neuron vector; index maps an id to its flat position. weight_l1 holds the
+    L1 norm of the weights feeding each neuron, strategy 3's score.
     """
 
     def __init__(self, model: Model):
@@ -73,8 +71,8 @@ class NeuronLayout:
         self.layers = tuple(layers)
         self.ids = tuple(ids)
         self.index = {nid: k for k, nid in enumerate(ids)}
-        self.starts = np.array([nl.span.start for nl in layers], dtype=np.intp)
-        self.layer_of = np.repeat(
+        self._starts = np.array([nl.span.start for nl in layers], dtype=np.intp)
+        self._layer_of = np.repeat(
             np.arange(len(layers)), [nl.span.stop - nl.span.start for nl in layers]
         )
         self.weight_l1 = np.concatenate(mags)
@@ -106,6 +104,11 @@ class NeuronLayout:
             else:
                 flat[nl.span] = out
         return flat
+
+    def scaled(self, trace: ActivationTrace) -> np.ndarray:
+        """Every neuron's value for one trace, min-max scaled within its layer
+        (see scale_layer), as one float64 vector in ids order."""
+        return _scale(self.values(trace), self._starts, self._layer_of)
 
     def add_value_grads(
         self,
@@ -158,19 +161,12 @@ def scale_layer(outputs: Sequence[float]) -> list[float]:
     return _scale(v, np.zeros(1, np.intp), np.zeros(v.size, np.intp)).tolist()
 
 
-def scaled_outputs(model: Model, trace: ActivationTrace) -> np.ndarray:
-    """Every neuron's value for one trace, min-max scaled within its layer
-    (see scale_layer), as one float64 vector in all_neurons order."""
-    layout = model.layout
-    return _scale(layout.values(trace), layout.starts, layout.layer_of)
-
-
 class CoverageTracker:
     """Mutable per-campaign record of which neurons were ever activated.
 
     _covered flags are monotone; _count counts activating traces; _last_scaled
     remembers each neuron's scaled value from the most recent update. All
-    three are flat arrays in neuron_ids order.
+    three are flat arrays in layout.ids order.
     """
 
     def __init__(self, model: Model, activation_threshold: float):
@@ -189,10 +185,6 @@ class CoverageTracker:
     def total_neurons(self) -> int:
         return len(self.layout.ids)
 
-    @property
-    def neuron_ids(self) -> tuple[NeuronId, ...]:
-        return self.layout.ids
-
     def covered_neurons(self) -> frozenset[NeuronId]:
         return frozenset(self.layout.ids[i] for i in np.flatnonzero(self._covered))
 
@@ -205,7 +197,7 @@ def update(tracker: CoverageTracker, model: Model, trace: ActivationTrace) -> in
     uncovered to covered."""
     if model.layout.layers != tracker.layout.layers:
         raise ContractViolation("tracker was built for a different model")
-    scaled = scaled_outputs(model, trace)
+    scaled = tracker.layout.scaled(trace)
     active = scaled > tracker.activation_threshold
     newly = np.count_nonzero(active & ~tracker._covered)
     tracker._last_scaled[:] = scaled
@@ -218,21 +210,20 @@ def coverage_rate(tracker: CoverageTracker) -> float:
     return tracker.covered_count() / tracker.total_neurons
 
 
-def _rank_key(tracker: CoverageTracker, model: Model, strategy: int) -> np.ndarray:
-    """Per-neuron sort key of a strategy, in all_neurons order; lower ranks
+def _rank_key(tracker: CoverageTracker, strategy: int) -> np.ndarray:
+    """Per-neuron sort key of a strategy, in layout.ids order; lower ranks
     first."""
     if strategy == 1:
         return -tracker._count
     if strategy == 2:
         return tracker._count
     if strategy == 3:
-        return -model.layout.weight_l1  # largest L1 first
+        return -tracker.layout.weight_l1  # largest L1 first
     return np.abs(tracker._last_scaled - tracker.activation_threshold)
 
 
 def select_neurons(
     tracker: CoverageTracker,
-    model: Model,
     strategies: Iterable[int],
     m: int,
     trace: ActivationTrace,
@@ -254,9 +245,9 @@ def select_neurons(
     for s in strategies:
         if s not in STRATEGIES:
             raise ContractViolation(f"unknown strategy {s}; expected 1-4")
-    # flat indices of the candidates; all_neurons order is (layer, unit) order,
+    # flat indices of the candidates; layout.ids order is (layer, unit) order,
     # so the index breaks every tie the way the NeuronId order would
-    active = scaled_outputs(model, trace) > tracker.activation_threshold
+    active = tracker.layout.scaled(trace) > tracker.activation_threshold
     remaining = np.flatnonzero(~active)
     base, rem = divmod(m, len(strategies))
     chosen: list[int] = []
@@ -264,8 +255,8 @@ def select_neurons(
         quota = base + (1 if pos < rem else 0)
         if quota == 0 or remaining.size == 0:
             continue
-        key = _rank_key(tracker, model, strategy)[remaining]
+        key = _rank_key(tracker, strategy)[remaining]
         order = np.lexsort((remaining, key))
         chosen.extend(remaining[order[:quota]].tolist())
         remaining = remaining[order[quota:]]
-    return [tracker.neuron_ids[i] for i in chosen]
+    return [tracker.layout.ids[i] for i in chosen]

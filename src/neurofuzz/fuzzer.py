@@ -327,7 +327,7 @@ def _fuzz_one(
 
         if rng is None:
             topk = nn.top_k_other_labels(seed.trace, cfg.k)
-            neurons = cov.select_neurons(tracker, model, cfg.strategies, cfg.m, seed.trace)
+            neurons = cov.select_neurons(tracker, cfg.strategies, cfg.m, seed.trace)
             spec = nn.ObjectiveSpec(
                 original_label=seed.trace.predicted_label,
                 topk_labels=tuple(topk),

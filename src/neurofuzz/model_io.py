@@ -144,21 +144,22 @@ def _layer_from_doc(raw: dict, precision: str) -> Layer:
 # MNIST-format (IDX) datasets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetSplit:
-    """Images as one [n, h, w, 1] tensor in [0, 1] plus integer labels."""
+    """Images as one [n, h, w, 1] tensor in [0, 1] plus their n labels as one
+    read-only int64 array. The trainer checks that a split fits a model."""
 
     images: Tensor
-    labels: tuple[int, ...]
+    labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(c) for c in self.labels))
+        labels = np.array(self.labels, dtype=np.int64)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
         if len(self.images.shape) != 4 or self.images.shape[3] != 1:
             raise ContractViolation(f"images must be [n, h, w, 1], got {self.images.shape}")
-        if self.images.shape[0] != len(self.labels):
-            raise ContractViolation(
-                f"{self.images.shape[0]} images but {len(self.labels)} labels"
-            )
+        if labels.shape != self.images.shape[:1]:
+            raise ContractViolation(f"{self.images.shape[0]} images but labels of shape {labels.shape}")
         arr = self.images.array
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ContractViolation("image pixels must lie in [0, 1]")
@@ -220,7 +221,7 @@ def load_mnist(images_path: str | Path, labels_path: str | Path) -> DatasetSplit
         )
     n, h, w = images.shape
     pixels = (images.astype(np.float32) / np.float32(255.0)).reshape(n, h, w, 1)
-    return DatasetSplit(Tensor.wrap(pixels), tuple(int(c) for c in labels))
+    return DatasetSplit(Tensor.wrap(pixels), labels)
 
 
 # ---------------------------------------------------------------------------

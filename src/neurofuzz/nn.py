@@ -391,7 +391,7 @@ def top_k_other_labels(trace: ActivationTrace, k: int) -> list[int]:
 
 def objective_value(model: Model, x: Tensor, spec: ObjectiveSpec) -> float:
     trace = predict(model, x)
-    _check_labels(model, spec)
+    _check_spec(model, spec)
     label_src = trace.outputs[-2] if spec.use_logits else trace.confidences
     vals = label_src.array.astype(np.float64)
     total = float(vals[list(spec.topk_labels)].sum() - vals[spec.original_label])
@@ -402,7 +402,7 @@ def objective_value(model: Model, x: Tensor, spec: ObjectiveSpec) -> float:
     return total
 
 
-def _check_labels(model: Model, spec: ObjectiveSpec):
+def _check_spec(model: Model, spec: ObjectiveSpec):
     labels = (spec.original_label, *spec.topk_labels)
     if any(not 0 <= c < model.num_classes for c in labels):
         raise ContractViolation(f"class index out of range in {labels}")
@@ -419,7 +419,7 @@ def input_gradient(
     is the same bits either way.
     """
     check_input(model, x)
-    _check_labels(model, spec)
+    _check_spec(model, spec)
     if trace is None:
         trace = predict(model, x)
     elif trace.input is not x:

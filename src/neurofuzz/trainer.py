@@ -8,6 +8,7 @@ label is inherited as ground truth for retraining.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,8 +37,8 @@ class TrainConfig:
             raise ContractViolation("epochs must be >= 0")
         if self.batch_size < 1:
             raise ContractViolation("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ContractViolation("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ContractViolation("learning_rate must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,15 @@ class RetrainResult:
     adv_acc_after: float
 
 
-def _check_labels(data: DatasetSplit, num_classes: int):
-    if not all(0 <= c < num_classes for c in data.labels):
-        raise ContractViolation(f"labels must lie in [0, {num_classes})")
+def _check_split(model: nn.Model, data: DatasetSplit):
+    """Images of the model's input shape, labels in [0, num_classes)."""
+    if data.images.shape[1:] != model.input_shape:
+        raise ContractViolation(
+            f"data images {data.images.shape[1:]} do not match model "
+            f"input shape {model.input_shape}"
+        )
+    if data.labels.min() < 0 or data.labels.max() >= model.num_classes:
+        raise ContractViolation(f"labels must lie in [0, {model.num_classes})")
 
 
 def _batch_loss_and_grads(model, xb, yb):
@@ -93,8 +100,8 @@ def _sgd_step(model: nn.Model, grads, velocity, lr: float) -> nn.Model:
 
 def evaluate(model: nn.Model, data: DatasetSplit) -> float:
     """Plain accuracy of the model on a dataset split."""
-    images = data.images.array
-    labels = np.asarray(data.labels)
+    _check_split(model, data)
+    images, labels = data.images.array, data.labels
     hits = 0
     for start in range(0, len(data), EVAL_BATCH):
         xb = images[start : start + EVAL_BATCH]
@@ -124,20 +131,14 @@ def train(
         model = build_model(model_or_arch, rng_seed=cfg.rng_seed)
     else:
         model = model_or_arch
-    _check_labels(data, model.num_classes)
-    if tuple(data.images.shape[1:]) != tuple(model.input_shape):
-        raise ContractViolation(
-            f"data images {tuple(data.images.shape[1:])} do not match model "
-            f"input shape {tuple(model.input_shape)}"
-        )
+    _check_split(model, data)
 
     rng = np.random.default_rng(cfg.rng_seed)
     velocity = [
         None if l.weights is None else (np.zeros_like(l.weights.array), np.zeros_like(l.bias.array))
         for l in model.layers
     ]
-    images = data.images.array
-    labels = np.asarray(data.labels)
+    images, labels = data.images.array, data.labels
     log_rows = ["epoch,loss,train_acc,test_acc"]
 
     for epoch in range(1, cfg.epochs + 1):
@@ -169,7 +170,7 @@ def adversarial_split(records: list[AdversarialRecord]) -> DatasetSplit:
     if not records:
         raise ContractViolation("no adversarial records to bundle")
     images = np.stack([r.mutated.array for r in records])
-    return DatasetSplit(Tensor.wrap(images), tuple(r.original_label for r in records))
+    return DatasetSplit(Tensor.wrap(images), [r.original_label for r in records])
 
 
 def retrain_with_adversarial(
@@ -199,7 +200,7 @@ def retrain_with_adversarial(
     adv_before = evaluate(model, adv)
 
     images = np.concatenate([train_data.images.array] + [adv.images.array] * oversample)
-    labels = train_data.labels + adv.labels * oversample
+    labels = np.concatenate([train_data.labels] + [adv.labels] * oversample)
     merged_model = train(model, DatasetSplit(Tensor.wrap(images), labels), cfg)
 
     test_after = evaluate(merged_model, test_data)

@@ -14,7 +14,8 @@ import pytest
 
 from neurofuzz.cli import _resolve_fuzz_config, build_parser, main
 from neurofuzz.fuzzer import FuzzConfig
-from neurofuzz.model_io import load_model
+from neurofuzz.model_io import export_image_pgm, load_model
+from neurofuzz.tensor import Tensor
 
 
 def run(capsys, *argv):
@@ -258,6 +259,19 @@ class TestTrain:
             if want.weights is not None:
                 assert np.array_equal(got.weights.array, want.weights.array)
 
+    def test_non_finite_learning_rate_exits_1(self, capsys, data_dir, tmp_path):
+        out = tmp_path / "never.json"
+        code, _, err = run(
+            capsys,
+            "train",
+            "--data-dir", str(data_dir),
+            "--lr", "nan",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert err == "error: learning_rate must be finite and >= 0\n"
+        assert not out.exists()
+
 
 class TestFuzz:
     def test_same_seed_byte_identical_manifest(self, capsys, data_dir,
@@ -341,6 +355,25 @@ class TestFuzz:
         n_images = len(list((out_dir / "adversarial").glob("*.pgm")))
         assert n_images == n_rows
 
+    def test_random_baseline(self, capsys, data_dir, model_path, tmp_path):
+        out_dir = tmp_path / "with_baseline"
+        code, stdout, _ = run(
+            capsys,
+            "fuzz",
+            "--model", str(model_path),
+            "--data-dir", str(data_dir),
+            "--num-inputs", "3",
+            "--baseline", "random",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert (out_dir / "baseline_random" / "manifest.csv").exists()
+        assert re.search(
+            r"^guided coverage [0-9.]+% (beats|does NOT beat) random baseline [0-9.]+%$",
+            stdout,
+            re.M,
+        ), stdout
+
 
 class TestRetrain:
     def test_empty_campaign_exits_1(self, capsys, data_dir, model_path, tmp_path):
@@ -384,6 +417,26 @@ class TestRetrain:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert "manifest.csv line 2" in err
+
+    def test_record_that_does_not_fit_model_exits_1(self, capsys, data_dir, model_path,
+                                                      tmp_path):
+        campaign = tmp_path / "campaign"
+        (campaign / "adversarial").mkdir(parents=True)
+        header = "input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"
+        (campaign / "manifest.csv").write_text(f"{header}\n0,3,5,0.01,0.1,0,1\n")
+        export_image_pgm(Tensor.wrap(np.full((27, 28, 1), 0.5, dtype=np.float32)),
+                         campaign / "adversarial" / "adv_0_0_3to5.pgm")
+        code, _, err = run(
+            capsys,
+            "retrain",
+            "--model", str(model_path),
+            "--data-dir", str(data_dir),
+            "--campaign-dir", str(campaign),
+            "--out", str(tmp_path / "retrained.json"),
+        )
+        assert code == 1
+        assert err == "error: data images (27, 28, 1) do not match model input shape (28, 28, 1)\n"
+        assert "Traceback" not in err
 
 
 class TestCompareStrategies:

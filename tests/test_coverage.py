@@ -18,7 +18,6 @@ from neurofuzz.coverage import (
     coverage_rate,
     neuron_outputs,
     scale_layer,
-    scaled_outputs,
     select_neurons,
     update,
 )
@@ -176,8 +175,8 @@ class TestTrackerUpdate:
         # non-degenerate trace covers exactly the max unit
         trace = nn.predict(model, rand_input(model, rng))
         newly = update(tracker, model, trace)
-        # neuron_ids order puts the first layer's two units first
-        assert tracker.neuron_ids[:2] == (NeuronId(0, 0), NeuronId(0, 1))
+        # layout.ids order puts the first layer's two units first
+        assert tracker.layout.ids[:2] == (NeuronId(0, 0), NeuronId(0, 1))
         assert tracker._covered[:2].sum() == 1
         assert newly == len(activated(model, trace, 0.25))
 
@@ -205,7 +204,7 @@ class TestTrackerUpdate:
             rate = coverage_rate(tracker)
             assert rate >= rate_prev
             rate_prev = rate
-        covered = {n for n, c in zip(tracker.neuron_ids, tracker._covered) if c}
+        covered = {n for n, c in zip(tracker.layout.ids, tracker._covered) if c}
         assert covered == union
 
     def test_newly_equals_rate_delta_times_total(self):
@@ -267,9 +266,9 @@ def first_layer_ids():
 
 def stage(tracker, counts=None, last_scaled=None):
     for nid, value in (counts or {}).items():
-        tracker._count[tracker.neuron_ids.index(nid)] = value
+        tracker._count[tracker.layout.ids.index(nid)] = value
     for nid, value in (last_scaled or {}).items():
-        tracker._last_scaled[tracker.neuron_ids.index(nid)] = value
+        tracker._last_scaled[tracker.layout.ids.index(nid)] = value
 
 
 class FakeTrace:
@@ -278,7 +277,7 @@ class FakeTrace:
 
 class TestSelectNeurons:
     def pick(self, tracker, model, strategy, m, trace):
-        return select_neurons(tracker, model, (strategy,), m, trace)
+        return select_neurons(tracker, (strategy,), m, trace)
 
     def quiet_trace(self, model):
         # all-zero input: first dense layer outputs its bias; craft not needed,
@@ -291,7 +290,7 @@ class TestSelectNeurons:
         a, b, c = first_layer_ids()
         stage(tracker, counts={a: 5, b: 1, c: 3})
         trace = self.quiet_trace(model)
-        candidates = set(tracker.neuron_ids) - activated(model, trace, 0.25)
+        candidates = set(tracker.layout.ids) - activated(model, trace, 0.25)
         assert {a, b, c} <= candidates
         got = self.pick(tracker, model, 1, 1, trace)
         assert got == [a]
@@ -303,7 +302,7 @@ class TestSelectNeurons:
         trace = self.quiet_trace(model)
         # strategy 2 prefers B (count 1) over the never-touched later layer
         # only when counts are lowest; stage the second layer high to isolate
-        for k, nid in enumerate(tracker.neuron_ids):
+        for k, nid in enumerate(tracker.layout.ids):
             if nid not in (a, b, c):
                 tracker._count[k] = 10
         got = self.pick(tracker, model, 2, 1, trace)
@@ -313,7 +312,7 @@ class TestSelectNeurons:
         model, tracker = three_neuron_tracker()
         a, b, c = first_layer_ids()
         stage(tracker, last_scaled={a: 0.24, b: 0.9, c: 0.5})
-        for k, nid in enumerate(tracker.neuron_ids):
+        for k, nid in enumerate(tracker.layout.ids):
             if nid not in (a, b, c):
                 tracker._last_scaled[k] = 1.0
         trace = self.quiet_trace(model)
@@ -323,7 +322,7 @@ class TestSelectNeurons:
     def test_strategy3_weight_magnitude(self):
         model, tracker = three_neuron_tracker()
         trace = self.quiet_trace(model)
-        got = self.pick(tracker, model, 3, len(tracker.neuron_ids), trace)
+        got = self.pick(tracker, model, 3, len(tracker.layout.ids), trace)
         w1 = model.layers[0].weights.array
         w2 = model.layers[2].weights.array
         score = {}
@@ -331,7 +330,7 @@ class TestSelectNeurons:
             score[NeuronId(0, u)] = float(np.abs(w1[:, u]).sum())
         for u in range(2):
             score[NeuronId(2, u)] = float(np.abs(w2[:, u]).sum())
-        candidates = set(tracker.neuron_ids) - activated(model, trace, 0.25)
+        candidates = set(tracker.layout.ids) - activated(model, trace, 0.25)
         expected = sorted(
             candidates, key=lambda n: (-score[n], n.layer_index, n.unit_index)
         )
@@ -349,8 +348,8 @@ class TestSelectNeurons:
         rng = np.random.default_rng(2)
         trace = nn.predict(model, rand_input(model, rng))
         active = activated(model, trace, 0.25)
-        candidates = set(tracker.neuron_ids) - active
-        got = select_neurons(tracker, model, (1, 2, 3, 4), 4, trace)
+        candidates = set(tracker.layout.ids) - active
+        got = select_neurons(tracker, (1, 2, 3, 4), 4, trace)
         assert not (set(got) & active)
         assert len(got) == len(set(got)) == min(4, len(candidates))
 
@@ -358,11 +357,11 @@ class TestSelectNeurons:
         model, tracker = three_neuron_tracker()
         a, b, c = first_layer_ids()
         stage(tracker, counts={a: 5, b: 1, c: 3})
-        for k, nid in enumerate(tracker.neuron_ids):
+        for k, nid in enumerate(tracker.layout.ids):
             if nid not in (a, b, c):
                 tracker._count[k] = 4
         trace = self.quiet_trace(model)
-        got = select_neurons(tracker, model, (1, 2), 3, trace)
+        got = select_neurons(tracker, (1, 2), 3, trace)
         # strategy 1 gets 2 picks (remainder), strategy 2 gets 1
         assert got[0] == a
         assert b in got[2:] or got[1] == b or b in got
@@ -370,8 +369,8 @@ class TestSelectNeurons:
     def test_fewer_candidates_than_m_returns_all(self):
         model, tracker = three_neuron_tracker()
         trace = self.quiet_trace(model)
-        candidates = set(tracker.neuron_ids) - activated(model, trace, 0.25)
-        got = select_neurons(tracker, model, (1,), 100, trace)
+        candidates = set(tracker.layout.ids) - activated(model, trace, 0.25)
+        got = select_neurons(tracker, (1,), 100, trace)
         assert set(got) == candidates
         assert len(got) == len(candidates)
 
@@ -379,9 +378,18 @@ class TestSelectNeurons:
         model, tracker = three_neuron_tracker()
         rng = np.random.default_rng(14)
         trace = nn.predict(model, rand_input(model, rng))
-        first = select_neurons(tracker, model, (1, 3), 4, trace)
-        second = select_neurons(tracker, model, (1, 3), 4, trace)
+        first = select_neurons(tracker, (1, 3), 4, trace)
+        second = select_neurons(tracker, (1, 3), 4, trace)
         assert first == second
+
+    def test_trace_of_another_model_rejected(self):
+        # the tracker's layout reads the trace, so a lenet5 trace against a
+        # lenet1 tracker is refused by name, not by an IndexError
+        tracker = CoverageTracker(architectures.build_model("lenet1"), 0.25)
+        other = architectures.build_model("lenet5")
+        trace = nn.predict(other, rand_input(other, np.random.default_rng(15)))
+        with pytest.raises(ContractViolation, match="trace does not match"):
+            select_neurons(tracker, (1, 2, 3, 4), 4, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +429,7 @@ def activated(model, trace, threshold):
 
 
 def ref_update(tracker, model, trace):
-    flat = {n: k for k, n in enumerate(tracker.neuron_ids)}
+    flat = {n: k for k, n in enumerate(tracker.layout.ids)}
     before = tracker.covered_count()
     for nid, s in ref_scaled_by_neuron(model, trace).items():
         i = flat[nid]
@@ -434,7 +442,7 @@ def ref_update(tracker, model, trace):
 
 def ref_select(tracker, model, strategies, m, trace):
     t = tracker.activation_threshold
-    flat = {n: k for k, n in enumerate(tracker.neuron_ids)}
+    flat = {n: k for k, n in enumerate(tracker.layout.ids)}
     count = {n: int(tracker._count[k]) for n, k in flat.items()}
     last = {n: float(tracker._last_scaled[k]) for n, k in flat.items()}
     scores = {}
@@ -450,7 +458,7 @@ def ref_select(tracker, model, strategies, m, trace):
         4: lambda n: (abs(last[n] - t), n.layer_index, n.unit_index),
     }
     scaled = ref_scaled_by_neuron(model, trace)
-    remaining = [n for n in tracker.neuron_ids if not scaled[n] > t]
+    remaining = [n for n in tracker.layout.ids if not scaled[n] > t]
     base, rem = divmod(m, len(strategies))
     chosen = []
     for pos, strategy in enumerate(strategies):
@@ -522,7 +530,7 @@ def assert_matches_reference(flat_layers):
         tracker._last_scaled[:] = last
         for strategies in ((1,), (2,), (3,), (4,), (1, 2, 3, 4), (3, 1)):
             for m in (1, 10, n):
-                got = select_neurons(tracker, model, strategies, m, trace)
+                got = select_neurons(tracker, strategies, m, trace)
                 assert got == ref_select(tracker, model, strategies, m, trace)
 
 
@@ -540,7 +548,7 @@ class TestFlatArraysMatchDictReference:
         rng = np.random.default_rng(62)
         for _ in range(10):
             trace = with_flat_layers(model, nn.predict(model, rand_input(model, rng)), rng)
-            scaled = scaled_outputs(model, trace)
+            scaled = model.layout.scaled(trace)
             for nl in (model.layout.layers[0], model.layout.layers[2]):
                 zeros = np.zeros(nl.span.stop - nl.span.start)
                 assert scaled[nl.span].tobytes() == zeros.tobytes()

@@ -17,6 +17,7 @@ from neurofuzz import architectures, nn
 from neurofuzz.errors import ContractViolation, IngestError, ModelLoadError
 from neurofuzz.model_io import (
     MODEL_FORMAT_VERSION,
+    DatasetSplit,
     export_image_pgm,
     import_image_pgm,
     load_mnist,
@@ -42,7 +43,7 @@ class TestIdxReader:
         (tmp_path / "l").write_bytes(idx_labels_bytes([7]))
         split = load_mnist(tmp_path / "i", tmp_path / "l")
         assert len(split) == 1
-        assert split.labels == (7,)
+        assert split.labels.tolist() == [7]
         expected = (img[0].astype(np.float64) / 255.0).astype(np.float32)
         np.testing.assert_array_equal(split.image(0).array[:, :, 0], expected)
 
@@ -57,7 +58,7 @@ class TestIdxReader:
         split = load_mnist(tmp_path / "i", tmp_path / "l")
         got = float(split.images.array.astype(np.float64).sum()) * 255.0
         assert got == pytest.approx(float(img.sum()), abs=1e-3)
-        assert split.labels == tuple(labels)
+        assert split.labels.tolist() == labels
 
     def test_gzip_transparent(self, tmp_path):
         img = np.full((2, 3, 3), 128, dtype=np.uint8)
@@ -111,6 +112,39 @@ class TestIdxReader:
         (tmp_path / "l").write_bytes(idx_labels_bytes([0, 1, 2]))
         with pytest.raises(IngestError):
             load_mnist(tmp_path / "i", tmp_path / "l")
+
+
+class TestDatasetSplit:
+    def images(self, n=3, h=2, w=2, fill=0.5):
+        return Tensor.wrap(np.full((n, h, w, 1), fill, dtype=np.float32))
+
+    @pytest.mark.parametrize("labels", [(4, 0, 9), [4, 0, 9], np.array([4, 0, 9], np.uint8)],
+                             ids=["tuple", "list", "uint8"])
+    def test_labels_become_one_read_only_int64_array(self, labels):
+        split = DatasetSplit(self.images(), labels)
+        assert split.labels.dtype == np.int64
+        assert split.labels.tolist() == [4, 0, 9]
+        with pytest.raises(ValueError):
+            split.labels[0] = 1
+
+    def test_labels_are_copied(self):
+        source = np.array([4, 0, 9], dtype=np.int64)
+        split = DatasetSplit(self.images(), source)
+        source[0] = 7
+        assert split.labels.tolist() == [4, 0, 9]
+
+    @pytest.mark.parametrize("labels", [(1, 2), [[1], [2], [3]], 5], ids=["short", "2-d", "scalar"])
+    def test_labels_must_be_one_per_image(self, labels):
+        with pytest.raises(ContractViolation, match="3 images but labels of shape"):
+            DatasetSplit(self.images(), labels)
+
+    def test_images_must_be_one_channel_batch(self):
+        with pytest.raises(ContractViolation, match=r"\[n, h, w, 1\]"):
+            DatasetSplit(Tensor.wrap(np.zeros((3, 2, 2, 2), dtype=np.float32)), (0, 1, 2))
+
+    def test_pixels_must_lie_in_unit_range(self):
+        with pytest.raises(ContractViolation, match="pixels must lie in"):
+            DatasetSplit(self.images(fill=1.5), (0, 1, 2))
 
 
 class TestPgm:

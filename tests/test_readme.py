@@ -1,16 +1,31 @@
-"""The README's Python API example, run as written.
+"""The README's examples, run as written: the Python API block, and every
+`neurofuzz` command of its shell blocks through the CLI's main().
 
-Only its data paths and epoch counts change: the paths point at a small
-synthetic corpus and every TrainConfig trains for one epoch. A renamed
-function, a changed signature or a dropped package export fails this test.
+Only data paths and epoch counts change: the data points at a small
+synthetic corpus and every model trains for one epoch. A renamed function,
+flag or subcommand, a changed signature or a dropped package export fails
+these tests.
 """
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import synthdigits
+from neurofuzz.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory) -> Path:
+    # seeded, so the one-epoch model fuzzed by the README's campaign finds
+    # the adversarial records its retrain line needs on every run
+    data = tmp_path_factory.mktemp("readme_data")
+    synthdigits.write_dataset(data, n_train=600, n_test=100)
+    return data
 
 
 def python_api_block() -> str:
@@ -20,12 +35,22 @@ def python_api_block() -> str:
     return match.group(1)
 
 
-def test_python_api_example_runs(tmp_path, capsys):
-    data = tmp_path / "data"
-    synthdigits.write_dataset(data, n_train=600, n_test=100)
+def cli_commands() -> list[list[str]]:
+    """The argument list of every `neurofuzz` line in the README's sh
+    blocks, in order, with backslash continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("neurofuzz "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_python_api_example_runs(corpus, capsys):
     code = python_api_block()
     assert '"data/' in code and "epochs=" in code
-    code = code.replace('"data/', f'"{data.as_posix()}/')
+    code = code.replace('"data/', f'"{corpus.as_posix()}/')
     code = re.sub(r"epochs=\d+", "epochs=1", code)
 
     exec(compile(code, str(README), "exec"), {})
@@ -34,3 +59,16 @@ def test_python_api_example_runs(tmp_path, capsys):
     assert len(lines) == 2
     records, coverage = lines[0].split()
     assert int(records) > 0 and 0.0 < float(coverage) <= 1.0
+
+
+def test_cli_examples_run(corpus, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NEUROFUZZ_DATA_DIR", str(corpus))
+    monkeypatch.chdir(tmp_path)
+    commands = cli_commands()
+    assert {argv[0] for argv in commands} == {"train", "fuzz", "retrain", "compare-strategies"}
+    for argv in commands:
+        argv = ["1" if prev == "--epochs" else w for prev, w in zip([""] + argv, argv)]
+        assert main(argv) == 0, argv
+    # retrain exits 1 on a campaign without records, so reaching here means
+    # the campaign found some and the repair ran
+    assert re.search(r"^retrained on [1-9]\d* adversarial inputs", capsys.readouterr().out, re.M)

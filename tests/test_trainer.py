@@ -126,6 +126,34 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ContractViolation):
             TrainConfig(learning_rate=-0.1)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ContractViolation, match="learning_rate"):
+                TrainConfig(learning_rate=rate)
+
+
+def misfit(kind):
+    """A blob split that does not fit tiny_arch: 3x4 images, or a label
+    outside [0, 2)."""
+    data = blob_split(n_per_class=4)
+    if kind == "shape":
+        return DatasetSplit(Tensor.wrap(data.images.array[:, :3]), data.labels)
+    labels = data.labels.copy()
+    labels[-1] = 2 if kind == "label-high" else -1
+    return DatasetSplit(data.images, labels)
+
+
+@pytest.mark.parametrize("kind, match", [
+    ("shape", r"data images \(3, 4, 1\) do not match model input shape \(4, 4, 1\)"),
+    ("label-high", r"labels must lie in \[0, 2\)"),
+    ("label-low", r"labels must lie in \[0, 2\)"),
+], ids=["shape", "label-high", "label-low"])
+@pytest.mark.parametrize("run", [
+    lambda model, data: train(model, data, TrainConfig(epochs=1)),
+    evaluate,
+], ids=["train", "evaluate"])
+def test_split_that_does_not_fit_rejected(run, kind, match):
+    with pytest.raises(ContractViolation, match=match):
+        run(tiny_arch(), misfit(kind))
 
 
 class TestTrain:
@@ -202,6 +230,15 @@ class TestTrain:
         )
         with pytest.raises(TrainingError):
             train(hot, data, TrainConfig(epochs=1, batch_size=8))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergent_step_raises(self):
+        # one batch: its loss is finite, and the step it takes overflows the
+        # weights, so the raise comes from the parameter check, not the loss
+        data = blob_split()
+        with pytest.raises(TrainingError, match="diverged: tensor"):
+            train(tiny_arch(), data, TrainConfig(epochs=1, batch_size=len(data),
+                                                 learning_rate=1e39))
 
     def test_reproducible_given_seed(self):
         data = blob_split()
@@ -345,6 +382,13 @@ class TestRetrain:
     def test_empty_records_rejected(self):
         with pytest.raises(ContractViolation):
             adversarial_split([])
+
+    def test_oversample_below_one_rejected(self):
+        data = blob_split()
+        with pytest.raises(ContractViolation, match="oversample"):
+            retrain_with_adversarial(
+                tiny_arch(), data, data, fake_records(2), TrainConfig(epochs=0), oversample=0
+            )
 
     def test_retrain_rejects_empty_records(self):
         # even with nothing to train, there is no adversarial set to score
