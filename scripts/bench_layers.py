@@ -1,5 +1,5 @@
 """Time each layer of lenet1 forward and backward, at batch 1 and batch 64,
-and the fuzzer's per-mutant bookkeeping on lenet5 at batch 1.
+the fuzzer's per-mutant bookkeeping on lenet5 at batch 1, and dataset ingest.
 
     python3 scripts/bench_layers.py [--out BENCH_layers.json]
 
@@ -14,6 +14,14 @@ only reads, and one uniform-noise input: coverage.update of a trace,
 coverage.select_neurons with all four strategies and m=10, and one guided
 mutant step (clip, predict, coverage update and relative distance), as the
 campaign-lenet5-s1234 workload runs them.
+
+The ingest rows time model_io.load_mnist on a random-byte 20,000 x 28 x 28
+IDX image file and its label file, once plain and once gzip, written to a
+temporary directory that is deleted afterwards. Each call is split into the
+read (time inside _read_maybe_gzip, both files), the checks (time inside the
+Tensor check and DatasetSplit's __post_init__) and the conversion (the rest:
+the IDX header parse and the scaling to float32). Each column is the median
+over INGEST_CALLS calls in each of two passes, in milliseconds.
 
 BLAS runs on one thread, pinned before NumPy is imported, as the benchmark
 pins it. Every row's call runs once, untimed, before any row is timed, so
@@ -35,12 +43,16 @@ from __future__ import annotations
 import argparse
 import ctypes
 import glob
+import gzip
 import json
 import os
 import platform
 import statistics
+import struct
 import sys
+import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,7 +64,7 @@ env.configure()  # pins BLAS threads, so it must run before NumPy's import
 
 import numpy as np  # noqa: E402
 
-from neurofuzz import architectures, nn  # noqa: E402
+from neurofuzz import architectures, model_io, nn, tensor  # noqa: E402
 from neurofuzz import coverage as cov  # noqa: E402
 from neurofuzz import fuzzer as fz  # noqa: E402
 from neurofuzz.model_io import load_model  # noqa: E402
@@ -60,6 +72,8 @@ from neurofuzz.tensor import Tensor  # noqa: E402
 
 BATCHES = (1, 64)
 FUZZ_MODEL = ROOT / "perfbench" / "fixtures" / "lenet5.json"
+INGEST_SHAPE = (20000, 28, 28)
+INGEST_CALLS = 10
 PASSES = 2
 ROUNDS = 15
 ROUND_S = 0.01  # each round repeats the call until it has run this long
@@ -144,6 +158,76 @@ def fuzzer_rows() -> list[tuple[dict, dict]]:
     return [({"op": op, "model": "lenet5", "batch": 1}, {"us": fn}) for op, fn in ops.items()]
 
 
+@contextmanager
+def timing_into(spent: dict, part: str, owner, name: str):
+    """Add the time of every call of owner.name to spent[part] while open."""
+    fn = getattr(owner, name)
+
+    def timed_fn(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            spent[part] += time.perf_counter() - start
+
+    setattr(owner, name, timed_fn)
+    try:
+        yield
+    finally:
+        setattr(owner, name, fn)
+
+
+def ingest_calls_ms(images: Path, labels: Path) -> list[dict]:
+    """Read, conversion, checks and total of each of INGEST_CALLS load_mnist
+    calls on the pair, in milliseconds, after one untimed call."""
+    model_io.load_mnist(images, labels)
+    calls = []
+    for _ in range(INGEST_CALLS):
+        spent = {"read": 0.0, "checks": 0.0}
+        with timing_into(spent, "read", model_io, "_read_maybe_gzip"), \
+                timing_into(spent, "checks", tensor, "_validated"), \
+                timing_into(spent, "checks", model_io.DatasetSplit, "__post_init__"):
+            start = time.perf_counter()
+            model_io.load_mnist(images, labels)
+            total = time.perf_counter() - start
+        calls.append({"read_ms": spent["read"] * 1e3,
+                      "convert_ms": (total - spent["read"] - spent["checks"]) * 1e3,
+                      "checks_ms": spent["checks"] * 1e3,
+                      "total_ms": total * 1e3})
+    return calls
+
+
+def ingest_rows() -> list[dict]:
+    """load_mnist of a random-byte IDX pair, plain and gzip: each column's
+    median over both passes, the fastest total and each pass's median total."""
+    n, h, w = INGEST_SHAPE
+    rng = np.random.default_rng(0)
+    images = struct.pack(">iiii", model_io.IDX_IMAGE_MAGIC, n, h, w) + rng.integers(
+        0, 256, size=INGEST_SHAPE, dtype=np.uint8).tobytes()
+    labels = struct.pack(">ii", model_io.IDX_LABEL_MAGIC, n) + rng.integers(
+        0, 10, size=n, dtype=np.uint8).tobytes()
+    forms = {"plain": lambda raw: raw, "gzip": gzip.compress}
+    with tempfile.TemporaryDirectory() as tmp:
+        pairs = {}
+        for form, pack in forms.items():
+            pairs[form] = (Path(tmp) / f"{form}-images", Path(tmp) / f"{form}-labels")
+            pairs[form][0].write_bytes(pack(images))
+            pairs[form][1].write_bytes(pack(labels))
+        passes = [{form: ingest_calls_ms(*pair) for form, pair in pairs.items()}
+                  for _ in range(PASSES)]
+    rows = []
+    for form in forms:
+        calls = [c for p in passes for c in p[form]]
+        row = {"op": "model_io.load_mnist", "form": form, "shape": list(INGEST_SHAPE)}
+        for column in calls[0]:
+            row[column] = statistics.median(c[column] for c in calls)
+        row["total_ms_min"] = min(c["total_ms"] for c in calls)
+        row["total_ms_passes"] = [statistics.median(c["total_ms"] for c in p[form])
+                                  for p in passes]
+        rows.append(row)
+    return rows
+
+
 def timed(rows: list[tuple[dict, dict]]) -> tuple[list[dict], list[dict]]:
     """Each row with its median, fastest and per-pass median time per call
     columns, and the unstable entries: one per column whose pass medians
@@ -203,6 +287,7 @@ def main(argv=None) -> int:
         for fn in calls.values():
             fn()
     rows, unstable = timed(layers + fuzzer)
+    ingest = ingest_rows()
     result = {
         "model": "lenet1",
         "unit": "us per call",
@@ -211,6 +296,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "layers": rows[: len(layers)],
         "fuzzer": rows[len(layers):],
+        "ingest": ingest,
         "unstable": unstable,
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="ascii")
@@ -221,6 +307,10 @@ def main(argv=None) -> int:
     for row in result["fuzzer"]:
         print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} "
               f"{row['us']:9.1f} (min {row['us_min']:9.1f}) us")
+    for row in result["ingest"]:
+        print(f"ingest {row['form']:<5} read {row['read_ms']:7.2f}  convert {row['convert_ms']:7.2f}  "
+              f"checks {row['checks_ms']:7.2f}  total {row['total_ms']:7.2f} "
+              f"(min {row['total_ms_min']:7.2f}) ms")
     for entry in unstable:
         print(f"bench_layers: warning: unstable row {json.dumps(entry)}", file=sys.stderr)
     return 0

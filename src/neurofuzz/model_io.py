@@ -172,14 +172,10 @@ class DatasetSplit:
 
 
 def _read_maybe_gzip(path: str | Path) -> bytes:
+    """The file's bytes in one read, gunzipped (every member) if gzip."""
     try:
-        with open(path, "rb") as f:
-            head = f.read(2)
-            f.seek(0)
-            if head == b"\x1f\x8b":
-                with gzip.open(f) as g:
-                    return g.read()
-            return f.read()
+        data = Path(path).read_bytes()
+        return gzip.decompress(data) if data[:2] == b"\x1f\x8b" else data
     except (OSError, EOFError, zlib.error) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
 
@@ -219,8 +215,8 @@ def load_mnist(images_path: str | Path, labels_path: str | Path) -> DatasetSplit
             f"{images_path} holds {images.shape[0]} images but "
             f"{labels_path} holds {labels.shape[0]} labels"
         )
-    n, h, w = images.shape
-    pixels = (images.astype(np.float32) / np.float32(255.0)).reshape(n, h, w, 1)
+    pixels = np.divide(images[..., None], np.float32(255.0), dtype=np.float32)
+    del images  # frees the image file's bytes before the checks read the pixels
     return DatasetSplit(Tensor.wrap(pixels), labels)
 
 

@@ -169,6 +169,12 @@ def adversarial_split(records: list[AdversarialRecord]) -> DatasetSplit:
     labels."""
     if not records:
         raise ContractViolation("no adversarial records to bundle")
+    shape = records[0].mutated.shape
+    for i, r in enumerate(records):
+        if r.mutated.shape != shape:
+            raise ContractViolation(
+                f"record {i} has image shape {r.mutated.shape}, record 0 has {shape}"
+            )
     images = np.stack([r.mutated.array for r in records])
     return DatasetSplit(Tensor.wrap(images), [r.original_label for r in records])
 
@@ -199,9 +205,13 @@ def retrain_with_adversarial(
     test_before = evaluate(model, test_data)
     adv_before = evaluate(model, adv)
 
-    images = np.concatenate([train_data.images.array] + [adv.images.array] * oversample)
-    labels = np.concatenate([train_data.labels] + [adv.labels] * oversample)
-    merged_model = train(model, DatasetSplit(Tensor.wrap(images), labels), cfg)
+    if cfg.epochs == 0:  # train() would run no step, so build no merged split
+        _check_split(model, train_data)
+        merged_model = model
+    else:
+        images = np.concatenate([train_data.images.array] + [adv.images.array] * oversample)
+        labels = np.concatenate([train_data.labels] + [adv.labels] * oversample)
+        merged_model = train(model, DatasetSplit(Tensor.wrap(images), labels), cfg)
 
     test_after = evaluate(merged_model, test_data)
     adv_after = evaluate(merged_model, adv)

@@ -259,6 +259,20 @@ class TestTrain:
             if want.weights is not None:
                 assert np.array_equal(got.weights.array, want.weights.array)
 
+    def test_data_dir_without_idx_pair_exits_1(self, capsys, tmp_path):
+        (tmp_path / "train-images-idx3-ubyte").write_bytes(b"")  # no labels beside it
+        code, _, err = run(
+            capsys,
+            "train",
+            "--data-dir", str(tmp_path),
+            "--out", str(tmp_path / "never.json"),
+        )
+        assert code == 1
+        assert err == (
+            "error: no train-images-idx3-ubyte[.gz] / train-labels-idx1-ubyte[.gz] "
+            f"pair in {tmp_path}\n"
+        )
+
     def test_non_finite_learning_rate_exits_1(self, capsys, data_dir, tmp_path):
         out = tmp_path / "never.json"
         code, _, err = run(
@@ -436,6 +450,27 @@ class TestRetrain:
         )
         assert code == 1
         assert err == "error: data images (27, 28, 1) do not match model input shape (28, 28, 1)\n"
+        assert "Traceback" not in err
+
+    def test_records_of_mixed_shapes_exit_1(self, capsys, data_dir, model_path, tmp_path):
+        campaign = tmp_path / "campaign"
+        (campaign / "adversarial").mkdir(parents=True)
+        header = "input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"
+        (campaign / "manifest.csv").write_text(f"{header}\n0,3,5,0.01,0.1,0,1\n1,4,6,0.01,0.1,0,1\n")
+        for name, h in (("adv_0_0_3to5.pgm", 28), ("adv_1_0_4to6.pgm", 27)):
+            export_image_pgm(Tensor.wrap(np.full((h, 28, 1), 0.5, dtype=np.float32)),
+                             campaign / "adversarial" / name)
+        code, _, err = run(
+            capsys,
+            "retrain",
+            "--model", str(model_path),
+            "--data-dir", str(data_dir),
+            "--campaign-dir", str(campaign),
+            "--out", str(tmp_path / "retrained.json"),
+        )
+        assert code == 1
+        assert err == "error: record 1 has image shape (27, 28, 1), record 0 has (28, 28, 1)\n"
+        assert not (tmp_path / "retrained.json").exists()
         assert "Traceback" not in err
 
 

@@ -559,3 +559,8 @@ class TestCampaignArtifacts:
             assert ra.iteration == rb.iteration
             err = np.abs(ra.mutated.array - rb.mutated.array).max()
             assert err <= 1.0 / 510.0 + 1e-9
+
+    def test_reading_a_directory_without_manifest_rejected(self, tmp_path):
+        (tmp_path / "adversarial").mkdir()
+        with pytest.raises(ContractViolation, match="has no manifest.csv"):
+            read_campaign_records(tmp_path)

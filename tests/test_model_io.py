@@ -107,6 +107,22 @@ class TestIdxReader:
             with pytest.raises(IngestError, match="cannot read"):
                 load_mnist(tmp_path / name, tmp_path / "l")
 
+    @pytest.mark.parametrize("form", ["plain", "gzip", "two gzip members"])
+    def test_every_byte_value_scales_like_the_scalar_reference(self, tmp_path, form):
+        raw = idx_images_bytes(np.arange(256, dtype=np.uint8).reshape(1, 16, 16))
+        if form == "gzip":
+            raw = gzip.compress(raw)
+        elif form == "two gzip members":
+            raw = gzip.compress(raw[:100]) + gzip.compress(raw[100:])
+        (tmp_path / "i").write_bytes(raw)
+        (tmp_path / "l").write_bytes(idx_labels_bytes([4]))
+        split = load_mnist(tmp_path / "i", tmp_path / "l")
+        expected = np.array([np.float32(v) / np.float32(255.0) for v in range(256)])
+        assert split.images.shape == (1, 16, 16, 1)
+        assert split.images.array.dtype == np.float32
+        assert split.images.array.reshape(-1).view(np.uint32).tolist() == expected.view(np.uint32).tolist()
+        assert split.labels.tolist() == [4]
+
     def test_count_mismatch(self, tmp_path):
         (tmp_path / "i").write_bytes(idx_images_bytes(np.zeros((2, 2, 2), np.uint8)))
         (tmp_path / "l").write_bytes(idx_labels_bytes([0, 1, 2]))
@@ -204,6 +220,15 @@ class TestPgm:
     def test_export_rejects_out_of_range(self, tmp_path):
         with pytest.raises(ContractViolation):
             export_image_pgm(Tensor([[1.5]]), tmp_path / "a.pgm")
+
+    def test_export_rejects_batch_of_images(self, tmp_path):
+        with pytest.raises(ContractViolation, match=r"expected \[h, w, 1\] or \[h, w\] image"):
+            export_image_pgm(Tensor.zeros((2, 3, 3, 1)), tmp_path / "a.pgm")
+        assert not (tmp_path / "a.pgm").exists()
+
+    def test_import_unreadable_path(self, tmp_path):
+        with pytest.raises(IngestError, match="cannot read"):
+            import_image_pgm(tmp_path / "missing.pgm")
 
 
 class TestModelJson:

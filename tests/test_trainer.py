@@ -4,6 +4,7 @@ The separable-blob dataset gives a convergence oracle: a linear-capacity
 model must reach 100% on it within a small epoch budget.
 """
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -383,6 +384,13 @@ class TestRetrain:
         with pytest.raises(ContractViolation):
             adversarial_split([])
 
+    def test_records_of_mixed_shapes_rejected(self):
+        records = fake_records(3)
+        records[2] = replace(records[2], mutated=Tensor.zeros((3, 4, 1)))
+        with pytest.raises(ContractViolation,
+                           match=r"record 2 has image shape \(3, 4, 1\), record 0 has \(4, 4, 1\)"):
+            adversarial_split(records)
+
     def test_oversample_below_one_rejected(self):
         data = blob_split()
         with pytest.raises(ContractViolation, match="oversample"):
@@ -407,6 +415,31 @@ class TestRetrain:
         for a, b in zip(model.layers, result.model.layers):
             if a.weights is not None:
                 assert np.array_equal(a.weights.array, b.weights.array)
+
+    def test_retrain_zero_epochs_builds_no_merged_split(self):
+        rng = np.random.default_rng(3)
+        images = rng.uniform(0, 1, size=(2000, 4, 4, 1)).astype(np.float32)
+        data = DatasetSplit(Tensor.wrap(images), rng.integers(0, 2, size=2000))
+        test = blob_split(n_per_class=5)
+        records = fake_records(5)
+        tracemalloc.start()
+        try:
+            result = retrain_with_adversarial(
+                tiny_arch(), data, test, records, TrainConfig(epochs=0), oversample=20
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < images.nbytes
+        assert result.test_acc_after == result.test_acc_before
+        assert result.adv_acc_after == result.adv_acc_before
+
+    def test_retrain_zero_epochs_still_checks_train_split(self):
+        data = DatasetSplit(Tensor.zeros((2, 4, 4, 1)), [0, 2])
+        with pytest.raises(ContractViolation, match="labels must lie in"):
+            retrain_with_adversarial(
+                tiny_arch(), data, blob_split(), fake_records(2), TrainConfig(epochs=0)
+            )
 
     def test_retrain_learns_adversarial_set(self):
         data = blob_split()
