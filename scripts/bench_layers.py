@@ -18,10 +18,14 @@ campaign-lenet5-s1234 workload runs them.
 The ingest rows time model_io.load_mnist on a random-byte 20,000 x 28 x 28
 IDX image file and its label file, once plain and once gzip, written to a
 temporary directory that is deleted afterwards. Each call is split into the
-read (time inside _read_maybe_gzip, both files), the checks (time inside the
-Tensor check and DatasetSplit's __post_init__) and the conversion (the rest:
-the IDX header parse and the scaling to float32). Each column is the median
-over INGEST_CALLS calls in each of two passes, in milliseconds.
+read and scaling (time inside _read_idx, both files: the header parse, the
+chunked reads and the scaling of each chunk to float32) and the checks (time
+inside the Tensor check and DatasetSplit's __post_init__); the total also
+holds the rest of the call. Each time column is the median over
+INGEST_CALLS calls in each of two passes, in milliseconds. peak_mb is the
+tracemalloc peak of one more call in each pass, the larger of the two, in
+MB (2^20 bytes): that call runs traced and untimed, because tracing slows
+every allocation.
 
 BLAS runs on one thread, pinned before NumPy is imported, as the benchmark
 pins it. Every row's call runs once, untimed, before any row is timed, so
@@ -52,6 +56,7 @@ import struct
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -178,28 +183,38 @@ def timing_into(spent: dict, part: str, owner, name: str):
 
 
 def ingest_calls_ms(images: Path, labels: Path) -> list[dict]:
-    """Read, conversion, checks and total of each of INGEST_CALLS load_mnist
+    """Read and scaling, checks and total of each of INGEST_CALLS load_mnist
     calls on the pair, in milliseconds, after one untimed call."""
     model_io.load_mnist(images, labels)
     calls = []
     for _ in range(INGEST_CALLS):
-        spent = {"read": 0.0, "checks": 0.0}
-        with timing_into(spent, "read", model_io, "_read_maybe_gzip"), \
+        spent = {"read_scale": 0.0, "checks": 0.0}
+        with timing_into(spent, "read_scale", model_io, "_read_idx"), \
                 timing_into(spent, "checks", tensor, "_validated"), \
                 timing_into(spent, "checks", model_io.DatasetSplit, "__post_init__"):
             start = time.perf_counter()
             model_io.load_mnist(images, labels)
             total = time.perf_counter() - start
-        calls.append({"read_ms": spent["read"] * 1e3,
-                      "convert_ms": (total - spent["read"] - spent["checks"]) * 1e3,
+        calls.append({"read_scale_ms": spent["read_scale"] * 1e3,
                       "checks_ms": spent["checks"] * 1e3,
                       "total_ms": total * 1e3})
     return calls
 
 
+def ingest_peak_mb(images: Path, labels: Path) -> float:
+    """The tracemalloc peak of one load_mnist call on the pair, in MB."""
+    tracemalloc.start()
+    try:
+        model_io.load_mnist(images, labels)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def ingest_rows() -> list[dict]:
-    """load_mnist of a random-byte IDX pair, plain and gzip: each column's
-    median over both passes, the fastest total and each pass's median total."""
+    """load_mnist of a random-byte IDX pair, plain and gzip: each time
+    column's median over both passes, the fastest total, each pass's median
+    total and the larger traced peak."""
     n, h, w = INGEST_SHAPE
     rng = np.random.default_rng(0)
     images = struct.pack(">iiii", model_io.IDX_IMAGE_MAGIC, n, h, w) + rng.integers(
@@ -213,17 +228,18 @@ def ingest_rows() -> list[dict]:
             pairs[form] = (Path(tmp) / f"{form}-images", Path(tmp) / f"{form}-labels")
             pairs[form][0].write_bytes(pack(images))
             pairs[form][1].write_bytes(pack(labels))
-        passes = [{form: ingest_calls_ms(*pair) for form, pair in pairs.items()}
-                  for _ in range(PASSES)]
+        passes = [{form: (ingest_calls_ms(*pair), ingest_peak_mb(*pair))
+                   for form, pair in pairs.items()} for _ in range(PASSES)]
     rows = []
     for form in forms:
-        calls = [c for p in passes for c in p[form]]
+        calls = [c for p in passes for c in p[form][0]]
         row = {"op": "model_io.load_mnist", "form": form, "shape": list(INGEST_SHAPE)}
         for column in calls[0]:
             row[column] = statistics.median(c[column] for c in calls)
         row["total_ms_min"] = min(c["total_ms"] for c in calls)
-        row["total_ms_passes"] = [statistics.median(c["total_ms"] for c in p[form])
+        row["total_ms_passes"] = [statistics.median(c["total_ms"] for c in p[form][0])
                                   for p in passes]
+        row["peak_mb"] = max(p[form][1] for p in passes)
         rows.append(row)
     return rows
 
@@ -308,9 +324,9 @@ def main(argv=None) -> int:
         print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} "
               f"{row['us']:9.1f} (min {row['us_min']:9.1f}) us")
     for row in result["ingest"]:
-        print(f"ingest {row['form']:<5} read {row['read_ms']:7.2f}  convert {row['convert_ms']:7.2f}  "
+        print(f"ingest {row['form']:<5} read+scale {row['read_scale_ms']:7.2f}  "
               f"checks {row['checks_ms']:7.2f}  total {row['total_ms']:7.2f} "
-              f"(min {row['total_ms_min']:7.2f}) ms")
+              f"(min {row['total_ms_min']:7.2f}) ms  peak {row['peak_mb']:6.1f} MB")
     for entry in unstable:
         print(f"bench_layers: warning: unstable row {json.dumps(entry)}", file=sys.stderr)
     return 0

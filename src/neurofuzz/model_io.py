@@ -13,6 +13,11 @@ rejects any key its kind does not take:
     [ph, pw] (default 2);
   - every other kind: no keys.
 save_model writes every key of its layer's kind, the pool as a pair.
+
+load_mnist streams the image file: it reads IDX_CHUNK_BYTES at a time into
+one staging chunk and scales each chunk into the float32 pixel array, so its
+memory peak is one float32 copy of the pixels plus one staging chunk (plus,
+for gzip, the decompressor's output of at most one chunk).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import gzip
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -35,6 +41,7 @@ MODEL_FORMAT_VERSION = 1
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+IDX_CHUNK_BYTES = 1 << 17  # file bytes per read of an IDX payload
 
 
 # ---------------------------------------------------------------------------
@@ -171,19 +178,56 @@ class DatasetSplit:
         return Tensor.wrap(self.images.array[i])
 
 
-def _read_maybe_gzip(path: str | Path) -> bytes:
-    """The file's bytes in one read, gunzipped (every member) if gzip."""
+def load_mnist(images_path: str | Path, labels_path: str | Path) -> DatasetSplit:
+    """Load an IDX image/label file pair (plain or gzip) into a DatasetSplit,
+    holding at most one float32 copy of the pixels plus one staging chunk."""
+    images = _read_idx(images_path, IDX_IMAGE_MAGIC, np.float32, _scale_pixels)
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, np.uint8, np.copyto)
+    if images.shape[0] != labels.shape[0]:
+        raise IngestError(
+            f"{images_path} holds {images.shape[0]} images but "
+            f"{labels_path} holds {labels.shape[0]} labels"
+        )
+    return DatasetSplit(Tensor.wrap(images[..., None]), labels)
+
+
+def _scale_pixels(out: np.ndarray, raw: np.ndarray):
+    np.divide(raw, np.float32(255.0), out=out, dtype=np.float32)
+
+
+def _read_idx(path: str | Path, expect_magic: int, dtype, store) -> np.ndarray:
+    """The IDX array in the file at path, plain or gzip (every member), as a
+    new array of dtype that store(out, raw) fills one chunk of raw bytes at
+    a time.
+
+    A gzip file is read to its end even after an error in its IDX data, so
+    that a damaged stream (a bad CRC, a cut member) is reported first; a
+    plain file has no trailer to check and is read no further than needed."""
     try:
-        data = Path(path).read_bytes()
-        return gzip.decompress(data) if data[:2] == b"\x1f\x8b" else data
+        with open(path, "rb") as raw:
+            gzipped = raw.read(2) == b"\x1f\x8b"
+            raw.seek(0)
+            f = gzip.GzipFile(fileobj=raw) if gzipped else raw
+            size = None if gzipped else os.fstat(raw.fileno()).st_size
+            try:
+                out = _parse_idx(f, size, expect_magic, dtype, store, path)
+            except IngestError:
+                if gzipped:
+                    _read_to_end(f)
+                raise
+            if gzipped:
+                _read_to_end(f)
+            return out
     except (OSError, EOFError, zlib.error) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_idx(data: bytes, expect_magic: int, path) -> np.ndarray:
-    if len(data) < 4:
-        raise IngestError(f"{path}: truncated IDX header", offset=len(data))
-    (magic,) = struct.unpack(">i", data[:4])
+def _parse_idx(f, size: int | None, expect_magic: int, dtype, store, path) -> np.ndarray:
+    """The body of _read_idx; size is the file's length, None for gzip."""
+    head = f.read(4)
+    if len(head) < 4:
+        raise IngestError(f"{path}: truncated IDX header", offset=len(head))
+    (magic,) = struct.unpack(">i", head)
     if magic != expect_magic:
         raise IngestError(
             f"{path}: bad IDX magic 0x{magic:08x}, expected 0x{expect_magic:08x}",
@@ -191,33 +235,48 @@ def _parse_idx(data: bytes, expect_magic: int, path) -> np.ndarray:
         )
     ndim = magic & 0xFF
     header_end = 4 + 4 * ndim
-    if len(data) < header_end:
-        raise IngestError(f"{path}: truncated IDX dimension list", offset=len(data))
-    dims = struct.unpack(f">{ndim}i", data[4:header_end])
+    dim_bytes = f.read(4 * ndim)
+    if len(dim_bytes) < 4 * ndim:
+        raise IngestError(f"{path}: truncated IDX dimension list", offset=4 + len(dim_bytes))
+    dims = struct.unpack(f">{ndim}i", dim_bytes)
     if any(d < 1 for d in dims):
         raise IngestError(f"{path}: IDX dimensions {dims} must be positive", offset=4)
     count = math.prod(dims)
-    if len(data) < header_end + count:
-        raise IngestError(
-            f"{path}: IDX data ends early, expected {count} bytes after header",
-            offset=len(data),
-        )
-    flat = np.frombuffer(data, dtype=np.uint8, count=count, offset=header_end)
-    return flat.reshape(dims)
+    if size is not None and size < header_end + count:
+        raise _ends_early(path, count, size)
+    try:
+        out = np.empty(dims, dtype)
+    except (MemoryError, ValueError):
+        if size is None:  # a gzip stream's length shows only once it is read
+            size = header_end + _read_to_end(f)
+        if size < header_end + count:
+            raise _ends_early(path, count, size) from None
+        raise IngestError(f"{path}: IDX dimensions {dims} are too large to load", offset=4) from None
+    flat = out.reshape(-1)
+    chunk = np.empty(min(count, IDX_CHUNK_BYTES), np.uint8)
+    done = 0
+    while done < count:
+        got = f.readinto(chunk[: count - done])
+        if not got:
+            raise _ends_early(path, count, header_end + done)
+        store(flat[done : done + got], chunk[:got])
+        done += got
+    return out
 
 
-def load_mnist(images_path: str | Path, labels_path: str | Path) -> DatasetSplit:
-    """Load an IDX image/label file pair (plain or gzip) into a DatasetSplit."""
-    images = _parse_idx(_read_maybe_gzip(images_path), IDX_IMAGE_MAGIC, images_path)
-    labels = _parse_idx(_read_maybe_gzip(labels_path), IDX_LABEL_MAGIC, labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise IngestError(
-            f"{images_path} holds {images.shape[0]} images but "
-            f"{labels_path} holds {labels.shape[0]} labels"
-        )
-    pixels = np.divide(images[..., None], np.float32(255.0), dtype=np.float32)
-    del images  # frees the image file's bytes before the checks read the pixels
-    return DatasetSplit(Tensor.wrap(pixels), labels)
+def _ends_early(path, count: int, size: int) -> IngestError:
+    return IngestError(
+        f"{path}: IDX data ends early, expected {count} bytes after header", offset=size
+    )
+
+
+def _read_to_end(f) -> int:
+    """Read f to its end in chunks, checking every gzip member's CRC on the
+    way; returns the number of bytes read."""
+    total = 0
+    while chunk := f.read(IDX_CHUNK_BYTES):
+        total += len(chunk)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from .errors import ContractViolation
 
 _DTYPE_OF = {"single": np.float32, "double": np.float64}
 _PRECISION_OF = {np.dtype(np.float32): "single", np.dtype(np.float64): "double"}
+CHECK_BLOCK = 1 << 16  # elements per finiteness check, in whole leading-axis rows
 
 
 class Tensor:
@@ -94,11 +95,29 @@ def _validated(arr: np.ndarray) -> np.ndarray:
         raise ContractViolation(f"unsupported dtype {arr.dtype}")
     if arr.ndim == 0 or 0 in arr.shape:
         raise ContractViolation(f"shape {arr.shape} must be rank >= 1 with positive dims")
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+    if not _all_finite(arr):
         raise ContractViolation("tensor contains NaN or Inf")
     arr = arr.view()
     arr.flags.writeable = False
     return arr
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every element is finite.
+
+    An array of one block or less, as every batch-1 activation is, takes one
+    isfinite call: the row loop below costs about 1 us more per call, which
+    is 3% of a batch-1 lenet1 predict plus input gradient (ten checks) on a
+    2-vCPU Xeon. A larger array is checked a run of leading-axis rows at a
+    time, so that no bool mask larger than CHECK_BLOCK elements (or one row)
+    is built, whatever the array's layout."""
+    if arr.size <= CHECK_BLOCK:
+        return bool(np.logical_and.reduce(np.isfinite(arr), axis=None))
+    step = CHECK_BLOCK * arr.shape[0] // arr.size or 1
+    return all(
+        np.logical_and.reduce(np.isfinite(arr[start : start + step]), axis=None)
+        for start in range(0, arr.shape[0], step)
+    )
 
 
 def l2_norm(a: np.ndarray) -> float:

@@ -8,14 +8,16 @@ independent encoding of the format, not against itself.
 import gzip
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neurofuzz import architectures, nn
+from neurofuzz import architectures, model_io, nn
 from neurofuzz.errors import ContractViolation, IngestError, ModelLoadError
 from neurofuzz.model_io import (
+    IDX_CHUNK_BYTES,
     MODEL_FORMAT_VERSION,
     DatasetSplit,
     export_image_pgm,
@@ -102,7 +104,9 @@ class TestIdxReader:
     def test_corrupt_gzip_rejected(self, tmp_path):
         packed = gzip.compress(idx_images_bytes(np.zeros((4, 2, 2), np.uint8)))
         (tmp_path / "l").write_bytes(idx_labels_bytes([0, 1, 2, 3]))
-        for name, body in (("cut", packed[:-12]), ("flipped", packed[:12] + b"\xff" * 8 + packed[20:])):
+        bad_crc = packed[:-8] + bytes(b ^ 0xFF for b in packed[-8:-4]) + packed[-4:]
+        for name, body in (("cut", packed[:-12]), ("flipped", packed[:12] + b"\xff" * 8 + packed[20:]),
+                           ("bad crc", bad_crc)):
             (tmp_path / name).write_bytes(body)
             with pytest.raises(IngestError, match="cannot read"):
                 load_mnist(tmp_path / name, tmp_path / "l")
@@ -122,6 +126,81 @@ class TestIdxReader:
         assert split.images.array.dtype == np.float32
         assert split.images.array.reshape(-1).view(np.uint32).tolist() == expected.view(np.uint32).tolist()
         assert split.labels.tolist() == [4]
+
+    @pytest.mark.parametrize("form", ["plain", "gzip"])
+    def test_pixels_cut_in_a_later_chunk_report_the_file_length(self, tmp_path, form):
+        complete = idx_images_bytes(np.zeros((3 * IDX_CHUNK_BYTES // 784, 28, 28), np.uint8))
+        cut = complete[: IDX_CHUNK_BYTES + 1000]
+        (tmp_path / "i").write_bytes(cut if form == "plain" else gzip.compress(cut))
+        (tmp_path / "l").write_bytes(idx_labels_bytes([0] * (3 * IDX_CHUNK_BYTES // 784)))
+        with pytest.raises(IngestError, match="data ends early") as exc:
+            load_mnist(tmp_path / "i", tmp_path / "l")
+        assert exc.value.offset == len(cut)
+
+    @pytest.mark.parametrize("form", ["plain", "gzip"])
+    def test_header_claiming_more_than_numpy_can_hold(self, tmp_path, form):
+        # (2^31-1)^2 float32 pixels exceed any address space, so NumPy
+        # refuses the array at once and nothing is allocated
+        raw = struct.pack(">iiii", 0x00000803, 2**31 - 1, 2**31 - 1, 1) + bytes(16)
+        (tmp_path / "i").write_bytes(raw if form == "plain" else gzip.compress(raw))
+        (tmp_path / "l").write_bytes(idx_labels_bytes([0]))
+        with pytest.raises(IngestError, match="data ends early") as exc:
+            load_mnist(tmp_path / "i", tmp_path / "l")
+        assert exc.value.offset == len(raw)
+
+    @pytest.mark.parametrize("form", ["plain", "gzip"])
+    def test_allocation_failure_of_a_complete_file(self, tmp_path, monkeypatch, form):
+        raw = idx_images_bytes(np.zeros((2, 2, 2), np.uint8))
+        (tmp_path / "i").write_bytes(raw if form == "plain" else gzip.compress(raw))
+        (tmp_path / "l").write_bytes(idx_labels_bytes([0, 1]))
+        empty = np.empty
+
+        def refuse_pixels(shape, dtype=float):
+            if np.dtype(dtype) == np.float32:
+                raise MemoryError
+            return empty(shape, dtype)
+
+        monkeypatch.setattr(np, "empty", refuse_pixels)
+        with pytest.raises(IngestError, match=r"\(2, 2, 2\) are too large to load"):
+            load_mnist(tmp_path / "i", tmp_path / "l")
+
+    def test_damaged_gzip_outranks_a_bad_idx_header(self, tmp_path):
+        raw = struct.pack(">iiii", 0x12345678, 1, 2, 2) + bytes(4)
+        (tmp_path / "i").write_bytes(gzip.compress(raw)[:-4])  # the length field cut
+        (tmp_path / "l").write_bytes(idx_labels_bytes([0]))
+        with pytest.raises(IngestError, match="cannot read"):
+            load_mnist(tmp_path / "i", tmp_path / "l")
+
+    def test_bad_plain_file_is_not_read_past_its_error(self, tmp_path, monkeypatch):
+        # a plain file has no trailer to check, so its IDX error stands at once
+        (tmp_path / "i").write_bytes(idx_images_bytes(np.zeros((2, 2, 2), np.uint8)))
+        (tmp_path / "l").write_bytes(idx_labels_bytes([0, 1]))
+
+        def refuse(f):
+            raise AssertionError("plain file read to its end")
+
+        monkeypatch.setattr(model_io, "_read_to_end", refuse)
+        with pytest.raises(IngestError, match="bad IDX magic"):
+            load_mnist(tmp_path / "i", tmp_path / "i")
+        assert len(load_mnist(tmp_path / "i", tmp_path / "l")) == 2
+
+    @pytest.mark.parametrize("form", ["plain", "gzip", "two gzip members"])
+    def test_load_holds_one_pixel_array_and_one_chunk(self, tmp_path, form):
+        rng = np.random.default_rng(5)
+        raw = idx_images_bytes(rng.integers(0, 256, size=(2000, 28, 28), dtype=np.uint8))
+        if form == "gzip":
+            raw = gzip.compress(raw, compresslevel=1)
+        elif form == "two gzip members":
+            raw = gzip.compress(raw[:700_000], 1) + gzip.compress(raw[700_000:], 1)
+        (tmp_path / "i").write_bytes(raw)
+        (tmp_path / "l").write_bytes(idx_labels_bytes(rng.integers(0, 10, size=2000).tolist()))
+        tracemalloc.start()
+        try:
+            split = load_mnist(tmp_path / "i", tmp_path / "l")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * split.images.array.nbytes
 
     def test_count_mismatch(self, tmp_path):
         (tmp_path / "i").write_bytes(idx_images_bytes(np.zeros((2, 2, 2), np.uint8)))

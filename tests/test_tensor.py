@@ -1,11 +1,15 @@
 """Unit tests for the tensor module: construction contracts, and the norm
 against scalar-loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from neurofuzz.errors import ContractViolation
-from neurofuzz.tensor import Tensor, l2_norm
+from neurofuzz.tensor import CHECK_BLOCK, Tensor, l2_norm
+
+LARGE = 3 * CHECK_BLOCK + 5  # elements: three full check blocks and a partial one
 
 
 class TestConstruction:
@@ -22,6 +26,37 @@ class TestConstruction:
     def test_inf_rejected(self):
         with pytest.raises(ContractViolation):
             Tensor([float("inf"), 0.0])
+
+    # the first and last element, and each side of the first block boundary
+    @pytest.mark.parametrize("index, value", [
+        (0, np.inf), (-1, np.nan), (CHECK_BLOCK - 1, np.inf), (CHECK_BLOCK, -np.inf),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_rejected_in_any_block(self, index, value, dtype):
+        arr = np.zeros(LARGE, dtype=dtype)
+        arr[index] = value
+        with pytest.raises(ContractViolation, match="NaN or Inf"):
+            Tensor.wrap(arr.reshape(-1, 1))
+        arr[index] = 0.0
+        assert Tensor.wrap(arr.reshape(-1, 1)).shape == (LARGE, 1)
+
+    def test_non_finite_rejected_in_a_large_strided_view(self):
+        # each row of the view is larger than a block, so it is checked alone
+        arr = np.zeros((4, LARGE), dtype=np.float32)
+        view = arr[:, ::2]
+        view[3, -1] = np.nan
+        with pytest.raises(ContractViolation, match="NaN or Inf"):
+            Tensor(view)
+
+    def test_large_wrap_holds_no_full_size_mask(self):
+        images = np.zeros((20000, 28, 28, 1), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            Tensor.wrap(images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * CHECK_BLOCK  # two blocks' bool mask; the full one is 15.7 MB
 
     def test_precisions(self):
         assert Tensor([1.0]).precision == "single"
