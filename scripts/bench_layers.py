@@ -1,5 +1,6 @@
 """Time each layer of lenet1 forward and backward, at batch 1 and batch 64,
-the fuzzer's per-mutant bookkeeping on lenet5 at batch 1, and dataset ingest.
+the fuzzer's per-mutant bookkeeping on lenet5 at batch 1, a lenet1 training
+step at batch 64, and dataset ingest.
 
     python3 scripts/bench_layers.py [--out BENCH_layers.json]
 
@@ -14,6 +15,18 @@ only reads, and one uniform-noise input: coverage.update of a trace,
 coverage.select_neurons with all four strategies and m=10, and one guided
 mutant step (clip, predict, coverage update and relative distance), as the
 campaign-lenet5-s1234 workload runs them.
+
+The training row splits one batch-64 lenet1 step on uniform-noise images
+into its data stage and the rest. fetch_ms is trainer._fetch: the gather of
+the batch and its labels and the first layer's im2col matrix, which reads no
+weights. step_ms is trainer._batch_loss_and_grads given that matrix, plus
+trainer._sgd_step. Both are timed per call like the layer rows, in
+milliseconds. train_step_ms is the wall time of a one-epoch trainer.train
+over TRAIN_IMAGES images divided by its steps, the median of TRAIN_CALLS
+calls in each of two passes: as train() runs on this machine (with two or
+more usable CPUs the next batch's data stage overlaps each step on a helper
+thread) and, as train_step_ms_inline, with train() told that one CPU is
+usable, so that the data stage runs inline before each step.
 
 The ingest rows time model_io.load_mnist on a random-byte 20,000 x 28 x 28
 IDX image file and its label file, once plain and once gzip, written to a
@@ -58,6 +71,7 @@ import tempfile
 import time
 import tracemalloc
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,7 +83,7 @@ env.configure()  # pins BLAS threads, so it must run before NumPy's import
 
 import numpy as np  # noqa: E402
 
-from neurofuzz import architectures, model_io, nn, tensor  # noqa: E402
+from neurofuzz import architectures, model_io, nn, tensor, trainer  # noqa: E402
 from neurofuzz import coverage as cov  # noqa: E402
 from neurofuzz import fuzzer as fz  # noqa: E402
 from neurofuzz.model_io import load_model  # noqa: E402
@@ -82,6 +96,10 @@ INGEST_CALLS = 10
 PASSES = 2
 ROUNDS = 15
 ROUND_S = 0.01  # each round repeats the call until it has run this long
+TRAIN_BATCH = 64
+TRAIN_CALLS = 5
+TRAIN_IMAGES = 2000
+TRAIN_RATE = 0.05
 UNSTABLE_RATIO = 2.0
 UNSTABLE_FLOOR_US = 10.0
 WARMUP = 3
@@ -161,6 +179,62 @@ def fuzzer_rows() -> list[tuple[dict, dict]]:
             model, tracker, x.array, step, cfg.pixel_range, x64, x_norm),
     }
     return [({"op": op, "model": "lenet5", "batch": 1}, {"us": fn}) for op, fn in ops.items()]
+
+
+def train_rows() -> list[dict]:
+    """The lenet1 batch-64 training row: fetch_ms and step_ms, each the
+    median round over both passes and each pass's median, and the
+    per-step wall time of whole train() calls, overlapped and inline."""
+    model = architectures.build_model("lenet1")
+    rng = np.random.default_rng(0)
+    images = rng.uniform(0, 1, size=(TRAIN_IMAGES, *model.input_shape)).astype(np.float32)
+    labels = rng.integers(0, model.num_classes, size=TRAIN_IMAGES)
+    fetch = partial(trainer._fetch, images, labels, model.layers[0],
+                    rng.permutation(TRAIN_IMAGES)[:TRAIN_BATCH])
+    xb, yb, cols = fetch()
+    velocity = [None if l.weights is None else (np.zeros_like(l.weights.array),
+                                                 np.zeros_like(l.bias.array))
+                for l in model.layers]
+
+    def step():  # a fresh dict each call: _forward adds the other conv layer's matrix
+        _, grads = trainer._batch_loss_and_grads(model, xb, yb, dict(cols))
+        trainer._sgd_step(model, grads, velocity, TRAIN_RATE)
+
+    split = model_io.DatasetSplit(Tensor.wrap(images), labels)
+    cfg = trainer.TrainConfig(epochs=1, batch_size=TRAIN_BATCH, learning_rate=TRAIN_RATE)
+    steps = -(-TRAIN_IMAGES // TRAIN_BATCH)
+
+    def train_step_ms() -> float:
+        trainer.train(model, split, cfg)
+        calls = []
+        for _ in range(TRAIN_CALLS):
+            start = time.perf_counter()
+            trainer.train(model, split, cfg)
+            calls.append((time.perf_counter() - start) / steps * 1e3)
+        return statistics.median(calls)
+
+    def inline_step_ms() -> float:
+        usable_cpus = trainer._usable_cpus
+        trainer._usable_cpus = lambda: 1
+        try:
+            return train_step_ms()
+        finally:
+            trainer._usable_cpus = usable_cpus
+
+    timings = {"fetch_ms": lambda: [t / 1e3 for t in rounds_us(fetch)],
+               "step_ms": lambda: [t / 1e3 for t in rounds_us(step)],
+               "train_step_ms": train_step_ms,
+               "train_step_ms_inline": inline_step_ms}
+    passes = [{column: timing() for column, timing in timings.items()} for _ in range(PASSES)]
+    row = {"op": "trainer.train step", "model": "lenet1", "batch": TRAIN_BATCH,
+           "images": TRAIN_IMAGES, "usable_cpus": trainer._usable_cpus()}
+    for column in ("fetch_ms", "step_ms"):
+        row[column] = statistics.median(t for p in passes for t in p[column])
+        row[column + "_passes"] = [statistics.median(p[column]) for p in passes]
+    for column in ("train_step_ms", "train_step_ms_inline"):
+        row[column] = statistics.median(p[column] for p in passes)
+        row[column + "_passes"] = [p[column] for p in passes]
+    return [row]
 
 
 @contextmanager
@@ -303,6 +377,7 @@ def main(argv=None) -> int:
         for fn in calls.values():
             fn()
     rows, unstable = timed(layers + fuzzer)
+    training = train_rows()
     ingest = ingest_rows()
     result = {
         "model": "lenet1",
@@ -312,6 +387,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "layers": rows[: len(layers)],
         "fuzzer": rows[len(layers):],
+        "training": training,
         "ingest": ingest,
         "unstable": unstable,
     }
@@ -323,6 +399,10 @@ def main(argv=None) -> int:
     for row in result["fuzzer"]:
         print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} "
               f"{row['us']:9.1f} (min {row['us_min']:9.1f}) us")
+    for row in result["training"]:
+        print(f"batch {row['batch']:>2}  {row['model']} train step: fetch {row['fetch_ms']:6.3f}  "
+              f"step {row['step_ms']:6.3f}  train() per step {row['train_step_ms']:6.3f}, "
+              f"inline {row['train_step_ms_inline']:6.3f} ms")
     for row in result["ingest"]:
         print(f"ingest {row['form']:<5} read+scale {row['read_scale_ms']:7.2f}  "
               f"checks {row['checks_ms']:7.2f}  total {row['total_ms']:7.2f} "

@@ -257,13 +257,15 @@ def _forward(
 
     When cols is a dict, it receives each conv2d layer's im2col matrix under
     the layer's index, so that _backward can reuse it for parameter
-    gradients.
+    gradients. An entry already in cols is taken as that layer's im2col
+    matrix instead of building it: the trainer pre-seeds layer 0's, which
+    depends on xb alone, while the previous step runs.
     """
     acts = []
     a = xb
     for i, layer in enumerate(model.layers):
         if layer.kind == "conv2d":
-            a, layer_cols = _conv2d_forward(layer, a)
+            a, layer_cols = _conv2d_forward(layer, a, None if cols is None else cols.get(i))
             if cols is not None:
                 cols[i] = layer_cols
         else:
@@ -272,12 +274,16 @@ def _forward(
     return acts
 
 
-def _conv2d_forward(layer: Layer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Output [n, oh, ow, out_ch] and the im2col matrix it was computed from."""
-    cols, oh, ow = _im2col(x, layer)
+def _conv2d_forward(
+    layer: Layer, x: np.ndarray, cols: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output [n, oh, ow, out_ch] and the im2col matrix it was computed from:
+    cols if given, which must be _im2col(x, layer)'s matrix, else that."""
+    if cols is None:
+        cols = _im2col(x, layer)[0]
     y = cols.reshape(-1, cols.shape[-1]) @ layer.wmat
     y += layer.bias.array
-    return y.reshape(x.shape[0], oh, ow, -1), cols
+    return y.reshape(*cols.shape[:3], -1), cols
 
 
 def _layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:

@@ -31,13 +31,13 @@ class Tensor:
     def __init__(self, values, precision: str = "single"):
         if precision not in _DTYPE_OF:
             raise ContractViolation(f"unknown precision {precision!r}")
-        self._arr = _validated(np.asarray(values, dtype=_DTYPE_OF[precision]))
+        self._arr = _validated(np.asarray(values, dtype=_DTYPE_OF[precision], order="C"))
 
     @staticmethod
     def wrap(arr: np.ndarray) -> "Tensor":
         """Wrap an existing float32/float64 ndarray without copying."""
         t = object.__new__(Tensor)
-        t._arr = _validated(np.ascontiguousarray(arr))
+        t._arr = _validated(np.asarray(arr, order="C"))
         return t
 
     @staticmethod

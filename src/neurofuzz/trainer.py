@@ -4,12 +4,22 @@ experiment that folds recorded label flips back into the training set.
 Adversarial records keep the label their origin image had: a kept mutant is
 constrained to stay visually interchangeable with its origin, so the origin's
 label is inherited as ground truth for retraining.
+
+Each training step starts from a data stage that reads no weights: the
+batch gather and, for a conv2d layer 0, that layer's im2col matrix, handed
+to nn._forward as a pre-seeded cols entry. With two or more usable CPUs,
+train() runs the next step's data stage on one helper thread while the
+current step runs, with the same bits as running it inline.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +71,11 @@ def _check_split(model: nn.Model, data: DatasetSplit):
         raise ContractViolation(f"labels must lie in [0, {model.num_classes})")
 
 
-def _batch_loss_and_grads(model, xb, yb):
-    cols: dict[int, np.ndarray] = {}
+def _batch_loss_and_grads(model, xb, yb, cols: dict[int, np.ndarray] | None = None):
+    """Mean cross-entropy of the batch and each layer's parameter gradients.
+    cols may hold im2col matrices pre-built from xb, by layer index, which
+    nn._forward uses instead of building them."""
+    cols = {} if cols is None else cols
     acts = nn._forward(model, xb, cols)
     logits = acts[-2].astype(np.float64)
     z = logits - logits.max(axis=1, keepdims=True)
@@ -98,6 +111,38 @@ def _sgd_step(model: nn.Model, grads, velocity, lr: float) -> nn.Model:
     return nn.Model(tuple(layers), model.input_shape, model.num_classes)
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fetch(images, labels, first_conv: nn.Layer | None, idx):
+    """One step's data stage, which reads no weights: the batch, its labels
+    and a cols dict holding layer 0's im2col matrix when that layer
+    (first_conv) is conv2d. It calls nothing the benchmark's tracer wraps
+    and makes no BLAS call, so it may run on a helper thread; NumPy's
+    gathers release the GIL."""
+    xb = images[idx]
+    cols = {} if first_conv is None else {0: nn._im2col(xb, first_conv)[0]}
+    return xb, labels[idx], cols
+
+
+def _fetched(fetch, batches, pool):
+    """fetch(b) for each of batches, in order. With a pool, the fetch of the
+    next batch runs on it while the caller works on the current one."""
+    if pool is None:
+        yield from map(fetch, batches)
+        return
+    future = pool.submit(fetch, batches[0])
+    for nxt in batches[1:]:
+        batch = future.result()
+        future = pool.submit(fetch, nxt)
+        yield batch
+    yield future.result()
+
+
 def evaluate(model: nn.Model, data: DatasetSplit) -> float:
     """Plain accuracy of the model on a dataset split."""
     _check_split(model, data)
@@ -126,6 +171,11 @@ def train(
     gets a CSV row (epoch, loss, train_acc, test_acc) per epoch. The
     per-epoch accuracies on data and test_data are computed only when
     log_path is given; they feed nothing but the log.
+
+    With two or more usable CPUs, the next batch's data stage (see the
+    module docstring) runs on one helper thread during each step, and on one
+    CPU inline before it. The weights are the same bits either way, and the
+    thread ends before train() returns or raises.
     """
     if isinstance(model_or_arch, str):
         model = build_model(model_or_arch, rng_seed=cfg.rng_seed)
@@ -138,26 +188,33 @@ def train(
         None if l.weights is None else (np.zeros_like(l.weights.array), np.zeros_like(l.bias.array))
         for l in model.layers
     ]
-    images, labels = data.images.array, data.labels
+    first = model.layers[0]
+    fetch = partial(
+        _fetch, data.images.array, data.labels, first if first.kind == "conv2d" else None
+    )
     log_rows = ["epoch,loss,train_acc,test_acc"]
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(data))
-        losses = []
-        for start in range(0, len(data), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grads = _batch_loss_and_grads(model, images[idx], labels[idx])
-            if not np.isfinite(loss):
-                raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}")
-            losses.append(loss)
-            model = _sgd_step(model, grads, velocity, cfg.learning_rate)
-        if log_path is not None:
-            train_acc = evaluate(model, data)
-            test_acc = evaluate(model, test_data) if test_data is not None else None
-            log_rows.append(
-                f"{epoch},{float(np.mean(losses))!r},{train_acc!r},"
-                f"{'' if test_acc is None else repr(test_acc)}"
-            )
+    with ThreadPoolExecutor(max_workers=1) if _usable_cpus() >= 2 else nullcontext() as pool:
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(len(data))
+            batches = [
+                order[start : start + cfg.batch_size]
+                for start in range(0, len(data), cfg.batch_size)
+            ]
+            losses = []
+            for xb, yb, cols in _fetched(fetch, batches, pool):
+                loss, grads = _batch_loss_and_grads(model, xb, yb, cols)
+                if not np.isfinite(loss):
+                    raise TrainingError(f"training diverged: loss {loss} at epoch {epoch}")
+                losses.append(loss)
+                model = _sgd_step(model, grads, velocity, cfg.learning_rate)
+            if log_path is not None:
+                train_acc = evaluate(model, data)
+                test_acc = evaluate(model, test_data) if test_data is not None else None
+                log_rows.append(
+                    f"{epoch},{float(np.mean(losses))!r},{train_acc!r},"
+                    f"{'' if test_acc is None else repr(test_acc)}"
+                )
 
     if log_path is not None:
         Path(log_path).write_text("\n".join(log_rows) + "\n", encoding="ascii")

@@ -69,6 +69,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             t.array[0] = 5.0
 
+    # a 0-d array stays 0-d in every constructor, so each refuses it alike
+    @pytest.mark.parametrize("make", [
+        lambda: Tensor(np.array(1.5, np.float32)),
+        lambda: Tensor.wrap(np.array(1.5, np.float32)),
+        lambda: Tensor.zeros(()),
+    ], ids=["init", "wrap", "zeros"])
+    def test_zero_rank_rejected(self, make):
+        with pytest.raises(ContractViolation, match="rank >= 1"):
+            make()
+
+    @pytest.mark.parametrize("make", [Tensor, Tensor.wrap], ids=["init", "wrap"])
+    def test_strided_input_stored_row_major(self, make):
+        arr = np.arange(24, dtype=np.float32).reshape(4, 6)
+        t = make(arr[:, ::2])
+        assert t.array.flags.c_contiguous
+        assert t.array.tolist() == arr[:, ::2].tolist()
+
     def test_wrap_preserves_dtype(self):
         t = Tensor.wrap(np.zeros((3,), dtype=np.float64))
         assert t.precision == "double"

@@ -4,13 +4,14 @@ The separable-blob dataset gives a convergence oracle: a linear-capacity
 model must reach 100% on it within a small epoch budget.
 """
 
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from neurofuzz import architectures, nn
+from neurofuzz import architectures, nn, trainer
 from neurofuzz.errors import ContractViolation, TrainingError
 from neurofuzz.fuzzer import AdversarialRecord
 from neurofuzz.model_io import DatasetSplit
@@ -284,7 +285,7 @@ class TestTrain:
             assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0], other))
 
     @pytest.mark.parametrize("precision", ["single", "double"])
-    @pytest.mark.parametrize("arch", ["lenet1", "lenet5"])
+    @pytest.mark.parametrize("arch", ["lenet1", "lenet5", "mlp"])
     def test_matches_reference_momentum_loop(self, arch, precision):
         # two chained calls, as a phased schedule runs them: the second starts
         # from the first's model with fresh velocities; 40 images in batches
@@ -304,6 +305,11 @@ class TestTrain:
             if a.weights is not None:
                 assert a.weights.array.tobytes() == b.weights.array.tobytes()
                 assert a.bias.array.tobytes() == b.bias.array.tobytes()
+
+    def test_inline_data_stage_matches_reference_momentum_loop(self, monkeypatch):
+        # on one CPU each step's data stage runs inline, with no helper thread
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1)
+        self.test_matches_reference_momentum_loop("lenet1", "single")
 
     def test_conv_parameter_gradients_match_finite_differences(self):
         data = blob_split(n_per_class=4, seed=6, spread=0.2)
@@ -331,6 +337,59 @@ class TestTrain:
                     assert grads[li][which].flat[flat] == pytest.approx(
                         numeric, rel=1e-5, abs=1e-8
                     )
+
+
+class TestDataStageThread:
+    """With two usable CPUs (forced here, so that a one-CPU host runs these
+    too) train() fetches the next batch on one helper thread, which never
+    outlives the call."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 2)
+
+    def test_helper_fetches_same_bits_and_ends(self, monkeypatch):
+        im2col, callers = nn._im2col, set()
+
+        def spy(x, layer):
+            callers.add(threading.get_ident())
+            return im2col(x, layer)
+
+        monkeypatch.setattr(nn, "_im2col", spy)
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.2, rng_seed=5)
+        start = threading.active_count()
+        got = train(tiny_conv_arch(), blob_split(), cfg)
+        assert threading.active_count() == start
+        assert len(callers - {threading.get_ident()}) == 1  # one helper thread
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1)
+        want = train(tiny_conv_arch(), blob_split(), cfg)
+        for a, b in zip(got.layers, want.layers):
+            if a.weights is not None:
+                assert a.weights.array.tobytes() == b.weights.array.tobytes()
+                assert a.bias.array.tobytes() == b.bias.array.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_helper_ends_when_training_diverges(self):
+        # the first step overflows the weights while the second batch is
+        # being fetched
+        start = threading.active_count()
+        with pytest.raises(TrainingError, match="diverged"):
+            train(tiny_conv_arch(), blob_split(),
+                  TrainConfig(epochs=1, batch_size=8, learning_rate=1e39))
+        assert threading.active_count() == start
+
+    def test_helper_ends_and_fetch_error_reaches_caller(self, monkeypatch):
+        class FetchFailed(Exception):
+            pass
+
+        def fail(x, layer):
+            raise FetchFailed("im2col")
+
+        monkeypatch.setattr(nn, "_im2col", fail)
+        start = threading.active_count()
+        with pytest.raises(FetchFailed, match="im2col"):
+            train(tiny_conv_arch(), blob_split(), TrainConfig(epochs=1, batch_size=8))
+        assert threading.active_count() == start
 
 
 class TestEvaluate:
