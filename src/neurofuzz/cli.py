@@ -96,7 +96,7 @@ def _summary(report) -> str:
     if n:
         rel = sum(r.distance for r in report.records) / n
         abs_ = sum(r.distance_abs for r in report.records) / n
-        ms = report.seconds_per_adversarial * 1000.0
+        ms = sum(report.input_wall_s) / n * 1000.0
         tail = f"mean rel distance: {rel:.5f}  mean abs distance: {abs_:.5f}  mean ms per adversarial: {ms:.1f}"
     else:
         tail = "mean rel distance: n/a  mean abs distance: n/a  mean ms per adversarial: n/a"
@@ -184,10 +184,11 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_train(args, parser) -> int:
     data_dir = _resolve_data_dir(args, parser)
+    cfg = _train_config(args)
     train_split = _load_split(data_dir, "train")
     test_split = _load_split(data_dir, "t10k")
     start = load_model(args.init_model) if args.init_model else args.arch
-    model = train(start, train_split, _train_config(args), test_data=test_split, log_path=args.log)
+    model = train(start, train_split, cfg, test_data=test_split, log_path=args.log)
     save_model(model, args.out)
     acc = evaluate(model, test_split)
     what = args.init_model or args.arch
@@ -215,6 +216,7 @@ def cmd_fuzz(args, parser) -> int:
 
 def cmd_retrain(args, parser) -> int:
     data_dir = _resolve_data_dir(args, parser)
+    cfg = _train_config(args)
     model = load_model(args.model)
     train_split = _load_split(data_dir, "train")
     test_split = _load_split(data_dir, "t10k")
@@ -222,7 +224,7 @@ def cmd_retrain(args, parser) -> int:
     if not records:
         raise ContractViolation(f"{args.campaign_dir} holds no adversarial records")
     result = retrain_with_adversarial(
-        model, train_split, test_split, records, _train_config(args),
+        model, train_split, test_split, records, cfg,
         oversample=args.oversample,
     )
     save_model(result.model, args.out)

@@ -16,7 +16,7 @@ Model builds its layout once, on first use, as model.layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,8 +170,6 @@ class CoverageTracker:
     """
 
     def __init__(self, model: Model, activation_threshold: float):
-        if not 0 < activation_threshold < 1:
-            raise ContractViolation("activation_threshold must be in (0, 1)")
         self.layout = model.layout
         n = len(self.layout.ids)
         if not n:
@@ -224,11 +222,12 @@ def _rank_key(tracker: CoverageTracker, strategy: int) -> np.ndarray:
 
 def select_neurons(
     tracker: CoverageTracker,
-    strategies: Iterable[int],
+    strategies: Sequence[int],
     m: int,
     trace: ActivationTrace,
 ) -> list[NeuronId]:
-    """Pick up to m distinct neurons to push toward activation.
+    """Pick up to m distinct neurons to push toward activation; FuzzConfig
+    has checked that m >= 1 and that strategies is a non-empty list of 1-4.
 
     Candidates are the neurons NOT activated by the current trace. m is split
     as evenly as possible among the given strategies, remainder going to the
@@ -237,14 +236,6 @@ def select_neurons(
     strategy is deterministic. Returns fewer than m ids when the candidate
     pool is smaller than m.
     """
-    strategies = list(strategies)
-    if m < 1:
-        raise ContractViolation("m must be >= 1")
-    if not strategies:
-        raise ContractViolation("need at least one strategy")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ContractViolation(f"unknown strategy {s}; expected 1-4")
     # flat indices of the candidates; layout.ids order is (layer, unit) order,
     # so the index breaks every tie the way the NeuronId order would
     active = tracker.layout.scaled(trace) > tracker.activation_threshold

@@ -218,16 +218,6 @@ class CampaignReport:
     config: FuzzConfig
     mutation: str = "guided"
 
-    @property
-    def total_wall_s(self) -> float:
-        return float(sum(self.input_wall_s))
-
-    @property
-    def seconds_per_adversarial(self) -> float | None:
-        if not self.records:
-            return None
-        return self.total_wall_s / len(self.records)
-
 
 def process_gradient(grads: np.ndarray, step_size: float) -> np.ndarray:
     """Turn a raw input gradient into a perturbation of L2 length step_size:
@@ -451,22 +441,30 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
 
     manifest.csv and coverage.csv depend only on the campaign's deterministic
     outputs, so a fixed rng_seed reproduces them byte for byte; wall-clock
-    measurements live in timing.csv only.
+    measurements live in timing.csv only. An adv_*.pgm image in adversarial/
+    that the new manifest does not name, left by an earlier campaign written
+    to the same directory, is deleted.
     """
     out = Path(out_dir)
-    (out / "adversarial").mkdir(parents=True, exist_ok=True)
+    images = out / "adversarial"
+    images.mkdir(parents=True, exist_ok=True)
 
     seq: Counter[int] = Counter()
+    names: set[str] = set()
     manifest = ["input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"]
     for rec in report.records:
         name = _adv_name(rec.input_index, seq[rec.input_index], rec.original_label,
                          rec.adversarial_label)
         seq[rec.input_index] += 1
-        export_image_pgm(rec.mutated, out / "adversarial" / name)
+        names.add(name)
+        export_image_pgm(rec.mutated, images / name)
         manifest.append(
             f"{rec.input_index},{rec.original_label},{rec.adversarial_label},"
             f"{rec.distance!r},{rec.distance_abs!r},{rec.seed_generation},{rec.iteration}"
         )
+    for stale in images.glob("adv_*.pgm"):
+        if stale.name not in names:
+            stale.unlink()
     (out / "manifest.csv").write_text("\n".join(manifest) + "\n", encoding="ascii")
 
     curve = ["input_index,seeds_processed,coverage_rate"]

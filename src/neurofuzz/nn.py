@@ -42,7 +42,8 @@ class Layer:
     """One layer of a sequential model.
 
     weights/bias are present for dense and conv2d only. stride is read by
-    conv2d (valid padding) and pool, the (ph, pw) window, by maxpool2d.
+    conv2d (valid padding) and pool, the (ph, pw) window, by maxpool2d;
+    load_model refuses either below 1.
     """
 
     kind: str
@@ -68,13 +69,8 @@ class Layer:
                 raise ContractViolation("conv2d weights must be [kh, kw, in_ch, out_ch]")
             if self.bias.shape != (self.weights.shape[3],):
                 raise ContractViolation("conv2d bias shape must be [out_ch]")
-            if self.stride < 1:
-                raise ContractViolation(f"conv2d stride must be >= 1, got {self.stride!r}")
-        else:
-            if self.weights is not None or self.bias is not None:
-                raise ContractViolation(f"{self.kind} layer takes no parameters")
-            if self.kind == "maxpool2d" and min(self.pool) < 1:
-                raise ContractViolation(f"pool size must be >= 1, got {self.pool!r}")
+        elif self.weights is not None or self.bias is not None:
+            raise ContractViolation(f"{self.kind} layer takes no parameters")
 
     @cached_property
     def wmat(self) -> np.ndarray:
@@ -363,7 +359,8 @@ class ObjectiveSpec:
     class term, plus lam times the sum of target neuron outputs.
 
     Label terms use post-softmax confidences by default; use_logits switches
-    them to the pre-softmax logits.
+    them to the pre-softmax logits. The labels are class indices of the
+    model, as predicted_label and top_k_other_labels give them.
     """
 
     original_label: int
@@ -377,8 +374,6 @@ class ObjectiveSpec:
         object.__setattr__(self, "target_neurons", tuple(self.target_neurons))
         if self.original_label in self.topk_labels:
             raise ContractViolation("original label cannot appear in topk_labels")
-        if len(set(self.topk_labels)) != len(self.topk_labels):
-            raise ContractViolation("topk_labels must be distinct")
         if len(set(self.target_neurons)) != len(self.target_neurons):
             raise ContractViolation("target_neurons must be distinct")
 
@@ -397,7 +392,6 @@ def top_k_other_labels(trace: ActivationTrace, k: int) -> list[int]:
 
 def objective_value(model: Model, x: Tensor, spec: ObjectiveSpec) -> float:
     trace = predict(model, x)
-    _check_spec(model, spec)
     label_src = trace.outputs[-2] if spec.use_logits else trace.confidences
     vals = label_src.array.astype(np.float64)
     total = float(vals[list(spec.topk_labels)].sum() - vals[spec.original_label])
@@ -406,12 +400,6 @@ def objective_value(model: Model, x: Tensor, spec: ObjectiveSpec) -> float:
     for nid in spec.target_neurons:
         total += spec.lam * float(values[layout.position(nid)])
     return total
-
-
-def _check_spec(model: Model, spec: ObjectiveSpec):
-    labels = (spec.original_label, *spec.topk_labels)
-    if any(not 0 <= c < model.num_classes for c in labels):
-        raise ContractViolation(f"class index out of range in {labels}")
 
 
 def input_gradient(
@@ -425,7 +413,6 @@ def input_gradient(
     is the same bits either way.
     """
     check_input(model, x)
-    _check_spec(model, spec)
     if trace is None:
         trace = predict(model, x)
     elif trace.input is not x:

@@ -71,12 +71,6 @@ class Tensor:
     def tolist(self):
         return self._arr.tolist()
 
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, precision={self.precision})"
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented

@@ -12,8 +12,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from neurofuzz.cli import _resolve_fuzz_config, build_parser, main
-from neurofuzz.fuzzer import FuzzConfig
+from neurofuzz.cli import _resolve_fuzz_config, _summary, build_parser, main
+from neurofuzz.fuzzer import AdversarialRecord, CampaignReport, FuzzConfig
 from neurofuzz.model_io import export_image_pgm, load_model
 from neurofuzz.tensor import Tensor
 
@@ -49,6 +49,16 @@ class TestUsageErrors:
                   "--num-inputs", "-3"])
         assert exc.value.code == 2
         assert "--num-inputs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fuzz", "compare-strategies"])
+    def test_non_integer_num_inputs_exits_2(self, capsys, command, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", "m.json", "--data-dir", str(tmp_path),
+                  "--num-inputs", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--num-inputs: not an integer: 'x'" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["fuzz", "compare-strategies"])
     @pytest.mark.parametrize("value", ["x", "5", "0", "1,x", ","])
@@ -273,6 +283,20 @@ class TestTrain:
             f"pair in {tmp_path}\n"
         )
 
+    @pytest.mark.parametrize("command", ["train", "retrain"])
+    def test_bad_flag_reported_before_any_file_is_read(self, capsys, tmp_path, command):
+        # the data directory is empty and no model file exists: the flag is
+        # the first thing wrong, so it is the one reported
+        files = ["--model", str(tmp_path / "m.json"), "--campaign-dir", str(tmp_path)]
+        code, _, err = run(
+            capsys, command, *(files if command == "retrain" else []),
+            "--data-dir", str(tmp_path),
+            "--epochs", "-1",
+            "--out", str(tmp_path / "never.json"),
+        )
+        assert code == 1
+        assert err == "error: epochs must be >= 0\n"
+
     def test_non_finite_learning_rate_exits_1(self, capsys, data_dir, tmp_path):
         out = tmp_path / "never.json"
         code, _, err = run(
@@ -369,6 +393,21 @@ class TestFuzz:
         n_images = len(list((out_dir / "adversarial").glob("*.pgm")))
         assert n_images == n_rows
 
+    def test_strategy_list_flag_runs(self, capsys, data_dir, model_path, tmp_path):
+        out_dir = tmp_path / "mixed"
+        code, stdout, _ = run(
+            capsys,
+            "fuzz",
+            "--model", str(model_path),
+            "--data-dir", str(data_dir),
+            "--num-inputs", "2",
+            "--strategies", "1,2",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert stdout.startswith("guided   adversarial: ")
+        assert json.loads((out_dir / "config.json").read_text())["strategies"] == [1, 2]
+
     def test_random_baseline(self, capsys, data_dir, model_path, tmp_path):
         out_dir = tmp_path / "with_baseline"
         code, stdout, _ = run(
@@ -387,6 +426,21 @@ class TestFuzz:
             stdout,
             re.M,
         ), stdout
+
+
+def test_summary_spreads_campaign_wall_time_over_records():
+    record = AdversarialRecord(0, 3, 5, Tensor([0.5]), 0.01, 0.1, 0, 1)
+    report = CampaignReport(
+        records=(record, record),
+        coverage_curve=(),
+        final_coverage=0.5,
+        input_wall_s=(0.01, 0.02, 0.03),
+        config=FuzzConfig(),
+    )
+    assert _summary(report) == (
+        "adversarial: 2  coverage: 50.00%  mean rel distance: 0.01000  "
+        "mean abs distance: 0.10000  mean ms per adversarial: 30.0"
+    )
 
 
 class TestRetrain:

@@ -83,7 +83,9 @@ class TestFuzzConfig:
          ("coverage_gain_floor", float("inf")), ("coverage_gain_decay", float("nan")),
          ("activation_threshold", float("nan")), ("pixel_range", (-1.0, 2.0)),
          ("pixel_range", (0.0, float("inf"))), ("pixel_range", (float("nan"), 1.0)),
-         ("pixel_range", (0.5, 1.5)), ("pixel_range", (0.5, 0.5))],
+         ("pixel_range", (0.5, 1.5)), ("pixel_range", (0.5, 0.5)),
+         ("activation_threshold", 0.0), ("activation_threshold", 1.0),
+         ("step_size", 0.0), ("step_size", -1.2), ("max_seeds_per_input", 0)],
     )
     def test_out_of_range_value_rejected(self, field, value):
         # pixel values outside [0, 1] are what image export refuses
@@ -140,6 +142,10 @@ class TestRelativeDistance:
     def test_zero_norm_rejected(self):
         with pytest.raises(ContractViolation):
             relative_distance(Tensor([1.0]), Tensor([0.0]))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ContractViolation, match=r"shape mismatch \(2,\) vs \(1, 2\)"):
+            relative_distance(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
 
 
 def constant_classifier():
@@ -427,6 +433,13 @@ class TestFuzzCorpus:
             fuzz_corpus(model, [*good[:2], bad, good[2]], FuzzConfig())
         assert fuzzed == []
 
+    def test_model_without_neurons_rejected(self):
+        # a bare softmax head has no dense or conv2d layer to cover
+        model = nn.Model(layers=(nn.softmax(),), input_shape=(3,), num_classes=3)
+        x = Tensor([0.2, 0.3, 0.5])
+        with pytest.raises(ContractViolation, match="no dense or conv2d layers"):
+            fuzz_corpus(model, [x], FuzzConfig(k=1))
+
     def test_unknown_mutation_mode_rejected(self):
         # the mode is checked before the inputs, so even an empty corpus fails
         with pytest.raises(ContractViolation, match="mutation must be one of"):
@@ -559,6 +572,32 @@ class TestCampaignArtifacts:
             assert ra.iteration == rb.iteration
             err = np.abs(ra.mutated.array - rb.mutated.array).max()
             assert err <= 1.0 / 510.0 + 1e-9
+
+    def test_rewrite_removes_images_the_new_manifest_does_not_name(self, tmp_path):
+        def report_of(n):
+            records = tuple(
+                AdversarialRecord(
+                    input_index=i, original_label=3, adversarial_label=5,
+                    mutated=Tensor.wrap(np.full((28, 28, 1), 0.1 * (i + 1), np.float32)),
+                    distance=0.01, distance_abs=0.1, seed_generation=0, iteration=1,
+                )
+                for i in range(n)
+            )
+            return CampaignReport(
+                records=records,
+                coverage_curve=tuple(CoveragePoint(i, i + 1, 0.5) for i in range(n)),
+                final_coverage=0.5,
+                input_wall_s=(0.01,) * n,
+                config=FuzzConfig(),
+            )
+
+        out = tmp_path / "campaign"
+        write_campaign_report(report_of(3), out)
+        (out / "adversarial" / "notes.txt").write_text("kept")
+        write_campaign_report(report_of(1), out)
+        names = sorted(p.name for p in (out / "adversarial").iterdir())
+        assert names == ["adv_0_0_3to5.pgm", "notes.txt"]
+        assert len(read_campaign_records(out)) == 1
 
     def test_reading_a_directory_without_manifest_rejected(self, tmp_path):
         (tmp_path / "adversarial").mkdir()

@@ -310,6 +310,21 @@ class TestPgm:
             import_image_pgm(tmp_path / "missing.pgm")
 
 
+def set_layer(i, **keys):
+    """A model-document edit that sets keys of layer i."""
+    return lambda doc: doc["layers"][i].update(keys)
+
+
+def set_field(field, value):
+    """A model-document edit that sets one header field."""
+    return lambda doc: doc.update({field: value})
+
+
+def move_layer(src, dst):
+    """A model-document edit that moves layer src to position dst."""
+    return lambda doc: doc["layers"].insert(dst, doc["layers"].pop(src))
+
+
 class TestModelJson:
     def test_round_trip_weights_exact(self, tmp_path):
         model = architectures.build_model("lenet1", rng_seed=3)
@@ -473,6 +488,29 @@ class TestModelJson:
         doc = self.small_conv_doc({index: hyper})
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(ModelLoadError, match=f"layer {index}: .*{message}"):
+            load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("edit, message", [
+        (set_layer(4, weights=[1.0, 0.0, 1.0, 0.0]), r"layer 4: dense weights must be \[in, out\]"),
+        (set_layer(4, bias=[0.0]), r"layer 4: dense bias shape must be \[out\]"),
+        (set_layer(0, bias=None), "layer 0: conv2d layer needs weights and bias"),
+        (set_layer(0, weights=[[1.0]]), "layer 0: conv2d weights must be"),
+        (set_layer(0, bias=[0.0, 0.0]), r"layer 0: conv2d bias shape must be \[out_ch\]"),
+        (set_field("input_shape", [4, 4]), r"layer 0 \(conv2d\): expects \[h, w, c\] input"),
+        (set_field("input_shape", [4, 4, 2]), "layer 0 .*input channels 2 != kernel channels 1"),
+        (set_layer(0, weights=[[[[1.0]]] * 5] * 5), "layer 0 .*kernel 5x5 larger than input 4x4"),
+        (move_layer(3, 2), r"layer 3 \(maxpool2d\): expects \[h, w, c\] input"),
+        (set_layer(3, kind="softmax"), r"layer 3 \(softmax\): expects rank-1 input"),
+        (move_layer(5, 4), "layer 4: softmax must be the final layer"),
+        (set_field("num_classes", 3), r"model output shape \(2,\) != \[num_classes\]=3"),
+    ], ids=["dense-weights-rank", "dense-bias", "conv-missing-bias", "conv-weights-rank",
+            "conv-bias", "conv-input-rank", "conv-channels", "conv-kernel-size",
+            "pool-input-rank", "softmax-input-rank", "softmax-not-last", "num-classes"])
+    def test_layer_chain_errors_name_the_layer(self, tmp_path, edit, message):
+        doc = self.small_conv_doc()
+        edit(doc)
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match=message):
             load_model(tmp_path / "m.json")
 
     def test_omitted_hyper_keys_take_defaults_and_are_written(self, tmp_path):

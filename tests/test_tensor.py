@@ -94,12 +94,28 @@ class TestConstruction:
         t = Tensor([1.5, -2.25])
         assert t.astype("double").astype("single") == t
 
+    def test_astype_unknown_precision_rejected(self):
+        with pytest.raises(ContractViolation, match="unknown precision 'half'"):
+            Tensor([1.0]).astype("half")
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float16, bool])
+    def test_wrap_rejects_a_non_float_array(self, dtype):
+        with pytest.raises(ContractViolation, match="unsupported dtype"):
+            Tensor.wrap(np.ones(3, dtype=dtype))
+
     def test_equality_and_hash(self):
         a = Tensor([1.0, 2.0])
         b = Tensor([1.0, 2.0])
         assert a == b
         assert hash(a) == hash(b)
         assert a != Tensor([1.0, 2.0], precision="double")
+
+    def test_never_equal_to_a_non_tensor(self):
+        # the same values as a list are not a Tensor
+        t = Tensor([1.0, 2.0])
+        for other in ([1.0, 2.0], (1.0, 2.0), None):
+            assert not t == other
+            assert t != other
 
 
 class TestL2Norm:

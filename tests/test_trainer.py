@@ -4,6 +4,7 @@ The separable-blob dataset gives a convergence oracle: a linear-capacity
 model must reach 100% on it within a small epoch budget.
 """
 
+import os
 import threading
 import tracemalloc
 from dataclasses import fields, replace
@@ -337,6 +338,15 @@ class TestTrain:
                     assert grads[li][which].flat[flat] == pytest.approx(
                         numeric, rel=1e-5, abs=1e-8
                     )
+
+
+@pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_affinity_counts_every_cpu(monkeypatch, count, usable):
+    # os.sched_getaffinity exists on Linux only; elsewhere every CPU counts,
+    # and at least one when the count is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert trainer._usable_cpus() == usable
 
 
 class TestDataStageThread:
