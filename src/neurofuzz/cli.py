@@ -82,8 +82,6 @@ def _strategies(text: str) -> tuple[int, ...]:
 def _pick_inputs(split: DatasetSplit, num_inputs: int, rng_seed: int) -> list[Tensor]:
     """Sample test images uniformly at random; the model's own prediction on
     each original serves as its reference label, so no filtering is needed."""
-    if num_inputs == 0:
-        return []
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 997]))
     take = min(num_inputs, len(split))
     chosen = rng.choice(len(split), size=take, replace=False)
@@ -108,18 +106,12 @@ def _summary(report) -> str:
 
 
 def _add_fuzz_config_flags(p: argparse.ArgumentParser):
-    """Every FuzzConfig knob, each stored under its field name and
-    defaulting to None so explicit flags can be told apart from defaults
-    when merging with --config."""
+    """Every FuzzConfig knob but strategies, each stored under its field
+    name and defaulting to None so explicit flags can be told apart from
+    defaults when merging with --config."""
     p.add_argument("--config", help="JSON file with a saved FuzzConfig to replay")
     p.add_argument("--k", type=int, default=None, help="top-k other classes in the objective")
     p.add_argument("--m", type=int, default=None, help="neurons targeted per seed")
-    p.add_argument(
-        "--strategies",
-        type=_strategies,
-        default=None,
-        help="comma-separated neuron-selection strategies, e.g. 1 or 2,3",
-    )
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="weight of the neuron terms in the objective")
     p.add_argument("--iter-times", type=int, default=None, help="mutations per seed")
@@ -152,7 +144,7 @@ def _resolve_fuzz_config(args) -> FuzzConfig:
             raise ContractViolation(f"{args.config} does not hold a JSON object")
         merged.update(saved)
     for f in fields(FuzzConfig):
-        value = getattr(args, f.name)
+        value = getattr(args, f.name, None)  # None also when the subcommand lacks the flag
         if value is not None:
             merged[f.name] = value
     return FuzzConfig.from_dict(merged)
@@ -221,8 +213,6 @@ def cmd_retrain(args, parser) -> int:
     train_split = _load_split(data_dir, "train")
     test_split = _load_split(data_dir, "t10k")
     records = read_campaign_records(args.campaign_dir)
-    if not records:
-        raise ContractViolation(f"{args.campaign_dir} holds no adversarial records")
     result = retrain_with_adversarial(
         model, train_split, test_split, records, cfg,
         oversample=args.oversample,
@@ -292,6 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--num-inputs", type=_count, default=20)
     p_fuzz.add_argument("--out-dir", default="campaign")
     p_fuzz.add_argument("--baseline", choices=["none", "random"], default="none")
+    p_fuzz.add_argument(
+        "--strategies",
+        type=_strategies,
+        default=None,
+        help="comma-separated neuron-selection strategies, e.g. 1 or 2,3",
+    )
     _add_fuzz_config_flags(p_fuzz)
     p_fuzz.set_defaults(func=cmd_fuzz)
 

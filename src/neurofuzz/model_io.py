@@ -242,8 +242,6 @@ def _parse_idx(f, size: int | None, expect_magic: int, dtype, store, path) -> np
     if any(d < 1 for d in dims):
         raise IngestError(f"{path}: IDX dimensions {dims} must be positive", offset=4)
     count = math.prod(dims)
-    if size is not None and size < header_end + count:
-        raise _ends_early(path, count, size)
     try:
         out = np.empty(dims, dtype)
     except (MemoryError, ValueError):

@@ -71,6 +71,14 @@ class TestUsageErrors:
         assert "--strategies" in err
         assert "Traceback" not in err
 
+    def test_compare_strategies_refuses_strategies(self, capsys, tmp_path):
+        # each of its runs sets strategies itself, so the flag would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-strategies", "--model", "m.json", "--data-dir", str(tmp_path),
+                  "--strategies", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --strategies 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["train", "--optimizer", "sgd_momentum"],
         ["train", "--weight-decay", "0"],
@@ -216,7 +224,16 @@ class TestFuzzConfigFlags:
     def test_dests_cover_each_field_once(self, command):
         dests = [a.dest for a in subcommand_parser(command)._actions]
         config_dests = sorted(d for d in dests if d not in self.NOT_CONFIG)
-        assert config_dests == sorted(f.name for f in fields(FuzzConfig))
+        # compare-strategies sets strategies itself, once per run
+        skipped = {"strategies"} if command == "compare-strategies" else set()
+        assert config_dests == sorted(f.name for f in fields(FuzzConfig) if f.name not in skipped)
+
+    def test_config_file_sets_strategies(self, command, tmp_path):
+        (tmp_path / "c.json").write_text(json.dumps({"strategies": [2, 3]}))
+        args = build_parser().parse_args(
+            [command, "--model", "m.json", "--config", str(tmp_path / "c.json")]
+        )
+        assert _resolve_fuzz_config(args) == FuzzConfig(strategies=(2, 3))
 
     @pytest.mark.parametrize("flag, value, field, expected", [
         ("--lambda", "0.5", "lam", 0.5),

@@ -291,6 +291,19 @@ class TestPgm:
         with pytest.raises(IngestError):
             import_image_pgm(tmp_path / "a.pgm")
 
+    def test_import_rejects_truncated_header(self, tmp_path):
+        (tmp_path / "a.pgm").write_bytes(b"P5\n28 28")
+        with pytest.raises(IngestError, match="truncated PGM header") as exc:
+            import_image_pgm(tmp_path / "a.pgm")
+        assert exc.value.offset == 8
+
+    def test_import_rejects_non_numeric_header_field(self, tmp_path):
+        # with the x skipped, the rest would read as a 2x2 image
+        (tmp_path / "a.pgm").write_bytes(b"P5\n2 2 x 255\n" + bytes(4))
+        with pytest.raises(IngestError, match="non-numeric PGM header field") as exc:
+            import_image_pgm(tmp_path / "a.pgm")
+        assert exc.value.offset == 7
+
     def test_import_rejects_short_pixel_data(self, tmp_path):
         (tmp_path / "a.pgm").write_bytes(b"P5\n2 2\n255\n\x00\x00")
         with pytest.raises(IngestError):
@@ -420,6 +433,21 @@ class TestModelJson:
         with pytest.raises(ModelLoadError):
             load_model(tmp_path / "m.json")
 
+    @pytest.mark.parametrize("layers", [None, 5])
+    def test_layers_not_a_list_rejected(self, tmp_path, layers):
+        doc = {"format_version": MODEL_FORMAT_VERSION, "input_shape": [2],
+               "num_classes": 2, "layers": layers}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match="at least one layer"):
+            load_model(tmp_path / "m.json")
+
+    def test_hyper_not_an_object_rejected(self, tmp_path):
+        # a list of conv2d key names has no key the kind does not take
+        doc = self.small_conv_doc({0: ["stride"]})
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match="layer 0: 'hyper' must be a JSON object"):
+            load_model(tmp_path / "m.json")
+
     @pytest.mark.parametrize("hyper", [
         {"pool": [2]}, {"pool": [2, 2, 2]}, {"pool": "22"}, {"pool": [2, 1.5]},
         {"pool": None}, {"pool": 0}, [2, 2], "pool",
@@ -500,12 +528,15 @@ class TestModelJson:
         (set_field("input_shape", [4, 4, 2]), "layer 0 .*input channels 2 != kernel channels 1"),
         (set_layer(0, weights=[[[[1.0]]] * 5] * 5), "layer 0 .*kernel 5x5 larger than input 4x4"),
         (move_layer(3, 2), r"layer 3 \(maxpool2d\): expects \[h, w, c\] input"),
+        (set_layer(2, hyper={"pool": [8, 8]}),
+         r"layer 2 \(maxpool2d\): pool 8x8 larger than input 4x4"),
         (set_layer(3, kind="softmax"), r"layer 3 \(softmax\): expects rank-1 input"),
         (move_layer(5, 4), "layer 4: softmax must be the final layer"),
         (set_field("num_classes", 3), r"model output shape \(2,\) != \[num_classes\]=3"),
     ], ids=["dense-weights-rank", "dense-bias", "conv-missing-bias", "conv-weights-rank",
             "conv-bias", "conv-input-rank", "conv-channels", "conv-kernel-size",
-            "pool-input-rank", "softmax-input-rank", "softmax-not-last", "num-classes"])
+            "pool-input-rank", "pool-window-size", "softmax-input-rank", "softmax-not-last",
+            "num-classes"])
     def test_layer_chain_errors_name_the_layer(self, tmp_path, edit, message):
         doc = self.small_conv_doc()
         edit(doc)

@@ -243,6 +243,22 @@ class TestTrain:
             train(tiny_arch(), data, TrainConfig(epochs=1, batch_size=len(data),
                                                  learning_rate=1e39))
 
+    def test_infinite_loss_raises(self):
+        # every class-1 logit overflows to -inf: the loss is inf while every
+        # gradient stays finite, so the step's parameter check passes
+        w = np.zeros((16, 2), np.float32)
+        w[:, 1] = -3e38
+        bias = Tensor.wrap(np.zeros(2, np.float32))
+        model = nn.Model(layers=(nn.flatten(), nn.dense(Tensor.wrap(w), bias), nn.softmax()),
+                         input_shape=(4, 4, 1), num_classes=2)
+        data = blob_split()
+        with np.errstate(over="ignore"):
+            loss, grads = trainer._batch_loss_and_grads(model, data.images.array, data.labels)
+            assert loss == np.inf
+            assert all(np.isfinite(g).all() for pair in grads if pair is not None for g in pair)
+            with pytest.raises(TrainingError, match="diverged: loss inf at epoch 1"):
+                train(model, data, TrainConfig(epochs=1, batch_size=len(data)))
+
     def test_reproducible_given_seed(self):
         data = blob_split()
         cfg = TrainConfig(epochs=4, batch_size=8, learning_rate=0.2, rng_seed=11)
