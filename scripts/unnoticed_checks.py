@@ -5,22 +5,30 @@ whose removal no test notices, one `path:line` per line, sorted.
 
 With no arguments every package module is checked. The checkout is copied
 into a temporary directory once, and only that copy is edited, so stopping
-the script at any point leaves src/ as it was. A blanked `raise` becomes
-`pass` with every line kept in place. For each one, the module's own test
-file (tests/test_MODULE.py, when there is one) runs with `-x`; if it
-passes, the whole tier-1 suite runs, also with `-x`. A check is noticed when
-a run fails or outlives its timeout: some blanked checks turn a read loop
-into one that never ends. The timeout is twice the suite's time on the
-unedited copy, plus a minute.
+the script at any point leaves src/ as it was.
 
-The unedited copy's suite runs first; when it fails, nothing can be
-measured and the script exits 2. Progress goes to stderr. The script exits 1
-when some check went unnoticed and 0 otherwise. Set NEUROFUZZ_DATA_DIR and
-NEUROFUZZ_MODEL_CACHE (see tests/conftest.py): without a data directory
-every suite run renders its digits again. An unset model cache is placed in
-the temporary directory, where the first run fills it. With both set, the
-111 checks of the commit that added this script took 15 minutes on a 2-vCPU
-host. Only the standard library and pytest are used.
+The copy's suite first runs once in this process, under the line tracer of
+untested_lines.py, which records the node ids of the tests that reached each
+package line; when it fails, nothing can be measured and the script exits 2.
+Then each `raise` in turn becomes `pass`, with every line kept in place, and
+pytest runs with `-x` on exactly the tests that reached a line of the
+statement (see pytest_args). A test that never runs those lines runs the same
+code either way, so no other test could notice. A `raise` no test reached is
+unnoticed without a run; one with a line reached outside any test, such as
+at import during collection, runs the whole suite. A check is noticed when
+its run fails or outlives its timeout: some blanked checks turn a read loop
+into one that never ends. The timeout is the traced suite's time plus a
+minute; the tracer slows the suite, so an untraced run of any of its tests
+ends well inside it.
+
+Progress goes to stderr. The script exits 1 when some check went unnoticed
+and 0 otherwise. Set NEUROFUZZ_DATA_DIR and NEUROFUZZ_MODEL_CACHE (see
+tests/conftest.py): without a data directory every suite run renders its
+digits again. An unset model cache is placed in the temporary directory,
+where the traced run fills it. With both set, the 111 checks took 6 to 7
+minutes on a 2-vCPU host (three runs, 352 to 428 s), against 16 to 17 when
+each check ran its module's test file and then, if that passed, the whole
+suite. Only the standard library and pytest are used.
 """
 
 from __future__ import annotations
@@ -35,12 +43,12 @@ import tempfile
 import time
 from pathlib import Path
 
+from untested_lines import traced_run
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "neurofuzz"
-PYTEST = [
-    sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
-    "-p", "no:cacheprovider",
-]
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
+          "-p", "no:cacheprovider"]
 COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
 
 
@@ -62,15 +70,13 @@ def blanked(source: bytes, node: ast.Raise) -> bytes:
 
 
 def pytest_status(args: list[str], cwd: Path, env: dict,
-                  timeout: float | None) -> tuple[int | None, float]:
+                  timeout: float) -> tuple[int | None, float]:
     """pytest's exit status with args, None when it outlived timeout
     seconds, and how long it ran. A run that times out is killed with every
     process it started."""
     start = time.monotonic()
-    proc = subprocess.Popen(
-        PYTEST + args, cwd=cwd, env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
-    )
+    proc = subprocess.Popen(PYTEST + args, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
     try:
         code = proc.wait(timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -82,51 +88,52 @@ def pytest_status(args: list[str], cwd: Path, env: dict,
     return code, time.monotonic() - start
 
 
+def pytest_args(node: ast.Raise, reached: dict[int, set[str]]) -> list[str] | None:
+    """The pytest arguments that run every test that reached a line of node,
+    given the node ids that reached each line of its module: None when no
+    test did, and none at all, the whole suite, when a line was reached
+    outside any test."""
+    tests = set().union(*(reached.get(n, ()) for n in range(node.lineno, node.end_lineno + 1)))
+    return [] if "" in tests else (sorted(tests) or None)
+
+
 def main(argv: list[str]) -> int:
     modules = [Path(a).resolve() for a in argv] or sorted(PACKAGE.glob("*.py"))
     rels = [m.relative_to(ROOT).as_posix() for m in modules]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    if not env.get("NEUROFUZZ_DATA_DIR"):
+    if not os.environ.get("NEUROFUZZ_DATA_DIR"):
         print("NEUROFUZZ_DATA_DIR is unset: every suite run renders its digits again",
               file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="unnoticed_checks_") as scratch:
         copy = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
-        env["PYTHONPATH"] = str(copy / "src")
-        env.setdefault("NEUROFUZZ_MODEL_CACHE", str(Path(scratch) / "model.json"))
-
-        status, seconds = pytest_status([], copy, env, None)
+        os.environ.setdefault("NEUROFUZZ_MODEL_CACHE", str(Path(scratch) / "model.json"))
+        start = time.monotonic()
+        status, reached = traced_run(copy, [])
         if status != 0:
             print("the suite fails on the unedited copy; nothing to measure", file=sys.stderr)
             return 2
-        timeout = 2 * seconds + 60
-        print(f"unedited suite: {seconds:.0f} s; timeout per run {timeout:.0f} s",
-              file=sys.stderr)
+        timeout = time.monotonic() - start + 60
+        print(f"traced suite {timeout - 60:.0f} s; timeout {timeout:.0f} s", file=sys.stderr)
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
 
         checks = [(rel, node) for rel in rels for node in raises((copy / rel).read_bytes())]
         unnoticed = []
         for i, (rel, node) in enumerate(checks, 1):
-            source = (copy / rel).read_bytes()
-            own = f"tests/test_{Path(rel).stem}.py"
-            runs = [[own], []] if (copy / own).exists() else [[]]
-            (copy / rel).write_bytes(blanked(source, node))
-            try:
-                seconds = 0.0
-                for args in runs:
-                    status, took = pytest_status(args, copy, env, timeout)
-                    seconds += took
-                    if status != 0:
-                        break
-            finally:
-                (copy / rel).write_bytes(source)
+            args = pytest_args(node, reached.get(str(copy / rel), {}))
+            status, seconds = 0, 0.0
+            if args is not None:
+                source = (copy / rel).read_bytes()
+                (copy / rel).write_bytes(blanked(source, node))
+                try:
+                    status, seconds = pytest_status(args, copy, env, timeout)
+                finally:
+                    (copy / rel).write_bytes(source)
             if status == 0:
-                verdict = "UNNOTICED"
                 unnoticed.append((rel, node.lineno))
-            else:
-                by = args[0] if args else "the suite"
-                verdict = "timed out" if status is None else f"noticed by {by}"
-            print(f"[{i}/{len(checks)}] {rel}:{node.lineno} {verdict} ({seconds:.0f} s)",
-                  file=sys.stderr)
+            verdict = {0: "UNNOTICED", None: "timed out"}.get(status, f"noticed (exit {status})")
+            by = "no test" if args is None else f"{len(args)} test(s)" if args else "the suite"
+            print(f"[{i}/{len(checks)}] {rel}:{node.lineno} {verdict} running {by} "
+                  f"({seconds:.0f} s)", file=sys.stderr)
 
     for rel, line in sorted(unnoticed):
         print(f"{rel}:{line}")

@@ -5,7 +5,10 @@ runs, one `path:line` per line, sorted.
 
 The suite runs in this process, as the tier-1 command runs it
 (`pytest -q --continue-on-collection-errors` with src on the path), under
-a sys.settrace hook that records line events in src/neurofuzz files only.
+a sys.settrace hook that records line events in src/neurofuzz files only,
+each under the node id of the test that was running (a pytest hook around
+each test supplies it). scripts/unnoticed_checks.py reads that per-test map;
+this script needs only which lines ran.
 Executable lines are those the compiled code attributes instructions to, so a
 line reached only at import (a def, a class attribute) counts as run. The
 bodies of `if TYPE_CHECKING:` and `if __name__ == "__main__":` are not
@@ -16,8 +19,8 @@ fails, 1 when pytest passed but some line is untested, and 0 otherwise.
 The suite runs from a temporary working directory with pytest's cache and
 bytecode writing off, so nothing is written into the repository. With
 NEUROFUZZ_DATA_DIR and NEUROFUZZ_MODEL_CACHE set (see tests/conftest.py) the
-traced suite took 62 s against 33 s untraced on a 2-vCPU host. Only the
-standard library and pytest are used.
+traced suite took 54 s (median of three runs) against 31 s untraced on a
+2-vCPU host. Only the standard library and pytest are used.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-PACKAGE = SRC / "neurofuzz"
+PACKAGE = ROOT / "src" / "neurofuzz"
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -64,11 +66,16 @@ def uncounted_lines(path: Path) -> set[int]:
     return lines
 
 
-def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest in-process under the line tracer; returns its exit status
-    and the lines reached in each package file, keyed by absolute path."""
-    prefix = str(PACKAGE) + os.sep
-    reached: dict[str, set[int]] = {}
+def traced_run(root: Path, argv: list[str]) -> tuple[int, dict[str, dict[int, set[str]]]]:
+    """Run the suite of the checkout at root in this process under the line
+    tracer, as the tier-1 command runs it with argv appended, from a
+    temporary working directory. Returns pytest's exit status and, for each
+    line of root's package that ran, keyed by absolute path and then line,
+    the node ids of the tests that ran it; "" stands for outside any test,
+    such as collection."""
+    prefix = str(root / "src" / "neurofuzz") + os.sep
+    by_test: dict[str, dict[str, set[int]]] = {"": {}}
+    current = by_test[""]
     verdicts: dict[object, bool] = {}
 
     def tracer(frame, event, arg):
@@ -78,7 +85,7 @@ def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
             ours = verdicts[code] = code.co_filename.startswith(prefix)
         if not ours:
             return None
-        lines = reached.setdefault(code.co_filename, set())
+        lines = current.setdefault(code.co_filename, set())
         lines.add(frame.f_lineno)
 
         def local(frame, event, arg):
@@ -88,46 +95,55 @@ def traced_run(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
         return local
 
-    threading.settrace(tracer)
-    sys.settrace(tracer)
-    try:
-        with contextlib.redirect_stdout(sys.stderr):
-            status = pytest.main(pytest_args)
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    class Attribution:
+        """Points the tracer at one test's lines from its set-up to its
+        teardown."""
+
+        @pytest.hookimpl(hookwrapper=True)
+        def pytest_runtest_protocol(self, item):
+            nonlocal current
+            current = by_test.setdefault(item.nodeid, {})
+            yield
+            current = by_test[""]
+
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(root / "src"))
+    args = [str(root), "--rootdir", str(root), "-q", "--continue-on-collection-errors",
+            "-p", "no:cacheprovider", *argv]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="traced_run_") as scratch:
+        os.chdir(scratch)
+        threading.settrace(tracer)
+        sys.settrace(tracer)
+        try:
+            with contextlib.redirect_stdout(sys.stderr):
+                status = pytest.main(args, plugins=[Attribution()])
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+            os.chdir(cwd)
+
+    reached: dict[str, dict[int, set[str]]] = {}
+    for test, files in by_test.items():
+        for path, lines in files.items():
+            for line in lines:
+                reached.setdefault(path, {}).setdefault(line, set()).add(test)
     return int(status), reached
 
 
 def main(argv: list[str]) -> int:
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(SRC))
-    args = [
-        str(ROOT), "--rootdir", str(ROOT), "-q", "--continue-on-collection-errors",
-        "-p", "no:cacheprovider", *argv,
-    ]
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory(prefix="untested_lines_") as scratch:
-        os.chdir(scratch)
-        try:
-            status, reached = traced_run(args)
-        finally:
-            os.chdir(cwd)
-
+    status, reached = traced_run(ROOT, argv)
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path) - uncounted_lines(path)
-        untested = sorted(lines - reached.get(str(path), set()))
+        untested = sorted(lines.difference(reached.get(str(path), ())))
         total += len(lines)
         missed += len(untested)
         rel = path.relative_to(ROOT).as_posix()
         for line in untested:
             print(f"{rel}:{line}")
-    print(
-        f"{missed} of {total} executable lines in {PACKAGE.relative_to(ROOT).as_posix()} "
-        f"untested; pytest exit status {status}",
-        file=sys.stderr,
-    )
+    print(f"{missed} of {total} executable lines in {PACKAGE.relative_to(ROOT).as_posix()} "
+          f"untested; pytest exit status {status}", file=sys.stderr)
     return status or int(missed > 0)
 
 

@@ -164,9 +164,10 @@ def scale_layer(outputs: Sequence[float]) -> list[float]:
 class CoverageTracker:
     """Mutable per-campaign record of which neurons were ever activated.
 
-    _covered flags are monotone; _count counts activating traces; _last_scaled
-    remembers each neuron's scaled value from the most recent update. All
-    three are flat arrays in layout.ids order.
+    _count counts each neuron's activating traces, so a neuron is covered
+    once its count is positive; _last_scaled remembers each neuron's scaled
+    value from the most recent update. Both are flat arrays in layout.ids
+    order.
     """
 
     def __init__(self, model: Model, activation_threshold: float):
@@ -174,7 +175,6 @@ class CoverageTracker:
         n = len(self.layout.ids)
         if not n:
             raise ContractViolation("model has no dense or conv2d layers")
-        self._covered = np.zeros(n, dtype=bool)
         self._count = np.zeros(n, dtype=np.int64)
         self._last_scaled = np.zeros(n, dtype=np.float64)
         self.activation_threshold = float(activation_threshold)
@@ -184,10 +184,10 @@ class CoverageTracker:
         return len(self.layout.ids)
 
     def covered_neurons(self) -> frozenset[NeuronId]:
-        return frozenset(self.layout.ids[i] for i in np.flatnonzero(self._covered))
+        return frozenset(self.layout.ids[i] for i in np.flatnonzero(self._count))
 
     def covered_count(self) -> int:
-        return int(self._covered.sum())
+        return int(np.count_nonzero(self._count))
 
 
 def update(tracker: CoverageTracker, model: Model, trace: ActivationTrace) -> int:
@@ -196,9 +196,8 @@ def update(tracker: CoverageTracker, model: Model, trace: ActivationTrace) -> in
     the trace, and refuses one whose layer shapes are not its model's."""
     scaled = tracker.layout.scaled(trace)
     active = scaled > tracker.activation_threshold
-    newly = np.count_nonzero(active & ~tracker._covered)
+    newly = np.count_nonzero(active & (tracker._count == 0))
     tracker._last_scaled[:] = scaled
-    tracker._covered |= active
     tracker._count += active
     return int(newly)
 

@@ -177,7 +177,7 @@ class TestTrackerUpdate:
         newly = update(tracker, model, trace)
         # layout.ids order puts the first layer's two units first
         assert tracker.layout.ids[:2] == (NeuronId(0, 0), NeuronId(0, 1))
-        assert tracker._covered[:2].sum() == 1
+        assert np.count_nonzero(tracker._count[:2]) == 1
         assert newly == len(activated(model, trace, 0.25))
 
     def test_repeat_trace_monotone_counts(self):
@@ -188,8 +188,9 @@ class TestTrackerUpdate:
         again = update(tracker, model, trace)
         assert first >= 1
         assert again == 0
-        assert (tracker._count[tracker._covered] == 2).all()
-        assert (tracker._count[~tracker._covered] == 0).all()
+        # the neurons the first update covered, each counted twice, and no other
+        assert tracker.covered_count() == first
+        assert set(tracker._count.tolist()) <= {0, 2}
 
     def test_hundred_random_traces_set_union_oracle(self):
         model = architectures.build_model("mlp", rng_seed=7)
@@ -204,8 +205,7 @@ class TestTrackerUpdate:
             rate = coverage_rate(tracker)
             assert rate >= rate_prev
             rate_prev = rate
-        covered = {n for n, c in zip(tracker.layout.ids, tracker._covered) if c}
-        assert covered == union
+        assert tracker.covered_neurons() == union
 
     def test_newly_equals_rate_delta_times_total(self):
         model = toy_dense_model(units=5, classes=3, seed=8)
@@ -239,7 +239,7 @@ class TestCoverageRate:
         model = toy_dense_model(units=2, classes=2, seed=3)
         tracker = CoverageTracker(model, 0.25)
         # force exactly 2 of 4 covered via direct bookkeeping
-        tracker._covered[:2] = True
+        tracker._count[:2] = 1
         assert coverage_rate(tracker) == 0.5
 
     def test_recount_oracle_after_campaign(self):
@@ -248,7 +248,7 @@ class TestCoverageRate:
         rng = np.random.default_rng(33)
         for _ in range(25):
             update(tracker, model, nn.predict(model, rand_input(model, rng)))
-        covered = sum(bool(c) for c in tracker._covered)
+        covered = sum(bool(c) for c in tracker._count)
         assert coverage_rate(tracker) == covered / tracker.total_neurons
 
 
@@ -435,7 +435,6 @@ def ref_update(tracker, model, trace):
         i = flat[nid]
         tracker._last_scaled[i] = s
         if s > tracker.activation_threshold:
-            tracker._covered[i] = True
             tracker._count[i] += 1
     return tracker.covered_count() - before
 
@@ -524,7 +523,7 @@ def assert_matches_reference(flat_layers):
             t._count[:] = counts
             t._last_scaled[:] = last
         assert update(tracker, model, trace) == ref_update(ref, model, trace)
-        for name in ("_covered", "_count", "_last_scaled"):
+        for name in ("_count", "_last_scaled"):
             assert getattr(tracker, name).tobytes() == getattr(ref, name).tobytes()
 
         tracker._last_scaled[:] = last
