@@ -16,19 +16,17 @@ statement (see pytest_args). A test that never runs those lines runs the same
 code either way, so no other test could notice. A `raise` no test reached is
 unnoticed without a run; one with a line reached outside any test, such as
 at import during collection, runs the whole suite. A check is noticed when
-its run fails or outlives its timeout: some blanked checks turn a read loop
-into one that never ends. The timeout is the traced suite's time plus a
-minute; the tracer slows the suite, so an untraced run of any of its tests
-ends well inside it.
+its run fails or outlives its time limit: some blanked checks turn a read
+loop into one that never ends. The limit (see time_limit) follows the traced
+times of the tests the run selects. The tracer slows every test, so an
+untraced run of the same tests ends well inside it; a limit too short would
+count as noticed a check that no test notices.
 
 Progress goes to stderr. The script exits 1 when some check went unnoticed
-and 0 otherwise. Set NEUROFUZZ_DATA_DIR and NEUROFUZZ_MODEL_CACHE (see
-tests/conftest.py): without a data directory every suite run renders its
-digits again. An unset model cache is placed in the temporary directory,
-where the traced run fills it. With both set, the 111 checks took 6 to 7
-minutes on a 2-vCPU host (three runs, 352 to 428 s), against 16 to 17 when
-each check ran its module's test file and then, if that passed, the whole
-suite. Only the standard library and pytest are used.
+and 0 otherwise. Set NEUROFUZZ_DATA_DIR (see tests/conftest.py): without it
+every run renders the test digits again. With it set, the 113 checks took
+4 to 5 minutes on a 2-vCPU host, 17 s of that for the check whose read
+loop never ends. Only the standard library and pytest are used.
 """
 
 from __future__ import annotations
@@ -43,13 +41,14 @@ import tempfile
 import time
 from pathlib import Path
 
-from untested_lines import traced_run
+from untested_lines import TracedRun, traced_run
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "neurofuzz"
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
           "-p", "no:cacheprovider"]
 COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+MARGIN_S = 15
 
 
 def raises(source: bytes) -> list[ast.Raise]:
@@ -97,6 +96,15 @@ def pytest_args(node: ast.Raise, reached: dict[int, set[str]]) -> list[str] | No
     return [] if "" in tests else (sorted(tests) or None)
 
 
+def time_limit(args: list[str], run: TracedRun) -> float:
+    """Seconds a pytest run with args gets: the traced wall time of the
+    tests it runs (every test when args is empty), plus the traced run's
+    longest set-up, which a run of a few tests may have to repeat for a
+    session fixture, plus MARGIN_S for start-up and collection."""
+    tests = args or run.wall_s
+    return sum(run.wall_s[t] for t in tests) + run.longest_setup_s + MARGIN_S
+
+
 def main(argv: list[str]) -> int:
     modules = [Path(a).resolve() for a in argv] or sorted(PACKAGE.glob("*.py"))
     rels = [m.relative_to(ROOT).as_posix() for m in modules]
@@ -106,26 +114,26 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="unnoticed_checks_") as scratch:
         copy = Path(scratch) / "checkout"
         shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
-        os.environ.setdefault("NEUROFUZZ_MODEL_CACHE", str(Path(scratch) / "model.json"))
         start = time.monotonic()
-        status, reached = traced_run(copy, [])
-        if status != 0:
+        run = traced_run(copy, [])
+        if run.status != 0:
             print("the suite fails on the unedited copy; nothing to measure", file=sys.stderr)
             return 2
-        timeout = time.monotonic() - start + 60
-        print(f"traced suite {timeout - 60:.0f} s; timeout {timeout:.0f} s", file=sys.stderr)
+        print(f"traced suite {time.monotonic() - start:.0f} s; longest set-up "
+              f"{run.longest_setup_s:.0f} s", file=sys.stderr)
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
 
         checks = [(rel, node) for rel in rels for node in raises((copy / rel).read_bytes())]
         unnoticed = []
         for i, (rel, node) in enumerate(checks, 1):
-            args = pytest_args(node, reached.get(str(copy / rel), {}))
-            status, seconds = 0, 0.0
+            args = pytest_args(node, run.reached.get(str(copy / rel), {}))
+            status, seconds, limit = 0, 0.0, 0.0
             if args is not None:
                 source = (copy / rel).read_bytes()
                 (copy / rel).write_bytes(blanked(source, node))
+                limit = time_limit(args, run)
                 try:
-                    status, seconds = pytest_status(args, copy, env, timeout)
+                    status, seconds = pytest_status(args, copy, env, limit)
                 finally:
                     (copy / rel).write_bytes(source)
             if status == 0:
@@ -133,7 +141,7 @@ def main(argv: list[str]) -> int:
             verdict = {0: "UNNOTICED", None: "timed out"}.get(status, f"noticed (exit {status})")
             by = "no test" if args is None else f"{len(args)} test(s)" if args else "the suite"
             print(f"[{i}/{len(checks)}] {rel}:{node.lineno} {verdict} running {by} "
-                  f"({seconds:.0f} s)", file=sys.stderr)
+                  f"({seconds:.0f} s of {limit:.0f} s)", file=sys.stderr)
 
     for rel, line in sorted(unnoticed):
         print(f"{rel}:{line}")

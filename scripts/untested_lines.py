@@ -7,8 +7,8 @@ The suite runs in this process, as the tier-1 command runs it
 (`pytest -q --continue-on-collection-errors` with src on the path), under
 a sys.settrace hook that records line events in src/neurofuzz files only,
 each under the node id of the test that was running (a pytest hook around
-each test supplies it). scripts/unnoticed_checks.py reads that per-test map;
-this script needs only which lines ran.
+each test supplies it and times the test). scripts/unnoticed_checks.py reads
+that per-test map and those times; this script needs only which lines ran.
 Executable lines are those the compiled code attributes instructions to, so a
 line reached only at import (a def, a class attribute) counts as run. The
 bodies of `if TYPE_CHECKING:` and `if __name__ == "__main__":` are not
@@ -18,9 +18,9 @@ fails, 1 when pytest passed but some line is untested, and 0 otherwise.
 
 The suite runs from a temporary working directory with pytest's cache and
 bytecode writing off, so nothing is written into the repository. With
-NEUROFUZZ_DATA_DIR and NEUROFUZZ_MODEL_CACHE set (see tests/conftest.py) the
-traced suite took 54 s (median of three runs) against 31 s untraced on a
-2-vCPU host. Only the standard library and pytest are used.
+NEUROFUZZ_DATA_DIR set (see tests/conftest.py) the traced suite took 47 to
+59 s (three runs) against 28 to 30 s untraced on a 2-vCPU host. Only the
+standard library and pytest are used.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ import os
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -66,17 +68,26 @@ def uncounted_lines(path: Path) -> set[int]:
     return lines
 
 
-def traced_run(root: Path, argv: list[str]) -> tuple[int, dict[str, dict[int, set[str]]]]:
+class TracedRun(NamedTuple):
+    status: int  # pytest's exit status
+    # for each line of the package that ran, keyed by absolute path and then
+    # line, the node ids of the tests that ran it; "" stands for outside any
+    # test, such as collection
+    reached: dict[str, dict[int, set[str]]]
+    wall_s: dict[str, float]  # each test's wall time from set-up to teardown
+    longest_setup_s: float  # the longest set-up of any one test
+
+
+def traced_run(root: Path, argv: list[str]) -> TracedRun:
     """Run the suite of the checkout at root in this process under the line
     tracer, as the tier-1 command runs it with argv appended, from a
-    temporary working directory. Returns pytest's exit status and, for each
-    line of root's package that ran, keyed by absolute path and then line,
-    the node ids of the tests that ran it; "" stands for outside any test,
-    such as collection."""
+    temporary working directory."""
     prefix = str(root / "src" / "neurofuzz") + os.sep
     by_test: dict[str, dict[str, set[int]]] = {"": {}}
     current = by_test[""]
     verdicts: dict[object, bool] = {}
+    wall_s: dict[str, float] = {}
+    setup_s: list[float] = []
 
     def tracer(frame, event, arg):
         code = frame.f_code
@@ -97,14 +108,20 @@ def traced_run(root: Path, argv: list[str]) -> tuple[int, dict[str, dict[int, se
 
     class Attribution:
         """Points the tracer at one test's lines from its set-up to its
-        teardown."""
+        teardown, and times them."""
 
         @pytest.hookimpl(hookwrapper=True)
         def pytest_runtest_protocol(self, item):
             nonlocal current
             current = by_test.setdefault(item.nodeid, {})
+            start = time.perf_counter()
             yield
+            wall_s[item.nodeid] = time.perf_counter() - start
             current = by_test[""]
+
+        def pytest_runtest_logreport(self, report):
+            if report.when == "setup":
+                setup_s.append(report.duration)
 
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(root / "src"))
@@ -128,11 +145,11 @@ def traced_run(root: Path, argv: list[str]) -> tuple[int, dict[str, dict[int, se
         for path, lines in files.items():
             for line in lines:
                 reached.setdefault(path, {}).setdefault(line, set()).add(test)
-    return int(status), reached
+    return TracedRun(int(status), reached, wall_s, max(setup_s, default=0.0))
 
 
 def main(argv: list[str]) -> int:
-    status, reached = traced_run(ROOT, argv)
+    status, reached, _, _ = traced_run(ROOT, argv)
     total = missed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path) - uncounted_lines(path)

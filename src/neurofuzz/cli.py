@@ -28,7 +28,7 @@ from .fuzzer import (
 from .model_io import DatasetSplit, load_mnist, load_model, save_model
 from .nn import Model
 from .tensor import Tensor
-from .trainer import TrainConfig, evaluate, retrain_with_adversarial, train
+from .trainer import TrainConfig, check_oversample, evaluate, retrain_with_adversarial, train
 
 DATA_DIR_ENV = "NEUROFUZZ_DATA_DIR"
 
@@ -209,6 +209,7 @@ def cmd_fuzz(args, parser) -> int:
 def cmd_retrain(args, parser) -> int:
     data_dir = _resolve_data_dir(args, parser)
     cfg = _train_config(args)
+    check_oversample(args.oversample)
     model = load_model(args.model)
     train_split = _load_split(data_dir, "train")
     test_split = _load_split(data_dir, "t10k")

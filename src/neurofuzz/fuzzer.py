@@ -94,6 +94,8 @@ class FuzzConfig:
             raise ContractViolation("step_size must be positive")
         if self.max_seeds_per_input < 1:
             raise ContractViolation("max_seeds_per_input must be >= 1")
+        if self.rng_seed < 0:
+            raise ContractViolation("rng_seed must be >= 0")
         lo, hi = self.pixel_range
         if not 0 <= lo < hi <= 1:
             raise ContractViolation(

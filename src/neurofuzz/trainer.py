@@ -49,6 +49,8 @@ class TrainConfig:
             raise ContractViolation("batch_size must be >= 1")
         if not 0 <= self.learning_rate < math.inf:
             raise ContractViolation("learning_rate must be finite and >= 0")
+        if self.rng_seed < 0:
+            raise ContractViolation("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -236,6 +238,13 @@ def adversarial_split(records: list[AdversarialRecord]) -> DatasetSplit:
     return DatasetSplit(Tensor.wrap(images), [r.original_label for r in records])
 
 
+def check_oversample(oversample: int):
+    """retrain_with_adversarial's repeat count must be at least 1; the CLI
+    checks it before it reads any file."""
+    if oversample < 1:
+        raise ContractViolation("oversample must be >= 1")
+
+
 def retrain_with_adversarial(
     model: nn.Model,
     train_data: DatasetSplit,
@@ -255,8 +264,7 @@ def retrain_with_adversarial(
     without touching the rate. Accuracy is always reported against the
     distinct records, never the repeated stream. records must not be empty.
     """
-    if oversample < 1:
-        raise ContractViolation("oversample must be >= 1")
+    check_oversample(oversample)
     adv = adversarial_split(records)
 
     test_before = evaluate(model, test_data)

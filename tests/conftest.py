@@ -1,8 +1,13 @@
-"""Shared fixtures: a synthetic digit dataset on disk and a trained model.
+"""Shared fixtures: a synthetic digit dataset on disk and the reference model.
 
-Both are expensive, so they are session-scoped. Set NEUROFUZZ_DATA_DIR to
-reuse a dataset generated by an earlier run, and NEUROFUZZ_MODEL_CACHE to a
-JSON path to skip retraining while iterating on tests; neither is required.
+The dataset is expensive to render, so it is session-scoped; set
+NEUROFUZZ_DATA_DIR to reuse a dataset generated by an earlier run. The model
+every campaign test fuzzes is the committed lenet1 fixture of the benchmark,
+perfbench/fixtures/lenet1.json, refused unless its sha256 matches the record
+in perfbench/fixtures/fixtures.json. perfbench/fixtures/build.py trains it
+by the recipe recorded there on the benchmark's train pool, which holds the
+same images as this suite's training split; the README's train commands
+follow that recipe (tests/test_readme.py checks that they do).
 """
 
 from __future__ import annotations
@@ -13,15 +18,10 @@ from pathlib import Path
 import pytest
 
 import synthdigits
-from neurofuzz.model_io import DatasetSplit, load_mnist, load_model, save_model
-from neurofuzz.trainer import TrainConfig, evaluate, train
+import workloads
+from neurofuzz.model_io import DatasetSplit, load_mnist, load_model
+from neurofuzz.trainer import evaluate
 
-# The model every campaign test fuzzes: three training phases at diminishing
-# rates to settle into a flat minimum. Kept in one place so the suite and the
-# README recipe cannot drift apart.
-TRAIN_PHASES = ((15, 0.05), (3, 0.015), (8, 0.005))
-TRAIN_BATCH = 64
-TRAIN_SEED = 0
 N_TRAIN = 20000
 N_TEST = 2000
 
@@ -53,38 +53,14 @@ def test_split(data_dir) -> DatasetSplit:
     return load_split(data_dir, "t10k")
 
 
-def train_reference_model(train_split: DatasetSplit):
-    model = "lenet1"
-    for epochs, lr in TRAIN_PHASES:
-        model = train(
-            model,
-            train_split,
-            TrainConfig(
-                epochs=epochs,
-                batch_size=TRAIN_BATCH,
-                learning_rate=lr,
-                rng_seed=TRAIN_SEED,
-            ),
-        )
-    return model
+@pytest.fixture(scope="session")
+def model_path() -> Path:
+    return workloads.fixture_path("lenet1")
 
 
 @pytest.fixture(scope="session")
-def trained_model(train_split, test_split):
-    cache = os.environ.get("NEUROFUZZ_MODEL_CACHE")
-    if cache and Path(cache).exists():
-        return load_model(cache)
-    model = train_reference_model(train_split)
-    if cache:
-        save_model(model, cache)
-    return model
-
-
-@pytest.fixture(scope="session")
-def model_path(trained_model, tmp_path_factory) -> Path:
-    path = tmp_path_factory.mktemp("model") / "lenet1.json"
-    save_model(trained_model, path)
-    return path
+def trained_model(model_path):
+    return load_model(model_path)
 
 
 @pytest.fixture(scope="session")

@@ -177,8 +177,9 @@ class TestUsageErrors:
         (["--distance-max", "nan"], "distance_max"),
         (["--pixel-range", "-1", "2"], "pixel_range"),
         ('{"lam": NaN}', "lam"),
+        (["--seed", "-1"], "rng_seed"),
     ], ids=["gain-initial-nan", "gain-floor-inf", "step-size-nan", "lambda-nan", "lambda-inf",
-            "distance-max-nan", "pixel-range-wide", "config-lam-nan"])
+            "distance-max-nan", "pixel-range-wide", "config-lam-nan", "seed-negative"])
     def test_out_of_range_value_exits_1(self, capsys, data_dir, model_path, tmp_path,
                                         flags, field):
         # a string is the text of a --config file
@@ -301,19 +302,26 @@ class TestTrain:
             f"pair in {tmp_path}\n"
         )
 
-    @pytest.mark.parametrize("command", ["train", "retrain"])
-    def test_bad_flag_reported_before_any_file_is_read(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize("command, flag, value, error", [
+        ("train", "--epochs", "-1", "epochs must be >= 0"),
+        ("retrain", "--epochs", "-1", "epochs must be >= 0"),
+        ("train", "--seed", "-1", "rng_seed must be >= 0"),
+        ("retrain", "--seed", "-1", "rng_seed must be >= 0"),
+        ("retrain", "--oversample", "0", "oversample must be >= 1"),
+    ], ids=["train", "retrain", "train-seed", "retrain-seed", "retrain-oversample"])
+    def test_bad_flag_reported_before_any_file_is_read(self, capsys, tmp_path, command,
+                                                       flag, value, error):
         # the data directory is empty and no model file exists: the flag is
         # the first thing wrong, so it is the one reported
         files = ["--model", str(tmp_path / "m.json"), "--campaign-dir", str(tmp_path)]
         code, _, err = run(
             capsys, command, *(files if command == "retrain" else []),
             "--data-dir", str(tmp_path),
-            "--epochs", "-1",
+            flag, value,
             "--out", str(tmp_path / "never.json"),
         )
         assert code == 1
-        assert err == "error: epochs must be >= 0\n"
+        assert err == f"error: {error}\n"
 
     def test_non_finite_learning_rate_exits_1(self, capsys, data_dir, tmp_path):
         out = tmp_path / "never.json"

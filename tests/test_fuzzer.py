@@ -85,7 +85,8 @@ class TestFuzzConfig:
          ("pixel_range", (0.0, float("inf"))), ("pixel_range", (float("nan"), 1.0)),
          ("pixel_range", (0.5, 1.5)), ("pixel_range", (0.5, 0.5)),
          ("activation_threshold", 0.0), ("activation_threshold", 1.0),
-         ("step_size", 0.0), ("step_size", -1.2), ("max_seeds_per_input", 0)],
+         ("step_size", 0.0), ("step_size", -1.2), ("max_seeds_per_input", 0),
+         ("rng_seed", -1)],
     )
     def test_out_of_range_value_rejected(self, field, value):
         # pixel values outside [0, 1] are what image export refuses

@@ -4,7 +4,9 @@
 Only data paths and epoch counts change: the data points at a small
 synthetic corpus and every model trains for one epoch. A renamed function,
 flag or subcommand, a changed signature or a dropped package export fails
-these tests.
+these tests. The README's train commands must also follow the recipe of the
+reference model the suite fuzzes, as perfbench/fixtures/fixtures.json
+records it.
 """
 
 import re
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import synthdigits
-from neurofuzz.cli import main
+import workloads
+from neurofuzz.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -72,3 +75,15 @@ def test_cli_examples_run(corpus, tmp_path, monkeypatch, capsys):
     # retrain exits 1 on a campaign without records, so reaching here means
     # the campaign found some and the repair ran
     assert re.search(r"^retrained on [1-9]\d* adversarial inputs", capsys.readouterr().out, re.M)
+
+
+def test_train_commands_follow_the_fixture_recipe():
+    recipe = workloads.manifest()["models"]["lenet1"]["recipe"]
+    commands = [argv for argv in cli_commands() if argv[0] == "train"]
+    runs = [build_parser().parse_args(argv) for argv in commands]
+    assert [[a.epochs, a.lr] for a in runs] == recipe["phases"]
+    assert runs[0].arch == "lenet1" and runs[0].init_model is None
+    # each phase continues from the model the one before it saved
+    assert all(a.init_model == prev.out for prev, a in zip(runs, runs[1:]))
+    assert not {"--batch", "--seed"} & {w for argv in commands for w in argv}
+    assert all((a.batch, a.seed) == (recipe["batch_size"], recipe["rng_seed"]) for a in runs)

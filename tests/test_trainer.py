@@ -129,6 +129,8 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ContractViolation):
             TrainConfig(learning_rate=-0.1)
+        with pytest.raises(ContractViolation, match="rng_seed"):
+            TrainConfig(rng_seed=-1)
         for rate in (float("nan"), float("inf")):
             with pytest.raises(ContractViolation, match="learning_rate"):
                 TrainConfig(learning_rate=rate)

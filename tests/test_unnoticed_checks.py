@@ -1,12 +1,14 @@
 """The rule scripts/unnoticed_checks.py follows to pick the tests that run
-for each blanked `raise`, and the blanking itself."""
+for each blanked `raise`, the time each such run gets, and the blanking
+itself."""
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
-from unnoticed_checks import blanked, pytest_args, raises  # noqa: E402
+from unnoticed_checks import MARGIN_S, blanked, pytest_args, raises, time_limit  # noqa: E402
+from untested_lines import TracedRun  # noqa: E402
 
 SOURCE = """def f(x):
     if x:
@@ -40,3 +42,9 @@ def test_each_check_runs_the_tests_that_reached_it():
         assert all(after[i] == before[i] for i in range(len(before)) if i not in span)
         assert all(not after[i].strip() for i in span[1:])
         assert len(raises(blanked(SOURCE, node))) == 1
+
+
+def test_each_run_gets_its_tests_traced_time_and_the_longest_set_up():
+    run = TracedRun(0, {}, {"t.py::a": 2.0, "t.py::b": 3.0, "t.py::c": 10.0}, 5.0)
+    assert time_limit(["t.py::a", "t.py::b"], run) == 2.0 + 3.0 + 5.0 + MARGIN_S
+    assert time_limit([], run) == 15.0 + 5.0 + MARGIN_S  # the whole suite
