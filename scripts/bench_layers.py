@@ -11,10 +11,11 @@ first layer skips its input gradient, as trainer.train does. The weights are
 an untrained lenet1's; the shapes are those of every lenet1 model.
 
 The fuzzer rows use the committed lenet5 benchmark fixture, which the script
-only reads, and one uniform-noise input: coverage.update of a trace,
-coverage.select_neurons with all four strategies and m=10, and one guided
-mutant step (clip, predict, coverage update and relative distance), as the
-campaign-lenet5-s1234 workload runs them.
+only reads, and one uniform-noise input: coverage.update of a trace and
+coverage.select_neurons with all four strategies and m=10, as the
+campaign-lenet5-s1234 workload runs them. The group rows time a seed's
+in-cap mutants, n = 1 to GROUP_MAX guided steps of 0.1 from that input: one
+nn.predict_each of the n against n nn.predict calls.
 
 The training row splits one batch-64 lenet1 step on uniform-noise images
 into its data stage and the rest. fetch_ms is trainer._fetch: the gather of
@@ -90,6 +91,7 @@ from neurofuzz.model_io import load_model  # noqa: E402
 from neurofuzz.tensor import Tensor  # noqa: E402
 
 BATCHES = (1, 64)
+GROUP_MAX = 5
 FUZZ_MODEL = ROOT / "perfbench" / "fixtures" / "lenet5.json"
 INGEST_SHAPE = (20000, 28, 28)
 INGEST_CALLS = 10
@@ -170,15 +172,21 @@ def fuzzer_rows() -> list[tuple[dict, dict]]:
     spec = nn.ObjectiveSpec(trace.predicted_label, tuple(nn.top_k_other_labels(trace, cfg.k)),
                             tuple(neurons), cfg.lam)
     step = fz.process_gradient(nn.input_gradient(model, x, spec, trace).array, cfg.step_size)
-    x64, x_norm = x.array.astype(np.float64), fz.l2_norm(x.array)
     ops = {
         "coverage.update": lambda: cov.update(tracker, model, trace),
         "coverage.select_neurons": lambda: cov.select_neurons(
             tracker, cfg.strategies, cfg.m, trace),
-        "fuzzer.mutant_step": lambda: fz._mutate(
-            model, tracker, x.array, step, cfg.pixel_range, x64, x_norm),
     }
-    return [({"op": op, "model": "lenet5", "batch": 1}, {"us": fn}) for op, fn in ops.items()]
+    rows = [({"op": op, "model": "lenet5", "batch": 1}, {"us": fn}) for op, fn in ops.items()]
+    mutants = [Tensor.wrap(np.clip(x.array + k * step, *cfg.pixel_range))
+               for k in range(1, GROUP_MAX + 1)]
+    for n in range(1, GROUP_MAX + 1):
+        group = mutants[:n]
+        rows.append(({"op": "fuzzer.mutant_group", "model": "lenet5", "batch": n}, {
+            "predict_each_us": lambda group=group: nn.predict_each(model, group),
+            "predict_us": lambda group=group: [nn.predict(model, m) for m in group],
+        }))
+    return rows
 
 
 def train_rows() -> list[dict]:
@@ -397,8 +405,13 @@ def main(argv=None) -> int:
               f"forward {row['forward_us']:9.1f} (min {row['forward_us_min']:9.1f}) us  "
               f"backward {row['backward_us']:9.1f} (min {row['backward_us_min']:9.1f}) us")
     for row in result["fuzzer"]:
-        print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} "
-              f"{row['us']:9.1f} (min {row['us_min']:9.1f}) us")
+        if "us" in row:
+            print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} "
+                  f"{row['us']:9.1f} (min {row['us_min']:9.1f}) us")
+        else:
+            print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} "
+                  f"predict_each {row['predict_each_us']:9.1f}  "
+                  f"{row['batch']} x predict {row['predict_us']:9.1f} us")
     for row in result["training"]:
         print(f"batch {row['batch']:>2}  {row['model']} train step: fetch {row['fetch_ms']:6.3f}  "
               f"step {row['step_ms']:6.3f}  train() per step {row['train_step_ms']:6.3f}, "

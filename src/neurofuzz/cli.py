@@ -89,7 +89,11 @@ def _pick_inputs(split: DatasetSplit, num_inputs: int, rng_seed: int) -> list[Te
 
 
 def _summary(report) -> str:
+    """One line per campaign. within cap counts the records whose relative
+    distance is at most distance_max: the cap bounds kept seeds only, and a
+    flip is recorded wherever its run has reached."""
     n = len(report.records)
+    near = sum(r.distance <= report.config.distance_max for r in report.records)
     cov_pct = report.final_coverage * 100.0
     if n:
         rel = sum(r.distance for r in report.records) / n
@@ -98,7 +102,7 @@ def _summary(report) -> str:
         tail = f"mean rel distance: {rel:.5f}  mean abs distance: {abs_:.5f}  mean ms per adversarial: {ms:.1f}"
     else:
         tail = "mean rel distance: n/a  mean abs distance: n/a  mean ms per adversarial: n/a"
-    return f"adversarial: {n}  coverage: {cov_pct:.2f}%  {tail}"
+    return f"adversarial: {n}  within cap: {near}/{n}  coverage: {cov_pct:.2f}%  {tail}"
 
 
 # ---------------------------------------------------------------------------

@@ -252,24 +252,69 @@ def _distance(x_prime: np.ndarray, x64: np.ndarray, ref: float) -> float:
     return l2_norm(x_prime.astype(np.float64) - x64) / ref
 
 
-def _mutate(
+def _mutants(
     model: nn.Model,
-    tracker: cov.CoverageTracker,
     cur: np.ndarray,
-    pert: np.ndarray,
-    pixel_range: tuple[float, float],
+    step: np.ndarray | None,
+    rng: np.random.Generator | None,
+    budget: float,
+    cfg: FuzzConfig,
     x64: np.ndarray,
     x_norm: float,
-) -> tuple[nn.ActivationTrace, int, float]:
-    """One mutation step: clip cur + pert into pixel_range, predict it and
-    fold its trace into the tracker. Returns the trace, whose input is the
-    mutant as a validated Tensor, the number of neurons it newly covered,
-    and its relative distance to the origin, given the origin's float64
-    copy x64 and L2 norm x_norm."""
-    lo, hi = pixel_range
-    trace = nn.predict(model, Tensor.wrap(np.clip(cur + pert, lo, hi)))
-    newly = cov.update(tracker, model, trace)
-    return trace, newly, _distance(trace.input.array, x64, x_norm)
+):
+    """Yield a seed's mutants in iteration order, each predicted, as (trace,
+    relative distance to the origin, generator state or None).
+
+    Each mutant is the one before it (cur, the seed, for the first) plus a
+    step, clipped into pixel_range: the guided step, or in random mode one
+    drawn from rng; the first step is shortened to budget. No step depends
+    on a prediction, so mutants are stepped ahead of their judging.
+    Consecutive mutants inside distance_max wait and are predicted in one
+    pass, nn.predict_each, which has predict's bits; a lone one goes
+    through nn.predict. A mutant outside the cap is predicted alone, after
+    the mutants waiting before it.
+
+    A draw for a later mutant may thus come before a mutant is judged. Such a
+    mutant carries the generator state from after its own draw, and a caller
+    that stops at it restores that state, so the generator stands where a
+    step-by-step run would have left it. Every other mutant carries None.
+    """
+    lo, hi = cfg.pixel_range
+    group: list[Tensor] = []
+    dists: list[float] = []
+    states: list[dict | None] = []
+    for iteration in range(1, cfg.iter_times + 1):
+        if rng is None:
+            pert = step
+        else:
+            if group:
+                states[-1] = rng.bit_generator.state
+            noise = rng.standard_normal(cur.shape).astype(cur.dtype)
+            pert = process_gradient(noise, cfg.step_size)
+        if iteration == 1:
+            pert = _shorten_to(pert, budget)
+        mutant = Tensor.wrap(np.clip(cur + pert, lo, hi))
+        cur = mutant.array
+        dist = _distance(cur, x64, x_norm)
+        if dist <= cfg.distance_max:
+            group.append(mutant)
+            dists.append(dist)
+            states.append(None)
+            continue
+        if group:
+            yield from zip(_predict_group(model, group), dists, states)
+            group, dists, states = [], [], []
+        yield nn.predict(model, mutant), dist, None
+    if group:
+        yield from zip(_predict_group(model, group), dists, states)
+
+
+def _predict_group(model: nn.Model, group: list[Tensor]) -> list[nn.ActivationTrace]:
+    """One trace per mutant; a lone mutant takes nn.predict, which is the
+    faster of the two at batch 1."""
+    if len(group) == 1:
+        return [nn.predict(model, group[0])]
+    return nn.predict_each(model, group)
 
 
 def _fuzz_one(
@@ -292,8 +337,11 @@ def _fuzz_one(
 
     Each mutant is stepped, clipped and measured on plain arrays, against
     the origin's float64 copy and L2 norm taken once per input, and becomes
-    a validated Tensor once, where it enters nn.predict. A guided seed's
-    perturbation is worked out once for its whole run.
+    a validated Tensor once, as it is stepped. A guided seed's perturbation
+    is worked out once for its whole run. The mutants are judged in
+    iteration order, each as it comes out of _mutants: its trace is folded
+    into the tracker, then a flip is recorded and ends the run, or a mutant
+    that passes both gates is kept.
     """
     x_norm = l2_norm(x.array)
     if x_norm == 0.0:
@@ -330,27 +378,17 @@ def _fuzz_one(
             grad = nn.input_gradient(model, seed.x, spec, seed.trace)
             # the seed's gradient is fixed for its whole run, so is its step
             step = process_gradient(grad.array, cfg.step_size)
+        else:
+            step = None
 
-        cur = seed.x.array
         # L2 room the seed has left under distance_max; the run's first step
         # is shortened to it, so every run offers the gates one mutant inside
         # the cap however large step_size is
         budget = (cfg.distance_max - seed.distance) * x_norm - slack
-        for iteration in range(1, cfg.iter_times + 1):
-            if rng is None:
-                pert = step
-            else:
-                noise = rng.standard_normal(x.shape).astype(x.array.dtype)
-                pert = process_gradient(noise, cfg.step_size)
-            if iteration == 1:
-                pert = _shorten_to(pert, budget)
-            trace_m, newly, dist = _mutate(
-                model, tracker, cur, pert, cfg.pixel_range, x64, x_norm
-            )
-            cur = trace_m.input.array
-            gain_ratio = newly / tracker.total_neurons
+        run = _mutants(model, seed.x.array, step, rng, budget, cfg, x64, x_norm)
+        for iteration, (trace_m, dist, state) in enumerate(run, start=1):
+            newly = cov.update(tracker, model, trace_m)
             c_m = trace_m.predicted_label
-
             if c_m != c_orig:
                 records.append(
                     AdversarialRecord(
@@ -359,13 +397,15 @@ def _fuzz_one(
                         adversarial_label=c_m,
                         mutated=trace_m.input,
                         distance=dist,
-                        distance_abs=l2_norm(cur - x.array),
+                        distance_abs=l2_norm(trace_m.input.array - x.array),
                         seed_generation=seed.generation,
                         iteration=iteration,
                     )
                 )
+                if state is not None:
+                    rng.bit_generator.state = state
                 break
-            if gain_ratio >= requirement and dist <= cfg.distance_max:
+            if newly / tracker.total_neurons >= requirement and dist <= cfg.distance_max:
                 queue.push(_Seed(trace_m.input, seed.generation + 1, trace_m, dist))
 
     return records, processed

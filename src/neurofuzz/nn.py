@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -237,6 +238,21 @@ def predict(model: Model, x: Tensor) -> ActivationTrace:
     return ActivationTrace(x, tuple(Tensor.wrap(a[0]) for a in acts))
 
 
+def predict_each(model: Model, xs: Sequence[Tensor]) -> list[ActivationTrace]:
+    """predict(model, x) for each x, bit for bit, in one forward pass.
+
+    Every layer kind but dense computes each row of a stacked batch with the
+    bits it has alone; a dense layer's gemm over stacked rows may not, so
+    _forward multiplies each row as its own (1, K) product. Each layer's
+    output is checked once, as one Tensor, and every trace holds read-only
+    row views of it."""
+    for x in xs:
+        check_input(model, x)
+    acts = _forward(model, np.stack([x.array for x in xs]), each=True)
+    rows = zip(*(Tensor.wrap(a).rows() for a in acts))
+    return [ActivationTrace(x, outputs) for x, outputs in zip(xs, rows)]
+
+
 def check_input(model: Model, x: Tensor):
     if x.shape != model.input_shape:
         raise ContractViolation(f"input shape {x.shape} != model {model.input_shape}")
@@ -247,15 +263,20 @@ def check_input(model: Model, x: Tensor):
 
 
 def _forward(
-    model: Model, xb: np.ndarray, cols: dict[int, np.ndarray] | None = None
+    model: Model,
+    xb: np.ndarray,
+    cols: dict[int, np.ndarray] | None = None,
+    each: bool = False,
 ) -> list[np.ndarray]:
     """Batched forward; returns one output array [n, ...] per layer.
 
-    When cols is a dict, it receives each conv2d layer's im2col matrix under
-    the layer's index, so that _backward can reuse it for parameter
-    gradients. An entry already in cols is taken as that layer's im2col
-    matrix instead of building it: the trainer pre-seeds layer 0's, which
-    depends on xb alone, while the previous step runs.
+    With each, every dense row is its own (1, K) product, so each row of
+    every output has the bits of a batch-1 pass; the trainer's gemm over the
+    batch is faster. When cols is a dict, it receives each conv2d layer's
+    im2col matrix under the layer's index, so that _backward can reuse it
+    for parameter gradients. An entry already in cols is taken as that
+    layer's im2col matrix instead of building it: the trainer pre-seeds
+    layer 0's, which depends on xb alone, while the previous step runs.
     """
     acts = []
     a = xb
@@ -264,6 +285,8 @@ def _forward(
             a, layer_cols = _conv2d_forward(layer, a, None if cols is None else cols.get(i))
             if cols is not None:
                 cols[i] = layer_cols
+        elif each and layer.kind == "dense":
+            a = (a[:, None, :] @ layer.weights.array)[:, 0] + layer.bias.array
         else:
             a = _layer_forward(layer, a)
         acts.append(a)

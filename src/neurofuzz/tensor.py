@@ -8,6 +8,7 @@ scalar-loop recomputation) can use tighter tolerances.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +62,20 @@ class Tensor:
         """Read-only ndarray view of the contents."""
         return self._arr
 
+    def rows(self) -> tuple["Tensor", ...]:
+        """The leading-axis rows, each a Tensor over a read-only view of this
+        one's memory. A row of a checked array is finite, row-major and of
+        positive dims, so it is not checked again; a rank-1 Tensor has no
+        rows of rank >= 1 and raises."""
+        if self._arr.ndim < 2:
+            raise ContractViolation(f"shape {self.shape} has no rows of rank >= 1")
+        rows = []
+        for row in self._arr:
+            t = object.__new__(Tensor)
+            t._arr = row
+            rows.append(t)
+        return tuple(rows)
+
     def astype(self, precision: str) -> "Tensor":
         if precision not in _DTYPE_OF:
             raise ContractViolation(f"unknown precision {precision!r}")
@@ -97,14 +112,23 @@ def _validated(arr: np.ndarray) -> np.ndarray:
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    """Whether every element is finite.
+    """Whether every element of a C-contiguous array is finite.
 
-    An array of one block or less, as every batch-1 activation is, takes one
-    isfinite call: the row loop below costs about 1 us more per call, which
-    is 3% of a batch-1 lenet1 predict plus input gradient (ten checks) on a
-    2-vCPU Xeon. A larger array is checked a run of leading-axis rows at a
-    time, so that no bool mask larger than CHECK_BLOCK elements (or one row)
-    is built, whatever the array's layout."""
+    The sum of squares x.x over the flat array is finite only when every
+    element is: a NaN or an infinity makes it NaN or inf. So one dot
+    product, which builds no mask, accepts a finite array: 0.8-0.9 us for a
+    batch-1 activation on a 2-vCPU Xeon, against 1.4-2.1 us for an isfinite
+    call. np.vdot flattens a C-contiguous array without a copy and, unlike
+    np.dot, warns of no overflow. Only a sum that is not finite, from a NaN
+    or inf element or from squares that overflow, sends the array to the
+    exact check below, so the answer is the isfinite predicate's either way.
+
+    There, an array of one block or less takes one isfinite call. A larger
+    array is checked a run of leading-axis rows at a time, so that no bool
+    mask larger than CHECK_BLOCK elements (or one row) is built, whatever
+    the array's layout."""
+    if math.isfinite(np.vdot(arr, arr)):
+        return True
     if arr.size <= CHECK_BLOCK:
         return bool(np.logical_and.reduce(np.isfinite(arr), axis=None))
     step = CHECK_BLOCK * arr.shape[0] // arr.size or 1

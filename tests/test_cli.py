@@ -7,7 +7,7 @@ documented contract (0 ok, 1 runtime failure, 2 usage error).
 import argparse
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -464,9 +464,20 @@ def test_summary_spreads_campaign_wall_time_over_records():
         config=FuzzConfig(),
     )
     assert _summary(report) == (
-        "adversarial: 2  coverage: 50.00%  mean rel distance: 0.01000  "
+        "adversarial: 2  within cap: 2/2  coverage: 50.00%  mean rel distance: 0.01000  "
         "mean abs distance: 0.10000  mean ms per adversarial: 30.0"
     )
+
+
+def test_summary_counts_the_records_within_the_distance_cap():
+    # a record exactly at distance_max lies within the cap
+    records = tuple(AdversarialRecord(0, 3, 5, Tensor([0.5]), d, 0.1, 0, 1)
+                    for d in (0.004, 0.02, 0.0201, 0.3))
+    report = CampaignReport(records=records, coverage_curve=(), final_coverage=0.5,
+                            input_wall_s=(0.01,), config=FuzzConfig(distance_max=0.02))
+    assert _summary(report).startswith("adversarial: 4  within cap: 2/4  coverage: 50.00%")
+    empty = replace(report, records=())
+    assert _summary(empty).startswith("adversarial: 0  within cap: 0/0  coverage: 50.00%")
 
 
 class TestRetrain:

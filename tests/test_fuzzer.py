@@ -13,7 +13,7 @@ import pytest
 from neurofuzz import architectures, nn
 from neurofuzz import fuzzer as fz
 from neurofuzz.cli import _pick_inputs
-from neurofuzz.coverage import CoverageTracker, coverage_rate
+from neurofuzz.coverage import CoverageTracker, coverage_rate, select_neurons, update
 from neurofuzz.errors import ContractViolation
 from neurofuzz.fuzzer import (
     AdversarialRecord,
@@ -27,7 +27,7 @@ from neurofuzz.fuzzer import (
     relative_distance,
     write_campaign_report,
 )
-from neurofuzz.tensor import Tensor
+from neurofuzz.tensor import Tensor, l2_norm
 
 
 class TestFuzzConfig:
@@ -203,8 +203,6 @@ class TestFuzzOneInput:
         tracker = CoverageTracker(model, 0.25)
         # pre-covering the original trace keeps the near-boundary mutant from
         # being queued as a seed, isolating the single first-seed flip
-        from neurofuzz.coverage import update
-
         update(tracker, model, nn.predict(model, x))
         records, _ = _fuzz_one(model, tracker, x, cfg, 0, None)
         assert len(records) == 1
@@ -301,9 +299,10 @@ class TestFuzzOneInput:
 
     def test_gradient_reuses_the_seed_forward_pass(self, monkeypatch):
         # input_gradient reads the seed's trace, so every forward pass is
-        # one nn.predict's and the process_gradient step is one per seed
+        # one nn.predict's or one nn.predict_each's, and the process_gradient
+        # step is one per seed
         model = architectures.build_model("lenet1", rng_seed=5)
-        calls = {"predict": 0, "forward": 0, "process_gradient": 0}
+        calls = {"predict": 0, "predict_each": 0, "forward": 0, "process_gradient": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -312,6 +311,7 @@ class TestFuzzOneInput:
             return wrapper
 
         monkeypatch.setattr(nn, "predict", counting("predict", nn.predict))
+        monkeypatch.setattr(nn, "predict_each", counting("predict_each", nn.predict_each))
         monkeypatch.setattr(nn, "_forward", counting("forward", nn._forward))
         monkeypatch.setattr(fz, "process_gradient",
                             counting("process_gradient", fz.process_gradient))
@@ -323,8 +323,9 @@ class TestFuzzOneInput:
             x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
             processed += _fuzz_one(model, tracker, x, cfg, 0, None)[1]
         assert processed > 4  # some mutant went back into the queue
-        assert calls["predict"] > processed
-        assert calls["forward"] == calls["predict"]
+        assert calls["predict_each"] > 0  # some run's in-cap mutants shared a pass
+        assert calls["predict"] + calls["predict_each"] > processed
+        assert calls["forward"] == calls["predict"] + calls["predict_each"]
         assert calls["process_gradient"] == processed
 
     def test_first_step_shortened_to_budget(self):
@@ -336,6 +337,142 @@ class TestFuzzOneInput:
         # a zero perturbation has no length to shorten, whatever the budget
         zero = np.zeros(2, np.float32)
         assert fz._shorten_to(zero, -0.5) is zero
+
+
+def reference_fuzz_one(model, tracker, x, cfg, input_index, rng):
+    """_fuzz_one as it ran before mutants were stepped ahead: each mutant is
+    stepped, predicted alone and judged before the next one is stepped."""
+    x_norm = l2_norm(x.array)
+    if x_norm == 0.0:
+        return [], 0
+    x64 = x.array.astype(np.float64)
+    lo, hi = cfg.pixel_range
+    slack = np.finfo(x.array.dtype).eps * max(abs(lo), abs(hi)) * np.sqrt(x.array.size)
+    trace0 = nn.predict(model, x)
+    c_orig = trace0.predicted_label
+    queue = fz.SeedQueue(cfg.max_seeds_per_input)
+    queue.push(fz._Seed(x, 0, trace0))
+    records = []
+    processed = 0
+    while len(queue) > 0 and processed < cfg.max_seeds_per_input:
+        seed = queue.pop()
+        requirement = cfg.gain_requirement(processed)
+        processed += 1
+        if rng is None:
+            topk = nn.top_k_other_labels(seed.trace, cfg.k)
+            neurons = select_neurons(tracker, cfg.strategies, cfg.m, seed.trace)
+            spec = nn.ObjectiveSpec(seed.trace.predicted_label, tuple(topk), tuple(neurons),
+                                    cfg.lam, cfg.use_logits)
+            grad = nn.input_gradient(model, seed.x, spec, seed.trace)
+            step = process_gradient(grad.array, cfg.step_size)
+        cur = seed.x.array
+        budget = (cfg.distance_max - seed.distance) * x_norm - slack
+        for iteration in range(1, cfg.iter_times + 1):
+            if rng is None:
+                pert = step
+            else:
+                noise = rng.standard_normal(x.shape).astype(x.array.dtype)
+                pert = process_gradient(noise, cfg.step_size)
+            if iteration == 1:
+                pert = fz._shorten_to(pert, budget)
+            trace_m = nn.predict(model, Tensor.wrap(np.clip(cur + pert, lo, hi)))
+            newly = update(tracker, model, trace_m)
+            cur = trace_m.input.array
+            dist = fz._distance(cur, x64, x_norm)
+            c_m = trace_m.predicted_label
+            if c_m != c_orig:
+                records.append(AdversarialRecord(
+                    input_index, c_orig, c_m, trace_m.input, dist, l2_norm(cur - x.array),
+                    seed.generation, iteration,
+                ))
+                break
+            if newly / tracker.total_neurons >= requirement and dist <= cfg.distance_max:
+                queue.push(fz._Seed(trace_m.input, seed.generation + 1, trace_m, dist))
+    return records, processed
+
+
+class TestMutantsSteppedAhead:
+    """_fuzz_one against reference_fuzz_one over one campaign per case, on
+    untrained models whose runs hold several mutants inside the cap. Each
+    case is checked to reach what stepping ahead changes: a group of two or
+    more predicted in one pass, a flip before a group's last mutant, a run
+    that leaves the cap after such a group, a queue of two or more seeds,
+    and in random mode a flip after which the generator is rewound."""
+
+    CASES = {
+        "lenet4-guided": ("lenet4", 0.5, 0.1, "guided"),
+        "lenet4-random": ("lenet4", 0.5, 0.1, "random"),
+        "lenet1-random": ("lenet1", 1.0, 0.2, "random"),
+    }
+
+    def campaign(self, monkeypatch, fuzz_one, model, inputs, cfg, mutation):
+        """The report, and the tracker's counts and the generator's state
+        after each input."""
+        after = []
+
+        def spy(model, tracker, x, cfg, input_index, rng):
+            out = fuzz_one(model, tracker, x, cfg, input_index, rng)
+            after.append((tracker._count.copy(), rng and rng.bit_generator.state))
+            return out
+
+        monkeypatch.setattr(fz, "_fuzz_one", spy)
+        return fuzz_corpus(model, inputs, cfg, mutation), after
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_outputs_as_one_mutant_at_a_time(self, case, monkeypatch):
+        arch, step_size, distance_max, mutation = self.CASES[case]
+        model = architectures.build_model(arch, rng_seed=5)
+        rng = np.random.default_rng(3)
+        inputs = [Tensor.wrap(rng.uniform(0.2, 0.8, size=model.input_shape).astype(np.float32))
+                  for _ in range(4)]
+        cfg = FuzzConfig(step_size=step_size, distance_max=distance_max, iter_times=5,
+                         coverage_gain_initial=0.0, coverage_gain_floor=0.0,
+                         max_seeds_per_input=16)
+        want, want_after = self.campaign(monkeypatch, reference_fuzz_one, model, inputs, cfg,
+                                         mutation)
+
+        groups, runs, queue_lens = [], [], []
+        predict_each, mutants, push = nn.predict_each, fz._mutants, fz.SeedQueue.push
+
+        def recording_predict_each(model, xs):
+            groups.append(predict_each(model, xs))
+            return groups[-1]
+
+        def recording_mutants(*args):
+            runs.append([])
+            for item in mutants(*args):
+                runs[-1].append(item)
+                yield item
+
+        def recording_push(self, seed):
+            push(self, seed)
+            queue_lens.append(len(self))
+
+        monkeypatch.setattr(nn, "predict_each", recording_predict_each)
+        monkeypatch.setattr(fz, "_mutants", recording_mutants)
+        monkeypatch.setattr(fz.SeedQueue, "push", recording_push)
+        got, got_after = self.campaign(monkeypatch, _fuzz_one, model, inputs, cfg, mutation)
+
+        assert got.records == want.records
+        for g, w in zip(got.records, want.records):
+            assert g.mutated.array.tobytes() == w.mutated.array.tobytes()
+        assert got.coverage_curve == want.coverage_curve
+        for (g_count, g_state), (w_count, w_state) in zip(got_after, want_after, strict=True):
+            assert np.array_equal(g_count, w_count)
+            assert g_state == w_state
+
+        def flipped(trace):
+            return any(rec.mutated is trace.input for rec in got.records)
+
+        assert any(len(g) >= 2 for g in groups)
+        assert any(flipped(t) for g in groups for t in g[:-1])
+        assert any(
+            sum(d <= distance_max for _, d, _ in run) >= 2 and run[-1][1] > distance_max
+            for run in runs
+        )
+        assert max(queue_lens) >= 2
+        if mutation == "random":
+            assert any(state is not None and flipped(t) for run in runs for t, _, state in run)
 
 
 class TestAdversarialRecord:

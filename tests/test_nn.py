@@ -694,6 +694,37 @@ class TestForwardMatchesReference:
                 assert_same_bits(got, want)
 
 
+class TestPredictEach:
+    """predict_each against one predict per input, bit for bit: every group
+    size a seed's run can hold at the benchmark's five iterations and one
+    more, in both precisions."""
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("arch", ["lenet1", "lenet4", "lenet5"])
+    def test_rows_have_predict_bits(self, arch, precision):
+        model = architectures.build_model(arch, rng_seed=3).astype(precision)
+        dtype = np.float32 if precision == "single" else np.float64
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            xs = [Tensor.wrap(rng.uniform(0, 1, size=model.input_shape).astype(dtype))
+                  for _ in range(n)]
+            traces = nn.predict_each(model, xs)
+            assert len(traces) == n
+            for x, trace in zip(xs, traces):
+                want = nn.predict(model, x)
+                assert trace.input is x
+                assert len(trace.outputs) == len(want.outputs)
+                for got, ref in zip(trace.outputs, want.outputs):
+                    assert_same_bits(got.array, ref.array)
+                    assert not got.array.flags.writeable
+
+    def test_input_checked(self):
+        model = architectures.build_model("lenet1", rng_seed=3)
+        good = Tensor.zeros(model.input_shape)
+        with pytest.raises(ContractViolation, match="input shape"):
+            nn.predict_each(model, [good, Tensor.zeros((28, 28))])
+
+
 class TestModelValidation:
     def test_dense_shape_chain_error_names_layer(self):
         w1 = Tensor.wrap(np.ones((4, 3), dtype=np.float32))

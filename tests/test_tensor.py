@@ -48,6 +48,25 @@ class TestConstruction:
         with pytest.raises(ContractViolation, match="NaN or Inf"):
             Tensor(view)
 
+    # the dot product x.x flags the array and the exact check names it, at
+    # or below one block and above it, wherever the element lies
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("size", [7, CHECK_BLOCK, LARGE])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_rejected_at_any_position(self, value, where, size, dtype):
+        arr = np.full(size, 0.5, dtype=dtype)
+        arr[{"first": 0, "middle": size // 2, "last": -1}[where]] = value
+        with pytest.raises(ContractViolation, match="NaN or Inf"):
+            Tensor.wrap(arr.reshape(-1, 1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [7, LARGE])
+    def test_finite_values_whose_squares_overflow_accepted(self, size):
+        arr = np.full(size, 1e20, dtype=np.float32)
+        assert not np.isfinite(np.vdot(arr, arr))
+        assert Tensor.wrap(arr).shape == (size,)
+
     def test_large_wrap_holds_no_full_size_mask(self):
         images = np.zeros((20000, 28, 28, 1), dtype=np.float32)
         tracemalloc.start()
@@ -57,6 +76,19 @@ class TestConstruction:
         finally:
             tracemalloc.stop()
         assert peak < 2 * CHECK_BLOCK  # two blocks' bool mask; the full one is 15.7 MB
+
+    def test_rows_are_read_only_views_of_the_whole(self):
+        t = Tensor(np.arange(12.0).reshape(3, 2, 2))
+        rows = t.rows()
+        assert len(rows) == 3
+        for i, row in enumerate(rows):
+            assert row == Tensor.wrap(t.array[i])
+            assert np.shares_memory(row.array, t.array)
+            assert not row.array.flags.writeable
+
+    def test_rank_1_has_no_rows(self):
+        with pytest.raises(ContractViolation, match="no rows"):
+            Tensor([1.0, 2.0]).rows()
 
     def test_precisions(self):
         assert Tensor([1.0]).precision == "single"
