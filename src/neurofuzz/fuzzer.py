@@ -263,32 +263,28 @@ def _mutants(
     x_norm: float,
 ):
     """Yield a seed's mutants in iteration order, each predicted, as (trace,
-    relative distance to the origin, generator state or None).
+    relative distance to the origin).
 
     Each mutant is the one before it (cur, the seed, for the first) plus a
     step, clipped into pixel_range: the guided step, or in random mode one
-    drawn from rng; the first step is shortened to budget. No step depends
-    on a prediction, so mutants are stepped ahead of their judging.
-    Consecutive mutants inside distance_max wait and are predicted in one
-    pass, nn.predict_each, which has predict's bits; a lone one goes
-    through nn.predict. A mutant outside the cap is predicted alone, after
-    the mutants waiting before it.
+    drawn from rng; the first step is shortened to budget. A guided step
+    does not depend on a prediction, so guided mutants are stepped ahead of
+    their judging. Consecutive guided mutants inside distance_max wait and
+    are predicted in one pass, nn.predict_each, which has predict's bits; a
+    lone one goes through nn.predict. A mutant outside the cap is predicted
+    alone, after the mutants waiting before it.
 
-    A draw for a later mutant may thus come before a mutant is judged. Such a
-    mutant carries the generator state from after its own draw, and a caller
-    that stops at it restores that state, so the generator stands where a
-    step-by-step run would have left it. Every other mutant carries None.
+    A random mutant is predicted and yielded as soon as it is drawn, so a
+    caller that stops at it leaves the generator where a step-by-step run
+    would have left it.
     """
     lo, hi = cfg.pixel_range
     group: list[Tensor] = []
     dists: list[float] = []
-    states: list[dict | None] = []
     for iteration in range(1, cfg.iter_times + 1):
         if rng is None:
             pert = step
         else:
-            if group:
-                states[-1] = rng.bit_generator.state
             noise = rng.standard_normal(cur.shape).astype(cur.dtype)
             pert = process_gradient(noise, cfg.step_size)
         if iteration == 1:
@@ -296,17 +292,16 @@ def _mutants(
         mutant = Tensor.wrap(np.clip(cur + pert, lo, hi))
         cur = mutant.array
         dist = _distance(cur, x64, x_norm)
-        if dist <= cfg.distance_max:
+        if rng is None and dist <= cfg.distance_max:
             group.append(mutant)
             dists.append(dist)
-            states.append(None)
             continue
         if group:
-            yield from zip(_predict_group(model, group), dists, states)
-            group, dists, states = [], [], []
-        yield nn.predict(model, mutant), dist, None
+            yield from zip(_predict_group(model, group), dists)
+            group, dists = [], []
+        yield nn.predict(model, mutant), dist
     if group:
-        yield from zip(_predict_group(model, group), dists, states)
+        yield from zip(_predict_group(model, group), dists)
 
 
 def _predict_group(model: nn.Model, group: list[Tensor]) -> list[nn.ActivationTrace]:
@@ -386,7 +381,7 @@ def _fuzz_one(
         # the cap however large step_size is
         budget = (cfg.distance_max - seed.distance) * x_norm - slack
         run = _mutants(model, seed.x.array, step, rng, budget, cfg, x64, x_norm)
-        for iteration, (trace_m, dist, state) in enumerate(run, start=1):
+        for iteration, (trace_m, dist) in enumerate(run, start=1):
             newly = cov.update(tracker, model, trace_m)
             c_m = trace_m.predicted_label
             if c_m != c_orig:
@@ -402,8 +397,6 @@ def _fuzz_one(
                         iteration=iteration,
                     )
                 )
-                if state is not None:
-                    rng.bit_generator.state = state
                 break
             if newly / tracker.total_neurons >= requirement and dist <= cfg.distance_max:
                 queue.push(_Seed(trace_m.input, seed.generation + 1, trace_m, dist))

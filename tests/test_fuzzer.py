@@ -394,10 +394,11 @@ def reference_fuzz_one(model, tracker, x, cfg, input_index, rng):
 class TestMutantsSteppedAhead:
     """_fuzz_one against reference_fuzz_one over one campaign per case, on
     untrained models whose runs hold several mutants inside the cap. Each
-    case is checked to reach what stepping ahead changes: a group of two or
-    more predicted in one pass, a flip before a group's last mutant, a run
-    that leaves the cap after such a group, a queue of two or more seeds,
-    and in random mode a flip after which the generator is rewound."""
+    guided case is checked to reach what stepping ahead changes: a group of
+    two or more predicted in one pass, a flip before a group's last mutant,
+    a run that leaves the cap after such a group, and a queue of two or
+    more seeds. A random case must predict no group and reach a flip before
+    a run's last step, after which the generator must draw no more."""
 
     CASES = {
         "lenet4-guided": ("lenet4", 0.5, 0.1, "guided"),
@@ -461,18 +462,21 @@ class TestMutantsSteppedAhead:
             assert np.array_equal(g_count, w_count)
             assert g_state == w_state
 
+        assert max(queue_lens) >= 2
+        if mutation == "random":
+            assert groups == []
+            assert any(rec.iteration < cfg.iter_times for rec in got.records)
+            return
+
         def flipped(trace):
             return any(rec.mutated is trace.input for rec in got.records)
 
         assert any(len(g) >= 2 for g in groups)
         assert any(flipped(t) for g in groups for t in g[:-1])
         assert any(
-            sum(d <= distance_max for _, d, _ in run) >= 2 and run[-1][1] > distance_max
+            sum(d <= distance_max for _, d in run) >= 2 and run[-1][1] > distance_max
             for run in runs
         )
-        assert max(queue_lens) >= 2
-        if mutation == "random":
-            assert any(state is not None and flipped(t) for run in runs for t, _, state in run)
 
 
 class TestAdversarialRecord:
