@@ -1,17 +1,19 @@
 """Coverage-guided differential fuzzing loop.
 
-Each test input seeds a FIFO queue. Every popped seed is predicted, m target
-neurons are selected, and a joint objective (top-k other-class confidence
-minus original-class confidence, plus weighted target-neuron outputs) is
-differentiated with respect to the input. The processed gradient is applied
-cumulatively iter_times times; each mutant's trace is folded into the shared
-coverage tracker. A mutant survives as a new seed only while it looks like
-the original (label unchanged, relative L2 distance within distance_max) and
-still buys enough new coverage; a label flip is recorded as adversarial and
-ends that seed's mutation run. The first step of every run is shortened to
-the L2 room the seed has left under distance_max, so each run's first mutant
-lies inside the cap and can be kept; the later steps take the full step_size
-and search beyond it for a flip.
+Each test input is predicted once and seeds a FIFO queue with its trace.
+Every seed carries the trace it was judged with, so a popped seed is not
+predicted again: m target neurons are selected from its trace, and a joint
+objective (top-k other-class confidence minus original-class confidence, plus
+weighted target-neuron outputs) is differentiated with respect to the input.
+The processed gradient is applied cumulatively iter_times times; each
+mutant's trace is folded into the shared coverage tracker. A mutant survives
+as a new seed only while it looks like the original (label unchanged,
+relative L2 distance within distance_max) and still buys enough new coverage;
+a label flip is recorded as adversarial and ends that seed's mutation run.
+The first step of every run is shortened to the L2 room the seed has left
+under distance_max, so each run's first mutant lies inside the cap and can be
+kept; the later steps take the full step_size and search beyond it for a
+flip.
 
 Adversarial detection needs no ground-truth labels: the model's prediction on
 the original input is the reference, so any flip is a behavioral
@@ -72,6 +74,7 @@ class FuzzConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "pixel_range", tuple(self.pixel_range))
         for f in fields(self):
@@ -119,16 +122,12 @@ class FuzzConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FuzzConfig":
-        """Build a config from JSON-shaped values, as to_dict writes them."""
+        """Build a config from JSON-shaped values, as to_dict writes them. An
+        unknown key is refused here; the constructor checks the values."""
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
             raise ContractViolation(f"unknown config fields: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.name in d and not _FIELD_CHECKS[f.type](d[f.name]):
-                raise ContractViolation(
-                    f"config field {f.name!r} must be {f.type}, got {d[f.name]!r}"
-                )
         return cls(**d)
 
 
@@ -140,7 +139,7 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# the values a JSON config may hold, by the annotation of the FuzzConfig field
+# the values a config field may hold, by its annotation
 _FIELD_CHECKS = {
     "int": _is_int,
     "float": _is_number,
@@ -150,6 +149,16 @@ _FIELD_CHECKS = {
         isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
     ),
 }
+
+
+def _check_field_types(config):
+    """Refuse a config dataclass whose field value does not fit its
+    annotation, naming the first such field; FuzzConfig and TrainConfig call
+    it before any range check."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _FIELD_CHECKS[f.type](value):
+            raise ContractViolation(f"config field {f.name!r} must be {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,8 @@ class DatasetSplit:
     labels: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.images, Tensor):
+            raise ContractViolation(f"images: expected a Tensor, got {type(self.images).__name__}")
         labels = np.array(self.labels, dtype=np.int64)
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)

@@ -27,7 +27,7 @@ import numpy as np
 from . import nn
 from .architectures import build_model
 from .errors import ContractViolation, TrainingError
-from .fuzzer import AdversarialRecord
+from .fuzzer import AdversarialRecord, _check_field_types
 from .model_io import DatasetSplit
 from .tensor import Tensor
 
@@ -43,6 +43,7 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.epochs < 0:
             raise ContractViolation("epochs must be >= 0")
         if self.batch_size < 1:

@@ -105,9 +105,11 @@ class TestFuzzConfig:
         "field, value",
         [("k", "4"), ("k", True), ("lam", "x"), ("step_size", [1.0]),
          ("strategies", "12"), ("strategies", [1.0]), ("pixel_range", [0.0]),
-         ("use_logits", 1)],
+         ("use_logits", 1), ("use_logits", "no"), ("k", 2.5)],
     )
     def test_wrongly_typed_field_rejected(self, field, value):
+        with pytest.raises(ContractViolation, match=field):
+            FuzzConfig(**{field: value})
         with pytest.raises(ContractViolation, match=field):
             FuzzConfig.from_dict({field: value})
 

@@ -237,6 +237,10 @@ class TestDatasetSplit:
         with pytest.raises(ContractViolation, match=r"\[n, h, w, 1\]"):
             DatasetSplit(Tensor.wrap(np.zeros((3, 2, 2, 2), dtype=np.float32)), (0, 1, 2))
 
+    def test_images_must_be_a_tensor(self):
+        with pytest.raises(ContractViolation, match="expected a Tensor, got ndarray"):
+            DatasetSplit(self.images().array.copy(), (0, 1, 2))
+
     def test_pixels_must_lie_in_unit_range(self):
         with pytest.raises(ContractViolation, match="pixels must lie in"):
             DatasetSplit(self.images(fill=1.5), (0, 1, 2))

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from neurofuzz.errors import ContractViolation
-from neurofuzz.tensor import CHECK_BLOCK, Tensor, l2_norm
+from neurofuzz.tensor import Tensor, l2_norm
 
-LARGE = 3 * CHECK_BLOCK + 5  # elements: three full check blocks and a partial one
+BLOCK = 1 << 16
+LARGE = 3 * BLOCK + 5
 
 
 class TestConstruction:
@@ -27,9 +28,8 @@ class TestConstruction:
         with pytest.raises(ContractViolation):
             Tensor([float("inf"), 0.0])
 
-    # the first and last element, and each side of the first block boundary
     @pytest.mark.parametrize("index, value", [
-        (0, np.inf), (-1, np.nan), (CHECK_BLOCK - 1, np.inf), (CHECK_BLOCK, -np.inf),
+        (0, np.inf), (-1, np.nan), (BLOCK - 1, np.inf), (BLOCK, -np.inf),
     ])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_non_finite_rejected_in_any_block(self, index, value, dtype):
@@ -41,18 +41,17 @@ class TestConstruction:
         assert Tensor.wrap(arr.reshape(-1, 1)).shape == (LARGE, 1)
 
     def test_non_finite_rejected_in_a_large_strided_view(self):
-        # each row of the view is larger than a block, so it is checked alone
         arr = np.zeros((4, LARGE), dtype=np.float32)
         view = arr[:, ::2]
         view[3, -1] = np.nan
         with pytest.raises(ContractViolation, match="NaN or Inf"):
             Tensor(view)
 
-    # the dot product x.x flags the array and the exact check names it, at
-    # or below one block and above it, wherever the element lies
+    # the dot product x.x flags the array and the exact check names it,
+    # wherever the element lies
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
-    @pytest.mark.parametrize("size", [7, CHECK_BLOCK, LARGE])
+    @pytest.mark.parametrize("size", [7, BLOCK, LARGE])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_non_finite_rejected_at_any_position(self, value, where, size, dtype):
         arr = np.full(size, 0.5, dtype=dtype)
@@ -63,9 +62,10 @@ class TestConstruction:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("size", [7, LARGE])
     def test_finite_values_whose_squares_overflow_accepted(self, size):
-        arr = np.full(size, 1e20, dtype=np.float32)
-        assert not np.isfinite(np.vdot(arr, arr))
-        assert Tensor.wrap(arr).shape == (size,)
+        for dtype, value in ((np.float32, 1e20), (np.float64, 1e200)):
+            arr = np.full(size, value, dtype=dtype)
+            assert not np.isfinite(np.vdot(arr, arr))
+            assert Tensor.wrap(arr).shape == (size,)
 
     def test_large_wrap_holds_no_full_size_mask(self):
         images = np.zeros((20000, 28, 28, 1), dtype=np.float32)
@@ -75,7 +75,7 @@ class TestConstruction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * CHECK_BLOCK  # two blocks' bool mask; the full one is 15.7 MB
+        assert peak < 2 * BLOCK  # the full bool mask is 15.7 MB
 
     def test_rows_are_read_only_views_of_the_whole(self):
         t = Tensor(np.arange(12.0).reshape(3, 2, 2))

@@ -135,6 +135,15 @@ class TestTrainConfig:
             with pytest.raises(ContractViolation, match="learning_rate"):
                 TrainConfig(learning_rate=rate)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 1.5), ("epochs", True), ("batch_size", True), ("batch_size", "8"),
+         ("learning_rate", "0.1"), ("learning_rate", None), ("rng_seed", 2.0)],
+    )
+    def test_wrongly_typed_field_rejected(self, field, value):
+        with pytest.raises(ContractViolation, match=field):
+            TrainConfig(**{field: value})
+
 
 def misfit(kind):
     """A blob split that does not fit tiny_arch: 3x4 images, or a label
