@@ -15,7 +15,13 @@ only reads, and one uniform-noise input: coverage.update of a trace and
 coverage.select_neurons with all four strategies and m=10, as the
 campaign-lenet5-s1234 workload runs them. The group rows time a seed's
 in-cap mutants, n = 1 to GROUP_MAX guided steps of 0.1 from that input: one
-nn.predict_each of the n against n nn.predict calls.
+nn.predict_each of the n against n nn.predict calls. The scaled rows time
+the neuron scaling of a stacked pass over those mutants, at G = 1 to
+GROUP_MAX and at fuzzer.ORIGIN_CHUNK: one NeuronLayout.scaled_rows of the
+pass against G NeuronLayout.scaled calls, each on a trace that carries no
+scaled row. The chunk rows time one chunk of origins, fuzzer.ORIGIN_CHUNK
+uniform-noise inputs, on the lenet1 and lenet5 fixtures: one
+nn.predict_each against as many nn.predict calls.
 
 The training row splits one batch-64 lenet1 step on uniform-noise images
 into its data stage and the rest. fetch_ms is trainer._fetch: the gather of
@@ -92,7 +98,8 @@ from neurofuzz.tensor import Tensor  # noqa: E402
 
 BATCHES = (1, 64)
 GROUP_MAX = 5
-FUZZ_MODEL = ROOT / "perfbench" / "fixtures" / "lenet5.json"
+FIXTURES = ROOT / "perfbench" / "fixtures"
+FUZZ_MODEL = FIXTURES / "lenet5.json"
 INGEST_SHAPE = (20000, 28, 28)
 INGEST_CALLS = 10
 PASSES = 2
@@ -185,6 +192,23 @@ def fuzzer_rows() -> list[tuple[dict, dict]]:
         rows.append(({"op": "fuzzer.mutant_group", "model": "lenet5", "batch": n}, {
             "predict_each_us": lambda group=group: nn.predict_each(model, group),
             "predict_us": lambda group=group: [nn.predict(model, m) for m in group],
+        }))
+    layout = model.layout
+    for g in sorted({*range(1, GROUP_MAX + 1), fz.ORIGIN_CHUNK}):
+        stack = [mutants[k % GROUP_MAX] for k in range(g)]
+        acts = nn._forward(model, np.stack([m.array for m in stack]), each=True)
+        bare = [nn.ActivationTrace(t.input, t.outputs) for t in nn.predict_each(model, stack)]
+        rows.append(({"op": "coverage.scaled_rows", "model": "lenet5", "batch": g}, {
+            "scaled_rows_us": lambda acts=acts: layout.scaled_rows(acts),
+            "scaled_us": lambda bare=bare: [layout.scaled(t) for t in bare],
+        }))
+    for arch in ("lenet1", "lenet5"):
+        chunk_model = load_model(FIXTURES / f"{arch}.json")
+        chunk = [Tensor.wrap(rng.uniform(0, 1, size=chunk_model.input_shape).astype(np.float32))
+                 for _ in range(fz.ORIGIN_CHUNK)]
+        rows.append(({"op": "fuzzer.origin_chunk", "model": arch, "batch": len(chunk)}, {
+            "predict_each_us": lambda m=chunk_model, c=chunk: nn.predict_each(m, c),
+            "predict_us": lambda m=chunk_model, c=chunk: [nn.predict(m, x) for x in c],
         }))
     return rows
 
@@ -405,13 +429,9 @@ def main(argv=None) -> int:
               f"forward {row['forward_us']:9.1f} (min {row['forward_us_min']:9.1f}) us  "
               f"backward {row['backward_us']:9.1f} (min {row['backward_us_min']:9.1f}) us")
     for row in result["fuzzer"]:
-        if "us" in row:
-            print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} "
-                  f"{row['us']:9.1f} (min {row['us_min']:9.1f}) us")
-        else:
-            print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} "
-                  f"predict_each {row['predict_each_us']:9.1f}  "
-                  f"{row['batch']} x predict {row['predict_us']:9.1f} us")
+        times = "  ".join(f"{column} {row[column]:9.1f}" for column in row
+                          if column == "us" or column.endswith("_us"))
+        print(f"batch {row['batch']:>2}  {row['model']} {row['op']:<24} {times}")
     for row in result["training"]:
         print(f"batch {row['batch']:>2}  {row['model']} train step: fetch {row['fetch_ms']:6.3f}  "
               f"step {row['step_ms']:6.3f}  train() per step {row['train_step_ms']:6.3f}, "

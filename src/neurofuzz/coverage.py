@@ -53,6 +53,9 @@ class NeuronLayout:
     ids lists every neuron in (layer, unit) order, the order of every flat
     neuron vector; index maps an id to its flat position. weight_l1 holds the
     L1 norm of the weights feeding each neuron, strategy 3's score.
+
+    scaled_rows scales the neurons of a stacked pass, [G, ...] per layer, at
+    once; values and scaled read one trace as a pass of one.
     """
 
     def __init__(self, model: Model):
@@ -89,26 +92,45 @@ class NeuronLayout:
     def values(self, trace: ActivationTrace) -> np.ndarray:
         """Observed value of every neuron, as one float64 vector in ids order;
         a conv channel's value is the mean of its map."""
+        return self._value_rows(self._batch_of_one(trace))[0]
+
+    def scaled(self, trace: ActivationTrace) -> np.ndarray:
+        """Every neuron's value for one trace, min-max scaled within its layer
+        (see scale_layer), as one float64 vector in ids order: the read-only
+        row the trace's prediction attached when this layout scaled it, else
+        scaled_rows of the trace alone."""
+        if trace.scaled_by is self:
+            return trace.scaled_row
+        return self.scaled_rows(self._batch_of_one(trace))[0]
+
+    def scaled_rows(self, acts: Sequence[np.ndarray]) -> np.ndarray:
+        """Scaled neuron vectors of a stacked pass, one [G, ...] output per layer,
+        as a read-only [G, len(ids)] float64 matrix; row g has trace g's bits."""
+        rows = _scale_rows(self._value_rows(acts), self._starts, self._layer_of)
+        rows.flags.writeable = False
+        return rows
+
+    def _batch_of_one(self, trace: ActivationTrace) -> list[np.ndarray]:
         if len(trace.outputs) != len(self._shapes) or any(
             t.shape != s for t, s in zip(trace.outputs, self._shapes)
         ):
             raise ContractViolation("trace does not match this model")
-        flat = np.empty(len(self.ids))
+        return [t.array[None] for t in trace.outputs]
+
+    def _value_rows(self, acts: Sequence[np.ndarray]) -> np.ndarray:
+        """Observed neuron values of a stacked pass, [G, len(ids)] float64."""
+        flat = np.empty((len(acts[0]), len(self.ids)))
         for nl in self.layers:
-            out = trace.outputs[nl.source].array
-            if out.ndim == 3:
+            out = acts[nl.source]
+            if out.ndim == 4:
                 # the float64 sum and division ndarray.mean(axis=(0, 1)) runs
-                v = flat[nl.span]
-                np.add.reduce(out.reshape(-1, out.shape[-1]), axis=0, dtype=np.float64, out=v)
+                v = flat[:, nl.span]
+                np.add.reduce(out.reshape(len(out), -1, out.shape[-1]), axis=1,
+                              dtype=np.float64, out=v)
                 v /= nl.map_size
             else:
-                flat[nl.span] = out
+                flat[:, nl.span] = out
         return flat
-
-    def scaled(self, trace: ActivationTrace) -> np.ndarray:
-        """Every neuron's value for one trace, min-max scaled within its layer
-        (see scale_layer), as one float64 vector in ids order."""
-        return _scale(self.values(trace), self._starts, self._layer_of)
 
     def add_value_grads(
         self,
@@ -143,12 +165,13 @@ def neuron_outputs(model: Model, trace: ActivationTrace) -> dict[NeuronId, float
     return dict(zip(all_neurons(model), model.layout.values(trace).tolist()))
 
 
-def _scale(v: np.ndarray, starts: np.ndarray, layer_of: np.ndarray) -> np.ndarray:
-    """Min-max scale each segment of v to [0, 1] in one pass; segment k starts
-    at starts[k], and layer_of gives each element's segment. A segment whose
-    values are all equal scales to +0.0."""
-    lo = np.minimum.reduceat(v, starts)[layer_of]
-    span = np.maximum.reduceat(v, starts)[layer_of] - lo
+def _scale_rows(v: np.ndarray, starts: np.ndarray, layer_of: np.ndarray) -> np.ndarray:
+    """Min-max scale each segment of every row of v to [0, 1] in one pass;
+    segment k starts at starts[k], and layer_of gives each column's segment.
+    A segment whose values are all equal scales to +0.0."""
+    lo = np.minimum.reduceat(v, starts, axis=1)
+    span = (np.maximum.reduceat(v, starts, axis=1) - lo).take(layer_of, axis=1)
+    lo = lo.take(layer_of, axis=1)
     return np.divide(v - lo, span, out=np.zeros_like(v), where=span != 0)
 
 
@@ -157,8 +180,8 @@ def scale_layer(outputs: Sequence[float]) -> list[float]:
     are all equal scales to zeros (it cannot self-activate)."""
     if len(outputs) == 0:
         raise ContractViolation("scale_layer needs a non-empty layer")
-    v = np.asarray(outputs, dtype=np.float64)
-    return _scale(v, np.zeros(1, np.intp), np.zeros(v.size, np.intp)).tolist()
+    v = np.asarray(outputs, dtype=np.float64)[None]
+    return _scale_rows(v, np.zeros(1, np.intp), np.zeros(v.size, np.intp))[0].tolist()
 
 
 class CoverageTracker:

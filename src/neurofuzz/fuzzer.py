@@ -1,6 +1,7 @@
 """Coverage-guided differential fuzzing loop.
 
-Each test input is predicted once and seeds a FIFO queue with its trace.
+Each test input is predicted once, in a chunk of ORIGIN_CHUNK inputs that
+share one pass with predict's bits, and seeds a FIFO queue with its trace.
 Every seed carries the trace it was judged with, so a popped seed is not
 predicted again: m target neurons are selected from its trace, and a joint
 objective (top-k other-class confidence minus original-class confidence, plus
@@ -38,6 +39,8 @@ from .model_io import export_image_pgm, import_image_pgm
 from .tensor import Tensor, l2_norm
 
 MUTATION_MODES = ("guided", "random")
+ORIGIN_CHUNK = 4  # origins per stacked pass: no origin's prediction reads the tracker
+MANIFEST_HEADER = "input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"
 
 
 @dataclass(frozen=True)
@@ -324,13 +327,13 @@ def _predict_group(model: nn.Model, group: list[Tensor]) -> list[nn.ActivationTr
 def _fuzz_one(
     model: nn.Model,
     tracker: cov.CoverageTracker,
-    x: Tensor,
+    trace0: nn.ActivationTrace,
     cfg: FuzzConfig,
     input_index: int,
     rng: np.random.Generator | None,
 ) -> tuple[list[AdversarialRecord], int]:
-    """Run the full mutation loop for one input against a shared tracker;
-    fuzz_corpus has checked the input, so nothing is checked here.
+    """Run the full mutation loop for trace0.input against a shared tracker;
+    fuzz_corpus has predicted and checked the input, so nothing is checked here.
 
     Returns the adversarial records found and the number of seeds processed;
     an empty record list is a normal outcome, and the coverage this input
@@ -347,6 +350,7 @@ def _fuzz_one(
     into the tracker, then a flip is recorded and ends the run, or a mutant
     that passes both gates is kept.
     """
+    x = trace0.input
     x_norm = l2_norm(x.array)
     if x_norm == 0.0:
         return [], 0
@@ -357,7 +361,6 @@ def _fuzz_one(
     # first mutant passes the distance gate exactly
     slack = np.finfo(x.array.dtype).eps * max(abs(lo), abs(hi)) * np.sqrt(x.array.size)
 
-    trace0 = nn.predict(model, x)
     c_orig = trace0.predicted_label
     queue = SeedQueue(cfg.max_seeds_per_input)
     queue.push(_Seed(x, 0, trace0))
@@ -426,7 +429,9 @@ def fuzz_corpus(
     the paired baseline for judging guidance. Each input draws from its own
     generator spawned from rng_seed, so with a fixed rng_seed the campaign is
     reproducible bit for bit in either mode. The coverage curve has one point
-    per input, taken after it.
+    per input, taken after it. The inputs are predicted ORIGIN_CHUNK at a
+    time, by one nn.predict_each as the loop reaches a chunk's first input,
+    whose wall time includes that pass.
 
     This is the campaign's one checked entry: it checks the mutation mode,
     then every input (a Tensor of the model's shape and precision, pixels
@@ -451,11 +456,13 @@ def fuzz_corpus(
     curve: list[CoveragePoint] = []
     walls: list[float] = []
     cumulative_seeds = 0
-    for i, x in enumerate(inputs):
+    for i in range(len(inputs)):
         start = time.perf_counter()
+        if i % ORIGIN_CHUNK == 0:
+            origins = nn.predict_each(model, inputs[i : i + ORIGIN_CHUNK])
         # guided mode draws nothing, so only random mode pays for a generator
         rng = np.random.default_rng(seeds[i]) if mutation == "random" else None
-        recs, processed = _fuzz_one(model, tracker, x, cfg, i, rng)
+        recs, processed = _fuzz_one(model, tracker, origins[i % ORIGIN_CHUNK], cfg, i, rng)
         walls.append(time.perf_counter() - start)
         records.extend(recs)
         cumulative_seeds += processed
@@ -495,7 +502,7 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
 
     seq: Counter[int] = Counter()
     names: set[str] = set()
-    manifest = ["input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"]
+    manifest = [MANIFEST_HEADER]
     for rec in report.records:
         name = _adv_name(rec.input_index, seq[rec.input_index], rec.original_label,
                          rec.adversarial_label)
@@ -530,13 +537,15 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
 
 
 def read_campaign_records(campaign_dir: str | Path) -> list[AdversarialRecord]:
-    """Rebuild adversarial records from a written campaign directory by
-    joining manifest.csv rows with their PGM files."""
+    """Rebuild adversarial records from a written campaign directory, whose
+    manifest.csv must open with MANIFEST_HEADER, joining rows and PGM files."""
     campaign = Path(campaign_dir)
     manifest = campaign / "manifest.csv"
     if not manifest.exists():
         raise ContractViolation(f"{campaign} has no manifest.csv")
     lines = manifest.read_text(encoding="ascii").splitlines()
+    if not lines or lines[0] != MANIFEST_HEADER:
+        raise ContractViolation(f"{manifest} line 1: expected header {MANIFEST_HEADER!r}")
     records = []
     seq: Counter[int] = Counter()
     for lineno, line in enumerate(lines[1:], start=2):

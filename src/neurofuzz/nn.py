@@ -21,7 +21,7 @@ Conventions (pinned, covered by tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -216,10 +216,14 @@ def _layer_output_shape(layer: Layer, shape: tuple[int, ...]) -> tuple[int, ...]
 
 @dataclass(frozen=True)
 class ActivationTrace:
-    """Every layer's output for one input, last entry being the confidences."""
+    """Every layer's output for one input, last entry being the confidences;
+    predict keeps the scaled neuron vector and the layout that scaled it in
+    two fields that take no part in comparisons (see NeuronLayout.scaled)."""
 
     input: Tensor
     outputs: tuple[Tensor, ...]
+    scaled_row: np.ndarray | None = field(default=None, compare=False, repr=False)
+    scaled_by: NeuronLayout | None = field(default=None, compare=False, repr=False)
 
     @property
     def confidences(self) -> Tensor:
@@ -235,7 +239,9 @@ def predict(model: Model, x: Tensor) -> ActivationTrace:
     the predicted label (lowest index wins ties)."""
     check_input(model, x)
     acts = _forward(model, x.array[None, ...])
-    return ActivationTrace(x, tuple(Tensor.wrap(a[0]) for a in acts))
+    outputs = tuple(Tensor.wrap(a[0]) for a in acts)
+    layout = model.layout
+    return ActivationTrace(x, outputs, layout.scaled_rows(acts)[0], layout)
 
 
 def predict_each(model: Model, xs: Sequence[Tensor]) -> list[ActivationTrace]:
@@ -245,12 +251,14 @@ def predict_each(model: Model, xs: Sequence[Tensor]) -> list[ActivationTrace]:
     bits it has alone; a dense layer's gemm over stacked rows may not, so
     _forward multiplies each row as its own (1, K) product. Each layer's
     output is checked once, as one Tensor, and every trace holds read-only
-    row views of it."""
+    row views of it, and its row of the pass's NeuronLayout.scaled_rows."""
     for x in xs:
         check_input(model, x)
     acts = _forward(model, np.stack([x.array for x in xs]), each=True)
     rows = zip(*(Tensor.wrap(a).rows() for a in acts))
-    return [ActivationTrace(x, outputs) for x, outputs in zip(xs, rows)]
+    layout = model.layout
+    return [ActivationTrace(x, outputs, row, layout)
+            for x, outputs, row in zip(xs, rows, layout.scaled_rows(acts))]
 
 
 def check_input(model: Model, x: Tensor):

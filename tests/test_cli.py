@@ -523,6 +523,24 @@ class TestRetrain:
         assert len(err.strip().splitlines()) == 1
         assert "manifest.csv line 2" in err
 
+    def test_manifest_without_header_exits_1(self, capsys, data_dir, model_path, tmp_path):
+        campaign = tmp_path / "campaign"
+        campaign.mkdir()
+        (campaign / "manifest.csv").write_text("0,3,5,0.01,0.1,0,1\n")
+        code, _, err = run(
+            capsys,
+            "retrain",
+            "--model", str(model_path),
+            "--data-dir", str(data_dir),
+            "--campaign-dir", str(campaign),
+            "--out", str(tmp_path / "retrained.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "manifest.csv line 1: expected header" in err
+        assert not (tmp_path / "retrained.json").exists()
+
     def test_record_that_does_not_fit_model_exits_1(self, capsys, data_dir, model_path,
                                                       tmp_path):
         campaign = tmp_path / "campaign"

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import workloads
 from neurofuzz import architectures, nn
 from neurofuzz.coverage import (
     CoverageTracker,
@@ -23,6 +24,7 @@ from neurofuzz.coverage import (
 )
 from neurofuzz.errors import ContractViolation
 from neurofuzz.fuzzer import FuzzConfig, fuzz_corpus
+from neurofuzz.model_io import load_model
 from neurofuzz.tensor import Tensor
 
 
@@ -551,3 +553,93 @@ class TestFlatArraysMatchDictReference:
             for nl in (model.layout.layers[0], model.layout.layers[2]):
                 zeros = np.zeros(nl.span.stop - nl.span.start)
                 assert scaled[nl.span].tobytes() == zeros.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# stacked scaling: NeuronLayout.scaled_rows and the rows predict attaches
+
+
+def one_channel_conv_model():
+    """conv2d with a single output channel -> relu -> flatten -> dense ->
+    softmax: the channel axis has length 1, so the float64 channel sum
+    reduces the inner axis of the stacked outputs."""
+    rng = np.random.default_rng(9)
+    w = Tensor.wrap(rng.standard_normal((3, 3, 1, 1)).astype(np.float32))
+    b = Tensor.wrap(np.full(1, 0.1, dtype=np.float32))
+    wd = Tensor.wrap(rng.standard_normal((26 * 26, 4)).astype(np.float32))
+    bd = Tensor.wrap(rng.standard_normal(4).astype(np.float32))
+    return nn.Model(
+        layers=(nn.conv2d(w, b), nn.relu(), nn.flatten(), nn.dense(wd, bd), nn.softmax()),
+        input_shape=(28, 28, 1),
+        num_classes=4,
+    )
+
+
+def stacked_model(name):
+    if name == "one-channel-conv":
+        return one_channel_conv_model()
+    return load_model(workloads.fixture_path(name.removesuffix("-fixture")))
+
+
+def ref_scaled(model, trace):
+    return np.array(list(ref_scaled_by_neuron(model, trace).values()), dtype=np.float64)
+
+
+class TestStackedScaling:
+    """Each row of a stacked pass's scaled matrix against the trace scaled
+    alone, byte for byte; the row predict attaches, and when it is read."""
+
+    @pytest.mark.parametrize("name", ["lenet1-fixture", "lenet5-fixture", "one-channel-conv"])
+    def test_rows_equal_lone_scaled(self, name, test_split):
+        model = stacked_model(name)
+        layout = model.layout
+        xs = [test_split.image(i) for i in range(7)]
+        for n in (1, 2, 3, 7):
+            acts = nn._forward(model, np.stack([x.array for x in xs[:n]]), each=True)
+            rows = layout.scaled_rows(acts)
+            assert rows.shape == (n, len(layout.ids)) and rows.dtype == np.float64
+            for x, row in zip(xs, rows):
+                lone = nn.predict(model, x)
+                alone = layout.scaled(nn.ActivationTrace(x, lone.outputs))
+                assert row.tobytes() == alone.tobytes()
+                assert row.tobytes() == lone.scaled_row.tobytes()
+                assert row.tobytes() == ref_scaled(model, lone).tobytes()
+
+    def test_predict_each_attaches_its_row(self, test_split):
+        model = stacked_model("lenet5-fixture")
+        xs = [test_split.image(i) for i in range(5)]
+        for trace, x in zip(nn.predict_each(model, xs), xs):
+            assert trace.scaled_by is model.layout
+            assert model.layout.scaled(trace) is trace.scaled_row
+            assert trace.scaled_row.tobytes() == nn.predict(model, x).scaled_row.tobytes()
+
+    def test_twin_model_recomputes(self, monkeypatch):
+        # a twin Model has the same layers but its own layout; a row the
+        # other layout attached must not be read as its own
+        model = architectures.build_model("lenet1", rng_seed=2)
+        twin = nn.Model(model.layers, model.input_shape, model.num_classes)
+        assert twin.layout is not model.layout
+        trace = nn.predict(model, rand_input(model, np.random.default_rng(3)))
+        poisoned = dataclasses.replace(trace, scaled_row=np.full(len(model.layout.ids), 7.0))
+        assert model.layout.scaled(poisoned) is poisoned.scaled_row
+        got = twin.layout.scaled(poisoned)
+        assert got.tobytes() == trace.scaled_row.tobytes()
+        assert got.tobytes() == ref_scaled(model, trace).tobytes()
+
+    def test_hand_built_trace_scales(self):
+        model = architectures.build_model("lenet5", rng_seed=2)
+        trace = nn.predict(model, rand_input(model, np.random.default_rng(4)))
+        built = nn.ActivationTrace(trace.input, trace.outputs)
+        assert built.scaled_row is None and built.scaled_by is None
+        assert built == trace
+        assert model.layout.scaled(built).tobytes() == trace.scaled_row.tobytes()
+
+    def test_attached_rows_read_only(self):
+        model = architectures.build_model("lenet1", rng_seed=2)
+        rng = np.random.default_rng(5)
+        xs = [rand_input(model, rng) for _ in range(3)]
+        acts = nn._forward(model, np.stack([x.array for x in xs]), each=True)
+        assert not model.layout.scaled_rows(acts).flags.writeable
+        for trace in [nn.predict(model, xs[0]), *nn.predict_each(model, xs)]:
+            with pytest.raises(ValueError):
+                trace.scaled_row[0] = 1.0

@@ -186,7 +186,7 @@ class TestFuzzOneInput:
         tracker = CoverageTracker(model, 0.25)
         cfg = FuzzConfig(step_size=0.01, k=1, m=1)
         x = Tensor([0.2, 0.4, 0.6, 0.8])
-        records, processed = _fuzz_one(model, tracker, x, cfg, 0, None)
+        records, processed = _fuzz_one(model, tracker, nn.predict(model, x), cfg, 0, None)
         assert records == []
         # zero gradient -> zero perturbation -> mutants identical to input ->
         # no new coverage after the initial trace -> nothing kept
@@ -206,7 +206,7 @@ class TestFuzzOneInput:
         # pre-covering the original trace keeps the near-boundary mutant from
         # being queued as a seed, isolating the single first-seed flip
         update(tracker, model, nn.predict(model, x))
-        records, _ = _fuzz_one(model, tracker, x, cfg, 0, None)
+        records, _ = _fuzz_one(model, tracker, nn.predict(model, x), cfg, 0, None)
         assert len(records) == 1
         rec = records[0]
         assert rec.original_label == 0
@@ -220,7 +220,7 @@ class TestFuzzOneInput:
         model = linear_two_class(boundary=0.5 + 0.05)
         cfg = FuzzConfig(step_size=0.01, k=1, lam=0.0, m=1)
         tracker = CoverageTracker(model, 0.25)
-        records, _ = _fuzz_one(model, tracker, x, cfg, 0, None)
+        records, _ = _fuzz_one(model, tracker, nn.predict(model, x), cfg, 0, None)
         assert records == []
 
     def test_kept_seeds_respect_distance_and_label(self, monkeypatch):
@@ -238,7 +238,7 @@ class TestFuzzOneInput:
         x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
         cfg = FuzzConfig(step_size=0.05)
         tracker = CoverageTracker(model, cfg.activation_threshold)
-        _fuzz_one(model, tracker, x, cfg, 0, None)
+        _fuzz_one(model, tracker, nn.predict(model, x), cfg, 0, None)
         original_label = nn.predict(model, x).predicted_label
         gen_zero = [s for s in kept if s.generation == 0]
         later = [s for s in kept if s.generation > 0]
@@ -253,7 +253,7 @@ class TestFuzzOneInput:
         x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
         cfg = FuzzConfig(step_size=0.03, max_seeds_per_input=2)
         tracker = CoverageTracker(model, cfg.activation_threshold)
-        _, processed = _fuzz_one(model, tracker, x, cfg, 0, None)
+        _, processed = _fuzz_one(model, tracker, nn.predict(model, x), cfg, 0, None)
         assert processed <= 2
 
     def test_default_campaign_keeps_seeds_inside_cap(self, trained_model,
@@ -294,10 +294,11 @@ class TestFuzzOneInput:
         rng = np.random.default_rng(47)
         for _ in range(40):
             x = Tensor.wrap(rng.uniform(0.25, 0.75, size=(28, 28, 1)).astype(np.float32))
+            trace0 = nn.predict(model, x)
             seen.clear()
             tracker = CoverageTracker(model, cfg.activation_threshold)
-            _fuzz_one(model, tracker, x, cfg, 0, None)
-            assert relative_distance(seen[1], x) <= cfg.distance_max
+            _fuzz_one(model, tracker, trace0, cfg, 0, None)
+            assert relative_distance(seen[0], x) <= cfg.distance_max
 
     def test_gradient_reuses_the_seed_forward_pass(self, monkeypatch):
         # input_gradient reads the seed's trace, so every forward pass is
@@ -323,7 +324,7 @@ class TestFuzzOneInput:
         processed = 0
         for _ in range(4):
             x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
-            processed += _fuzz_one(model, tracker, x, cfg, 0, None)[1]
+            processed += _fuzz_one(model, tracker, nn.predict(model, x), cfg, 0, None)[1]
         assert processed > 4  # some mutant went back into the queue
         assert calls["predict_each"] > 0  # some run's in-cap mutants shared a pass
         assert calls["predict"] + calls["predict_each"] > processed
@@ -341,9 +342,12 @@ class TestFuzzOneInput:
         assert fz._shorten_to(zero, -0.5) is zero
 
 
-def reference_fuzz_one(model, tracker, x, cfg, input_index, rng):
-    """_fuzz_one as it ran before mutants were stepped ahead: each mutant is
-    stepped, predicted alone and judged before the next one is stepped."""
+def reference_fuzz_one(model, tracker, trace0, cfg, input_index, rng):
+    """_fuzz_one as it ran before mutants were stepped ahead and origins were
+    predicted in chunks: the origin, trace0.input, is predicted alone here,
+    and each mutant is stepped, predicted alone and judged before the next
+    one is stepped."""
+    x = trace0.input
     x_norm = l2_norm(x.array)
     if x_norm == 0.0:
         return [], 0
@@ -413,8 +417,8 @@ class TestMutantsSteppedAhead:
         after each input."""
         after = []
 
-        def spy(model, tracker, x, cfg, input_index, rng):
-            out = fuzz_one(model, tracker, x, cfg, input_index, rng)
+        def spy(model, tracker, trace0, cfg, input_index, rng):
+            out = fuzz_one(model, tracker, trace0, cfg, input_index, rng)
             after.append((tracker._count.copy(), rng and rng.bit_generator.state))
             return out
 
@@ -435,10 +439,10 @@ class TestMutantsSteppedAhead:
                                          mutation)
 
         groups, runs, queue_lens = [], [], []
-        predict_each, mutants, push = nn.predict_each, fz._mutants, fz.SeedQueue.push
+        predict_group, mutants, push = fz._predict_group, fz._mutants, fz.SeedQueue.push
 
-        def recording_predict_each(model, xs):
-            groups.append(predict_each(model, xs))
+        def recording_predict_group(model, group):
+            groups.append(predict_group(model, group))
             return groups[-1]
 
         def recording_mutants(*args):
@@ -451,7 +455,7 @@ class TestMutantsSteppedAhead:
             push(self, seed)
             queue_lens.append(len(self))
 
-        monkeypatch.setattr(nn, "predict_each", recording_predict_each)
+        monkeypatch.setattr(fz, "_predict_group", recording_predict_group)
         monkeypatch.setattr(fz, "_mutants", recording_mutants)
         monkeypatch.setattr(fz.SeedQueue, "push", recording_push)
         got, got_after = self.campaign(monkeypatch, _fuzz_one, model, inputs, cfg, mutation)
@@ -576,6 +580,54 @@ class TestFuzzCorpus:
         with pytest.raises(ContractViolation, match=r"^input 2: "):
             fuzz_corpus(model, [*good[:2], bad, good[2]], FuzzConfig())
         assert fuzzed == []
+
+    def test_origins_predicted_in_chunks(self, monkeypatch):
+        # two full chunks and a ragged last one, with an all-zero input inside
+        # the second; every output must equal a run that predicts each origin
+        # alone, and the all-zero input must still be skipped with no seeds
+        model = architectures.build_model("lenet1", rng_seed=5)
+        rng = np.random.default_rng(55)
+        chunk = fz.ORIGIN_CHUNK
+        inputs = [Tensor.wrap(rng.uniform(0.2, 0.8, size=(28, 28, 1)).astype(np.float32))
+                  for _ in range(2 * chunk + 1)]
+        zero = chunk + 1
+        inputs[zero] = Tensor.zeros((28, 28, 1))
+        # steps at which both modes flip this untrained model
+        cfg = FuzzConfig(step_size=1.0, distance_max=0.2, iter_times=5)
+        predict_each, fuzz_one = nn.predict_each, fz._fuzz_one
+        chunks, origins = [], []
+
+        def recording_predict_each(model, xs):
+            if any(xs[0] is x for x in inputs):
+                chunks.append(len(xs))
+            return predict_each(model, xs)
+
+        def recording_fuzz_one(model, tracker, trace0, *args):
+            origins.append(trace0)
+            return fuzz_one(model, tracker, trace0, *args)
+
+        def lone_fuzz_one(model, tracker, trace0, *args):
+            return fuzz_one(model, tracker, nn.predict(model, trace0.input), *args)
+
+        for mutation in fz.MUTATION_MODES:
+            chunks.clear()
+            origins.clear()
+            monkeypatch.setattr(nn, "predict_each", recording_predict_each)
+            monkeypatch.setattr(fz, "_fuzz_one", recording_fuzz_one)
+            got = fuzz_corpus(model, inputs, cfg, mutation)
+            assert chunks == [chunk, chunk, 1]
+            assert all(t.input is x for t, x in zip(origins, inputs, strict=True))
+            monkeypatch.setattr(fz, "_fuzz_one", lone_fuzz_one)
+            want = fuzz_corpus(model, inputs, cfg, mutation)
+
+            assert got.records
+            assert got.records == want.records
+            for g, w in zip(got.records, want.records):
+                assert g.mutated.array.tobytes() == w.mutated.array.tobytes()
+            assert got.coverage_curve == want.coverage_curve
+            curve = got.coverage_curve
+            assert curve[zero].seeds_processed == curve[zero - 1].seeds_processed
+            assert all(r.input_index != zero for r in got.records)
 
     def test_model_without_neurons_rejected(self):
         # a bare softmax head has no dense or conv2d layer to cover
@@ -746,4 +798,14 @@ class TestCampaignArtifacts:
     def test_reading_a_directory_without_manifest_rejected(self, tmp_path):
         (tmp_path / "adversarial").mkdir()
         with pytest.raises(ContractViolation, match="has no manifest.csv"):
+            read_campaign_records(tmp_path)
+
+    @pytest.mark.parametrize("text", ["0,3,5,0.01,0.1,0,1\n", "garbage header\n0,3,5,0.01,0.1,0,1\n",
+                                      "", f"{fz.MANIFEST_HEADER},x\n"],
+                             ids=["row-only", "garbage", "empty", "extra-column"])
+    def test_manifest_without_its_header_rejected(self, tmp_path, text):
+        # the first line is the header write_campaign_report writes; a row
+        # there would otherwise be dropped without a word
+        (tmp_path / "manifest.csv").write_text(text)
+        with pytest.raises(ContractViolation, match=r"manifest.csv line 1: expected header"):
             read_campaign_records(tmp_path)

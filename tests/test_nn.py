@@ -695,9 +695,10 @@ class TestForwardMatchesReference:
 
 
 class TestPredictEach:
-    """predict_each against one predict per input, bit for bit: every group
-    size a seed's run can hold at the benchmark's five iterations and one
-    more, in both precisions."""
+    """predict_each against one predict per input, bit for bit, layer
+    outputs and scaled neuron vectors: every group size a seed's run can
+    hold at the benchmark's five iterations and one more, in both
+    precisions."""
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     @pytest.mark.parametrize("arch", ["lenet1", "lenet4", "lenet5"])
@@ -717,6 +718,11 @@ class TestPredictEach:
                 for got, ref in zip(trace.outputs, want.outputs):
                     assert_same_bits(got.array, ref.array)
                     assert not got.array.flags.writeable
+                # both attach the scaled neuron vector, with the same bits
+                assert trace.scaled_by is want.scaled_by is model.layout
+                assert_same_bits(trace.scaled_row, want.scaled_row)
+                alone = model.layout.scaled(nn.ActivationTrace(x, want.outputs))
+                assert_same_bits(trace.scaled_row, alone)
 
     def test_input_checked(self):
         model = architectures.build_model("lenet1", rng_seed=3)
