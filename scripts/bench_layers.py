@@ -15,7 +15,8 @@ only reads, and one uniform-noise input: coverage.update of a trace and
 coverage.select_neurons with all four strategies and m=10, as the
 campaign-lenet5-s1234 workload runs them. The group rows time a seed's
 in-cap mutants, n = 1 to GROUP_MAX guided steps of 0.1 from that input: one
-nn.predict_each of the n against n nn.predict calls. The scaled rows time
+nn.predict_each of the n against n nn.predict calls (at n = 1, predict_each
+is one predict call). The scaled rows time
 the neuron scaling of a stacked pass over those mutants, at G = 1 to
 GROUP_MAX and at fuzzer.ORIGIN_CHUNK: one NeuronLayout.scaled_rows of the
 pass against G NeuronLayout.scaled calls, each on a trace that carries no

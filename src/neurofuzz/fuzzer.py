@@ -40,7 +40,6 @@ from .tensor import Tensor, l2_norm
 
 MUTATION_MODES = ("guided", "random")
 ORIGIN_CHUNK = 4  # origins per stacked pass: no origin's prediction reads the tracker
-MANIFEST_HEADER = "input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"
 
 
 @dataclass(frozen=True)
@@ -216,6 +215,16 @@ class AdversarialRecord:
             raise ContractViolation("distances must be non-negative")
 
 
+def _manifest_columns() -> list:
+    """The columns of manifest.csv: AdversarialRecord's fields but the image,
+    in field order. A cell is written by repr, which is str for an int, and
+    read back by its field's annotation, int or float."""
+    return [f for f in fields(AdversarialRecord) if f.name != "mutated"]
+
+
+MANIFEST_HEADER = ",".join(f.name for f in _manifest_columns())
+
+
 @dataclass(frozen=True)
 class CoveragePoint:
     input_index: int
@@ -282,9 +291,9 @@ def _mutants(
     drawn from rng; the first step is shortened to budget. A guided step
     does not depend on a prediction, so guided mutants are stepped ahead of
     their judging. Consecutive guided mutants inside distance_max wait and
-    are predicted in one pass, nn.predict_each, which has predict's bits; a
-    lone one goes through nn.predict. A mutant outside the cap is predicted
-    alone, after the mutants waiting before it.
+    are predicted together by nn.predict_each, which has predict's bits and
+    picks its body by the number of mutants. A mutant outside the cap is
+    predicted alone, after the mutants waiting before it.
 
     A random mutant is predicted and yielded as soon as it is drawn, so a
     caller that stops at it leaves the generator where a step-by-step run
@@ -309,19 +318,11 @@ def _mutants(
             dists.append(dist)
             continue
         if group:
-            yield from zip(_predict_group(model, group), dists)
+            yield from zip(nn.predict_each(model, group), dists)
             group, dists = [], []
         yield nn.predict(model, mutant), dist
     if group:
-        yield from zip(_predict_group(model, group), dists)
-
-
-def _predict_group(model: nn.Model, group: list[Tensor]) -> list[nn.ActivationTrace]:
-    """One trace per mutant; a lone mutant takes nn.predict, which is the
-    faster of the two at batch 1."""
-    if len(group) == 1:
-        return [nn.predict(model, group[0])]
-    return nn.predict_each(model, group)
+        yield from zip(nn.predict_each(model, group), dists)
 
 
 def _fuzz_one(
@@ -431,7 +432,8 @@ def fuzz_corpus(
     reproducible bit for bit in either mode. The coverage curve has one point
     per input, taken after it. The inputs are predicted ORIGIN_CHUNK at a
     time, by one nn.predict_each as the loop reaches a chunk's first input,
-    whose wall time includes that pass.
+    whose wall time includes that pass; nn picks the pass's body by the
+    number of inputs, so a last chunk of one is one batch-1 predict.
 
     This is the campaign's one checked entry: it checks the mutation mode,
     then every input (a Tensor of the model's shape and precision, pixels
@@ -502,6 +504,7 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
 
     seq: Counter[int] = Counter()
     names: set[str] = set()
+    columns = [f.name for f in _manifest_columns()]
     manifest = [MANIFEST_HEADER]
     for rec in report.records:
         name = _adv_name(rec.input_index, seq[rec.input_index], rec.original_label,
@@ -509,10 +512,7 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
         seq[rec.input_index] += 1
         names.add(name)
         export_image_pgm(rec.mutated, images / name)
-        manifest.append(
-            f"{rec.input_index},{rec.original_label},{rec.adversarial_label},"
-            f"{rec.distance!r},{rec.distance_abs!r},{rec.seed_generation},{rec.iteration}"
-        )
+        manifest.append(",".join(repr(getattr(rec, c)) for c in columns))
     for stale in images.glob("adv_*.pgm"):
         if stale.name not in names:
             stale.unlink()
@@ -543,34 +543,29 @@ def read_campaign_records(campaign_dir: str | Path) -> list[AdversarialRecord]:
     manifest = campaign / "manifest.csv"
     if not manifest.exists():
         raise ContractViolation(f"{campaign} has no manifest.csv")
-    lines = manifest.read_text(encoding="ascii").splitlines()
+    try:
+        lines = manifest.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{manifest}: byte {exc.start} is not ASCII") from None
     if not lines or lines[0] != MANIFEST_HEADER:
         raise ContractViolation(f"{manifest} line 1: expected header {MANIFEST_HEADER!r}")
+    columns = [(f.name, int if f.type == "int" else float) for f in _manifest_columns()]
     records = []
     seq: Counter[int] = Counter()
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        if len(cells) != 7:
+        if len(cells) != len(columns):
             raise ContractViolation(
-                f"{manifest} line {lineno}: expected 7 fields, got {len(cells)}"
+                f"{manifest} line {lineno}: expected {len(columns)} fields, got {len(cells)}"
             )
         try:
-            idx, orig, adv, gen, it = (int(cells[i]) for i in (0, 1, 2, 5, 6))
-            dist, dist_abs = float(cells[3]), float(cells[4])
+            row = {name: parse(cell) for (name, parse), cell in zip(columns, cells)}
         except ValueError as exc:
             raise ContractViolation(f"{manifest} line {lineno}: {exc}") from None
-        name = _adv_name(idx, seq[idx], orig, adv)
+        idx = row["input_index"]
+        name = _adv_name(idx, seq[idx], row["original_label"], row["adversarial_label"])
         seq[idx] += 1
         records.append(
-            AdversarialRecord(
-                input_index=idx,
-                original_label=orig,
-                adversarial_label=adv,
-                mutated=import_image_pgm(campaign / "adversarial" / name),
-                distance=dist,
-                distance_abs=dist_abs,
-                seed_generation=gen,
-                iteration=it,
-            )
+            AdversarialRecord(mutated=import_image_pgm(campaign / "adversarial" / name), **row)
         )
     return records

@@ -247,11 +247,15 @@ def predict(model: Model, x: Tensor) -> ActivationTrace:
 def predict_each(model: Model, xs: Sequence[Tensor]) -> list[ActivationTrace]:
     """predict(model, x) for each x, bit for bit, in one forward pass.
 
+    The number of inputs picks the body: a single input goes through
+    predict, the faster of the two at batch 1. Two or more are stacked.
     Every layer kind but dense computes each row of a stacked batch with the
     bits it has alone; a dense layer's gemm over stacked rows may not, so
     _forward multiplies each row as its own (1, K) product. Each layer's
     output is checked once, as one Tensor, and every trace holds read-only
     row views of it, and its row of the pass's NeuronLayout.scaled_rows."""
+    if len(xs) == 1:
+        return [predict(model, xs[0])]
     for x in xs:
         check_input(model, x)
     acts = _forward(model, np.stack([x.array for x in xs]), each=True)

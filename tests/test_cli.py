@@ -541,6 +541,26 @@ class TestRetrain:
         assert "manifest.csv line 1: expected header" in err
         assert not (tmp_path / "retrained.json").exists()
 
+    def test_non_ascii_manifest_exits_1(self, capsys, data_dir, model_path, tmp_path):
+        campaign = tmp_path / "campaign"
+        campaign.mkdir()
+        header = "input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"
+        (campaign / "manifest.csv").write_bytes(f"{header}\n0,3,5,0.01,0.1,0,1".encode() + b"\xe9\n")
+        code, _, err = run(
+            capsys,
+            "retrain",
+            "--model", str(model_path),
+            "--data-dir", str(data_dir),
+            "--campaign-dir", str(campaign),
+            "--out", str(tmp_path / "retrained.json"),
+        )
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "manifest.csv: byte 111 is not ASCII" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "retrained.json").exists()
+
     def test_record_that_does_not_fit_model_exits_1(self, capsys, data_dir, model_path,
                                                       tmp_path):
         campaign = tmp_path / "campaign"

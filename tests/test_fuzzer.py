@@ -5,7 +5,7 @@ The linear-boundary case constructs a classifier whose decision boundary is
 a known analytic distance from the input, so exactly one flip is provable.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -302,10 +302,12 @@ class TestFuzzOneInput:
 
     def test_gradient_reuses_the_seed_forward_pass(self, monkeypatch):
         # input_gradient reads the seed's trace, so every forward pass is
-        # one nn.predict's or one nn.predict_each's, and the process_gradient
-        # step is one per seed
+        # one batch-1 nn.predict's or one stacked group's, and the
+        # process_gradient step is one per seed; nn.predict_each hands a
+        # group of one to nn.predict, so only larger groups are stacked
         model = architectures.build_model("lenet1", rng_seed=5)
-        calls = {"predict": 0, "predict_each": 0, "forward": 0, "process_gradient": 0}
+        calls = {"predict": 0, "forward": 0, "process_gradient": 0}
+        sizes = []
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -313,8 +315,14 @@ class TestFuzzOneInput:
                 return fn(*args, **kwargs)
             return wrapper
 
+        predict_each = nn.predict_each
+
+        def recording_predict_each(model, xs):
+            sizes.append(len(xs))
+            return predict_each(model, xs)
+
         monkeypatch.setattr(nn, "predict", counting("predict", nn.predict))
-        monkeypatch.setattr(nn, "predict_each", counting("predict_each", nn.predict_each))
+        monkeypatch.setattr(nn, "predict_each", recording_predict_each)
         monkeypatch.setattr(nn, "_forward", counting("forward", nn._forward))
         monkeypatch.setattr(fz, "process_gradient",
                             counting("process_gradient", fz.process_gradient))
@@ -325,10 +333,11 @@ class TestFuzzOneInput:
         for _ in range(4):
             x = Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))
             processed += _fuzz_one(model, tracker, nn.predict(model, x), cfg, 0, None)[1]
+        stacked = sum(n >= 2 for n in sizes)
         assert processed > 4  # some mutant went back into the queue
-        assert calls["predict_each"] > 0  # some run's in-cap mutants shared a pass
-        assert calls["predict"] + calls["predict_each"] > processed
-        assert calls["forward"] == calls["predict"] + calls["predict_each"]
+        assert stacked > 0  # some run's in-cap mutants shared a pass
+        assert calls["predict"] + stacked > processed
+        assert calls["forward"] == calls["predict"] + stacked
         assert calls["process_gradient"] == processed
 
     def test_first_step_shortened_to_budget(self):
@@ -439,11 +448,13 @@ class TestMutantsSteppedAhead:
                                          mutation)
 
         groups, runs, queue_lens = [], [], []
-        predict_group, mutants, push = fz._predict_group, fz._mutants, fz.SeedQueue.push
+        predict_each, mutants, push = nn.predict_each, fz._mutants, fz.SeedQueue.push
 
-        def recording_predict_group(model, group):
-            groups.append(predict_group(model, group))
-            return groups[-1]
+        def recording_predict_each(model, xs):
+            traces = predict_each(model, xs)
+            if not any(xs[0] is x for x in inputs):  # a group of mutants, not origins
+                groups.append(traces)
+            return traces
 
         def recording_mutants(*args):
             runs.append([])
@@ -455,7 +466,7 @@ class TestMutantsSteppedAhead:
             push(self, seed)
             queue_lens.append(len(self))
 
-        monkeypatch.setattr(fz, "_predict_group", recording_predict_group)
+        monkeypatch.setattr(nn, "predict_each", recording_predict_each)
         monkeypatch.setattr(fz, "_mutants", recording_mutants)
         monkeypatch.setattr(fz.SeedQueue, "push", recording_push)
         got, got_after = self.campaign(monkeypatch, _fuzz_one, model, inputs, cfg, mutation)
@@ -756,6 +767,8 @@ class TestCampaignArtifacts:
         )
         out = tmp_path / "campaign"
         write_campaign_report(report, out)
+        names = [f.name for f in fields(AdversarialRecord) if f.name != "mutated"]
+        assert fz.MANIFEST_HEADER == ",".join(names)
         back = read_campaign_records(out)
         assert back
         assert len(back) == len(report.records)
@@ -764,6 +777,7 @@ class TestCampaignArtifacts:
             assert ra.original_label == rb.original_label
             assert ra.adversarial_label == rb.adversarial_label
             assert ra.distance == rb.distance
+            assert ra.distance_abs == rb.distance_abs
             assert ra.seed_generation == rb.seed_generation
             assert ra.iteration == rb.iteration
             err = np.abs(ra.mutated.array - rb.mutated.array).max()
@@ -808,4 +822,12 @@ class TestCampaignArtifacts:
         # there would otherwise be dropped without a word
         (tmp_path / "manifest.csv").write_text(text)
         with pytest.raises(ContractViolation, match=r"manifest.csv line 1: expected header"):
+            read_campaign_records(tmp_path)
+
+    def test_non_ascii_manifest_rejected(self, tmp_path):
+        # the writer writes ASCII only; any other byte names its offset
+        text = f"{fz.MANIFEST_HEADER}\n0,3,5,0.01,0.1,0,1".encode("ascii") + b"\xe9\n"
+        (tmp_path / "manifest.csv").write_bytes(text)
+        offset = len(text) - 2
+        with pytest.raises(ContractViolation, match=rf"manifest.csv: byte {offset} is not ASCII"):
             read_campaign_records(tmp_path)

@@ -730,6 +730,26 @@ class TestPredictEach:
         with pytest.raises(ContractViolation, match="input shape"):
             nn.predict_each(model, [good, Tensor.zeros((28, 28))])
 
+    def test_one_input_is_one_predict(self, monkeypatch):
+        # predict is the faster body at batch 1, so a list of one takes it:
+        # one predict call, one forward pass, and predict's trace
+        model = architectures.build_model("lenet1", rng_seed=3)
+        x = Tensor.zeros(model.input_shape)
+        calls = {"predict": 0, "forward": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        want = nn.predict(model, x)
+        monkeypatch.setattr(nn, "predict", counting("predict", nn.predict))
+        monkeypatch.setattr(nn, "_forward", counting("forward", nn._forward))
+        (trace,) = nn.predict_each(model, [x])
+        assert calls == {"predict": 1, "forward": 1}
+        assert trace == want
+
 
 class TestModelValidation:
     def test_dense_shape_chain_error_names_layer(self):
