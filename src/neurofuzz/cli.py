@@ -244,11 +244,9 @@ def cmd_compare_strategies(args, parser) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ["images_tested,s1,s2,s3,s4,random"]
+    rows = [",".join(["images_tested", *curves])]
     for i in range(len(inputs)):
-        cells = [str(i + 1)]
-        for key in ("s1", "s2", "s3", "s4", "random"):
-            cells.append(repr(curves[key].coverage_curve[i].coverage_rate))
+        cells = [str(i + 1)] + [repr(r.coverage_curve[i].coverage_rate) for r in curves.values()]
         rows.append(",".join(cells))
     path = out_dir / "coverage_by_strategy.csv"
     path.write_text("\n".join(rows) + "\n", encoding="ascii")

@@ -194,9 +194,9 @@ class SeedQueue:
 class AdversarialRecord:
     """One label flip: the mutated image plus where and when it was found.
 
-    distance is relative L2 to the origin input (the seed-keeping metric);
-    distance_abs is the plain L2 norm of the perturbation. iteration is
-    1-based within the seed's mutation run.
+    distance is relative L2 to the origin input (the seed-keeping metric) and
+    distance_abs the plain L2 norm of the perturbation, both finite. iteration
+    is 1-based within the seed's mutation run; no field is negative.
     """
 
     input_index: int
@@ -211,8 +211,11 @@ class AdversarialRecord:
     def __post_init__(self):
         if self.adversarial_label == self.original_label:
             raise ContractViolation("adversarial label equals original label")
-        if self.distance < 0 or self.distance_abs < 0:
-            raise ContractViolation("distances must be non-negative")
+        if min(self.input_index, self.original_label, self.adversarial_label,
+               self.seed_generation, self.iteration - 1) < 0:
+            raise ContractViolation("index, labels and generation must be >= 0, iteration >= 1")
+        if not (0 <= self.distance < math.inf and 0 <= self.distance_abs < math.inf):
+            raise ContractViolation("distances must be finite and non-negative")
 
 
 def _manifest_columns() -> list:
@@ -560,12 +563,12 @@ def read_campaign_records(campaign_dir: str | Path) -> list[AdversarialRecord]:
             )
         try:
             row = {name: parse(cell) for (name, parse), cell in zip(columns, cells)}
-        except ValueError as exc:
+            idx = row["input_index"]
+            name = _adv_name(idx, seq[idx], row["original_label"], row["adversarial_label"])
+            seq[idx] += 1
+            records.append(
+                AdversarialRecord(mutated=import_image_pgm(campaign / "adversarial" / name), **row)
+            )
+        except (ValueError, ContractViolation) as exc:
             raise ContractViolation(f"{manifest} line {lineno}: {exc}") from None
-        idx = row["input_index"]
-        name = _adv_name(idx, seq[idx], row["original_label"], row["adversarial_label"])
-        seq[idx] += 1
-        records.append(
-            AdversarialRecord(mutated=import_image_pgm(campaign / "adversarial" / name), **row)
-        )
     return records

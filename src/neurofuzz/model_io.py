@@ -12,7 +12,8 @@ rejects any key its kind does not take:
   - maxpool2d: "pool", an integer p >= 1 for a p x p window, or a pair
     [ph, pw] (default 2);
   - every other kind: no keys.
-save_model writes every key of its layer's kind, the pool as a pair.
+save_model writes every key of its layer's kind, the pool as a pair. Layer
+and Model check these values, and load_model names the layer or field.
 
 load_mnist streams the image file: it reads IDX_CHUNK_BYTES at a time into
 one staging chunk and scales each chunk into the float32 pixel array, so its
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, IngestError, ModelLoadError
-from .nn import Layer, Model
+from .nn import Layer, Model, is_count
 from .tensor import Tensor
 
 MODEL_FORMAT_VERSION = 1
@@ -83,18 +84,13 @@ def load_model(path: str | Path) -> Model:
     if not isinstance(doc, dict):
         raise ModelLoadError("model file must hold a JSON object")
     version = doc.get("format_version")
-    if not _is_count(version) or version != MODEL_FORMAT_VERSION:
+    if not is_count(version) or version != MODEL_FORMAT_VERSION:
         raise ModelLoadError(
             f"unsupported format_version {version!r}; expected {MODEL_FORMAT_VERSION}"
         )
     for key in ("input_shape", "num_classes", "layers"):
         if key not in doc:
             raise ModelLoadError(f"model file missing field {key!r}")
-    shape, num_classes = doc["input_shape"], doc["num_classes"]
-    if not isinstance(shape, list) or not shape or not all(map(_is_count, shape)):
-        raise ModelLoadError(f"input_shape must be a list of integers >= 1, got {shape!r}")
-    if not _is_count(num_classes):
-        raise ModelLoadError(f"num_classes must be an integer >= 1, got {num_classes!r}")
     precision = doc.get("precision", "single")
     raw_layers = doc["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
@@ -106,14 +102,9 @@ def load_model(path: str | Path) -> Model:
         except (ContractViolation, TypeError, ValueError, OverflowError) as exc:
             raise ModelLoadError(f"layer {i}: {exc}") from None
     try:
-        return Model(tuple(layers), tuple(shape), num_classes)
+        return Model(tuple(layers), doc["input_shape"], doc["num_classes"])
     except (ContractViolation, TypeError, ValueError, OverflowError) as exc:
         raise ModelLoadError(str(exc)) from None
-
-
-def _is_count(v) -> bool:
-    """A JSON integer >= 1; bools and floats such as 2.0 are not."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 _HYPER_KEYS = {"conv2d": {"stride", "padding"}, "maxpool2d": {"pool"}}
@@ -129,21 +120,14 @@ def _layer_from_doc(raw: dict, precision: str) -> Layer:
     unknown = set(hyper) - _HYPER_KEYS.get(kind, set())
     if unknown:
         raise ContractViolation(f"{kind} takes no hyper keys {sorted(unknown)}")
-    stride = hyper.get("stride", 1)
-    if not _is_count(stride):
-        raise ContractViolation(f"conv2d stride must be an integer >= 1, got {stride!r}")
     if hyper.get("padding", "valid") != "valid":
         raise ContractViolation(f"only valid padding is supported, got {hyper['padding']!r}")
-    pool = hyper.get("pool", 2)
-    pool = [pool, pool] if _is_count(pool) else pool
-    if not (isinstance(pool, list) and len(pool) == 2 and all(map(_is_count, pool))):
-        raise ContractViolation(f"pool must be an integer or a pair of integers >= 1, got {pool!r}")
     return Layer(
         kind,
         None if weights is None else Tensor(weights, precision=precision),
         None if bias is None else Tensor(bias, precision=precision),
-        stride,
-        tuple(pool),
+        hyper.get("stride", 1),
+        hyper.get("pool", 2),
     )
 
 

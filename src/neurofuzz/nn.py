@@ -38,13 +38,18 @@ LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d", "flatten", "softmax")
 # model structure
 
 
+def is_count(v) -> bool:
+    """An integer >= 1; bools and floats such as 2.0 are not."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+
 @dataclass(frozen=True)
 class Layer:
     """One layer of a sequential model.
 
-    weights/bias are present for dense and conv2d only. stride is read by
-    conv2d (valid padding) and pool, the (ph, pw) window, by maxpool2d;
-    load_model refuses either below 1.
+    weights/bias are present for dense and conv2d only. stride, read by conv2d
+    (valid padding), and pool, maxpool2d's (ph, pw) window or p for (p, p),
+    hold integers >= 1; Layer itself refuses any other value.
     """
 
     kind: str
@@ -56,6 +61,12 @@ class Layer:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ContractViolation(f"unknown layer kind {self.kind!r}")
+        if not is_count(self.stride):
+            raise ContractViolation(f"stride must be an integer >= 1, got {self.stride!r}")
+        pool = (self.pool, self.pool) if is_count(self.pool) else self.pool
+        if not (isinstance(pool, (tuple, list)) and len(pool) == 2 and all(map(is_count, pool))):
+            raise ContractViolation(f"pool must be an int or a pair of ints >= 1, got {self.pool!r}")
+        object.__setattr__(self, "pool", tuple(pool))
         if self.kind == "dense":
             if self.weights is None or self.bias is None:
                 raise ContractViolation("dense layer needs weights and bias")
@@ -93,7 +104,7 @@ def relu() -> Layer:
 
 
 def maxpool2d(pool: int | tuple[int, int] = 2) -> Layer:
-    return Layer("maxpool2d", pool=(pool, pool) if isinstance(pool, int) else tuple(pool))
+    return Layer("maxpool2d", pool=pool)
 
 
 def flatten() -> Layer:
@@ -113,8 +124,13 @@ class Model:
     num_classes: int
 
     def __post_init__(self):
+        shape, n = self.input_shape, self.num_classes
+        if not (isinstance(shape, (tuple, list)) and shape and all(map(is_count, shape))):
+            raise ContractViolation(f"input_shape must be a list of integers >= 1, got {shape!r}")
+        if not is_count(n):
+            raise ContractViolation(f"num_classes must be an integer >= 1, got {n!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        object.__setattr__(self, "input_shape", tuple(shape))
         shapes = infer_output_shapes(self.layers, self.input_shape)
         if not self.layers or self.layers[-1].kind != "softmax":
             raise ContractViolation("final layer must be softmax")

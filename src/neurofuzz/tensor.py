@@ -76,11 +76,7 @@ class Tensor:
         return tuple(rows)
 
     def astype(self, precision: str) -> "Tensor":
-        if precision not in _DTYPE_OF:
-            raise ContractViolation(f"unknown precision {precision!r}")
-        if precision == self.precision:
-            return self
-        return Tensor.wrap(self._arr.astype(_DTYPE_OF[precision]))
+        return self if precision == self.precision else Tensor(self._arr, precision)
 
     def tolist(self):
         return self._arr.tolist()
@@ -95,7 +91,7 @@ class Tensor:
         )
 
     def __hash__(self):
-        return hash((self.shape, self._arr.dtype, self._arr.tobytes()))
+        return hash((self.shape, self._arr.dtype, (self._arr + 0.0).tobytes()))  # -0.0 -> 0.0
 
 
 def _validated(arr: np.ndarray) -> np.ndarray:

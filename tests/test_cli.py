@@ -503,11 +503,14 @@ class TestRetrain:
         assert code == 1
         assert "no adversarial records" in err
 
-    @pytest.mark.parametrize("row", ["0,3,5,0.01,0.1,0", "0,3,x,0.01,0.1,0,1"])
+    @pytest.mark.parametrize("row", ["0,3,5,0.01,0.1,0", "0,3,x,0.01,0.1,0,1",
+                                     "0,3,5,nan,inf,-1,0"])
     def test_malformed_manifest_exits_1(self, capsys, data_dir, model_path,
                                         tmp_path, row):
         campaign = tmp_path / "campaign"
-        campaign.mkdir()
+        (campaign / "adversarial").mkdir(parents=True)
+        # the image a parsed row names, so that only the row itself is at fault
+        export_image_pgm(Tensor.zeros((28, 28, 1)), campaign / "adversarial" / "adv_0_0_3to5.pgm")
         header = "input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"
         (campaign / "manifest.csv").write_text(f"{header}\n{row}\n")
         code, _, err = run(

@@ -27,6 +27,7 @@ from neurofuzz.fuzzer import (
     relative_distance,
     write_campaign_report,
 )
+from neurofuzz.model_io import export_image_pgm
 from neurofuzz.tensor import Tensor, l2_norm
 
 
@@ -505,6 +506,24 @@ class TestAdversarialRecord:
         with pytest.raises(ContractViolation):
             AdversarialRecord(0, 3, 4, Tensor([0.0]), -0.1, 0.5, 0, 1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("input_index", -1), ("original_label", -1), ("adversarial_label", -1),
+        ("seed_generation", -1), ("iteration", 0),
+    ])
+    def test_index_label_or_step_below_its_floor_rejected(self, field, value):
+        values = dict(input_index=0, original_label=3, adversarial_label=4, mutated=Tensor([0.0]),
+                      distance=0.1, distance_abs=0.5, seed_generation=0, iteration=1)
+        AdversarialRecord(**values)
+        with pytest.raises(ContractViolation, match="must be >= 0, iteration >= 1"):
+            AdversarialRecord(**dict(values, **{field: value}))
+
+    @pytest.mark.parametrize("distance, distance_abs", [
+        (float("nan"), 0.5), (0.1, float("inf")), (0.1, -0.5),
+    ])
+    def test_distance_not_finite_or_negative_rejected(self, distance, distance_abs):
+        with pytest.raises(ContractViolation, match="distances must be finite"):
+            AdversarialRecord(0, 3, 4, Tensor([0.0]), distance, distance_abs, 0, 1)
+
 
 class TestFuzzCorpus:
     def test_empty_corpus(self):
@@ -822,6 +841,15 @@ class TestCampaignArtifacts:
         # there would otherwise be dropped without a word
         (tmp_path / "manifest.csv").write_text(text)
         with pytest.raises(ContractViolation, match=r"manifest.csv line 1: expected header"):
+            read_campaign_records(tmp_path)
+
+    def test_manifest_row_the_record_refuses_rejected(self, tmp_path):
+        # the row parses and names an image on disk, but no record has a NaN
+        # or infinite distance, a negative seed generation or iteration 0
+        (tmp_path / "adversarial").mkdir()
+        export_image_pgm(Tensor.zeros((2, 2, 1)), tmp_path / "adversarial" / "adv_0_0_3to5.pgm")
+        (tmp_path / "manifest.csv").write_text(f"{fz.MANIFEST_HEADER}\n0,3,5,nan,inf,-1,0\n")
+        with pytest.raises(ContractViolation, match=r"manifest.csv line 2: .* must be >= 0"):
             read_campaign_records(tmp_path)
 
     def test_non_ascii_manifest_rejected(self, tmp_path):

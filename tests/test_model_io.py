@@ -397,7 +397,8 @@ class TestModelJson:
     @pytest.mark.parametrize(
         "field, value",
         [("num_classes", "2"), ("num_classes", 2.7), ("num_classes", 2.0),
-         ("format_version", True), ("format_version", 1.0), ("input_shape", [2.0])],
+         ("format_version", True), ("format_version", 1.0), ("input_shape", [2.0]),
+         ("input_shape", []), ("input_shape", 2), ("num_classes", 0)],
     )
     def test_mistyped_header_rejected(self, tmp_path, field, value):
         # each value once loaded as the two-class dense model it nearly names
@@ -413,6 +414,11 @@ class TestModelJson:
         (tmp_path / "m.json").write_text(json.dumps(dict(doc, **{field: value})))
         with pytest.raises(ModelLoadError, match=field):
             load_model(tmp_path / "m.json")
+        if field != "format_version":  # the one field of the file, not of the model
+            layers = (nn.dense(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([0.0, 0.0])), nn.softmax())
+            header = dict({"input_shape": (2,), "num_classes": 2}, **{field: value})
+            with pytest.raises(ContractViolation, match=f"^{field} must be"):
+                nn.Model(layers, **header)
 
     def test_version_mismatch_rejected(self, tmp_path):
         doc = {"format_version": 99, "input_shape": [2], "num_classes": 2, "layers": []}
@@ -470,6 +476,9 @@ class TestModelJson:
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(ModelLoadError, match="layer 0"):
             load_model(tmp_path / "m.json")
+        if isinstance(hyper, dict):  # the others are bad hyper objects, not bad pools
+            with pytest.raises(ContractViolation, match="pool"):
+                nn.maxpool2d(hyper["pool"])
 
     @pytest.mark.parametrize("stride", [0, 1.5, "1", 1e400, None])
     def test_bad_conv_stride_rejected(self, tmp_path, stride):
@@ -488,6 +497,8 @@ class TestModelJson:
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(ModelLoadError, match="layer 0"):
             load_model(tmp_path / "m.json")
+        with pytest.raises(ContractViolation, match="stride"):
+            nn.conv2d(Tensor([[[[1.0]]]]), Tensor([0.0]), stride)
 
     @staticmethod
     def small_conv_doc(hypers: dict[int, dict] | None = None) -> dict:

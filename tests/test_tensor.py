@@ -141,6 +141,10 @@ class TestConstruction:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Tensor([1.0, 2.0], precision="double")
+        # equal Tensors hash equal, signed zeros too
+        zero, negative_zero = Tensor([0.0, 1.0]), Tensor([-0.0, 1.0])
+        assert zero == negative_zero
+        assert hash(zero) == hash(negative_zero)
 
     def test_never_equal_to_a_non_tensor(self):
         # the same values as a list are not a Tensor
