@@ -138,7 +138,7 @@ def _add_fuzz_config_flags(p: argparse.ArgumentParser):
 
 
 def _resolve_fuzz_config(args) -> FuzzConfig:
-    merged = FuzzConfig().to_dict()
+    merged = {}  # FuzzConfig fills in the defaults
     if args.config:
         try:
             saved = json.loads(Path(args.config).read_text(encoding="utf-8"))

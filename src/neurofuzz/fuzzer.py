@@ -27,7 +27,7 @@ import json
 import math
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,17 +115,11 @@ class FuzzConfig:
             self.coverage_gain_floor,
         )
 
-    def to_dict(self) -> dict:
-        d = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            d[f.name] = list(v) if isinstance(v, tuple) else v
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "FuzzConfig":
-        """Build a config from JSON-shaped values, as to_dict writes them. An
-        unknown key is refused here; the constructor checks the values."""
+        """Build a config from JSON-shaped values, as config.json holds them;
+        a missing key takes its default. An unknown key is refused here; the
+        constructor checks the values."""
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -439,16 +433,14 @@ def fuzz_corpus(
     number of inputs, so a last chunk of one is one batch-1 predict.
 
     This is the campaign's one checked entry: it checks the mutation mode,
-    then every input (a Tensor of the model's shape and precision, pixels
-    inside pixel_range), before it fuzzes the first. A bad mode raises
-    ContractViolation, and so does a bad input, naming its index.
+    then every input (nn.check_input's rule, then pixels inside pixel_range)
+    before it fuzzes the first. A bad mode raises ContractViolation, and so
+    does a bad input, naming its index.
     """
     if mutation not in MUTATION_MODES:
         raise ContractViolation(f"mutation must be one of {MUTATION_MODES}")
     lo, hi = cfg.pixel_range
     for i, x in enumerate(inputs):
-        if not isinstance(x, Tensor):
-            raise ContractViolation(f"input {i}: expected a Tensor, got {type(x).__name__}")
         try:
             nn.check_input(model, x)
         except ContractViolation as exc:
@@ -486,9 +478,9 @@ def fuzz_corpus(
 # campaign artifacts
 
 
-def _adv_name(input_index: int, seq: int, original: int, adversarial: int) -> str:
+def _adv_name(rec: AdversarialRecord, seq: int) -> str:
     """PGM name carrying origin index, per-input sequence and both labels."""
-    return f"adv_{input_index}_{seq}_{original}to{adversarial}.pgm"
+    return f"adv_{rec.input_index}_{seq}_{rec.original_label}to{rec.adversarial_label}.pgm"
 
 
 def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
@@ -510,8 +502,7 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
     columns = [f.name for f in _manifest_columns()]
     manifest = [MANIFEST_HEADER]
     for rec in report.records:
-        name = _adv_name(rec.input_index, seq[rec.input_index], rec.original_label,
-                         rec.adversarial_label)
+        name = _adv_name(rec, seq[rec.input_index])
         seq[rec.input_index] += 1
         names.add(name)
         export_image_pgm(rec.mutated, images / name)
@@ -533,7 +524,7 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
     (out / "timing.csv").write_text("\n".join(timing) + "\n", encoding="ascii")
 
     (out / "config.json").write_text(
-        json.dumps(report.config.to_dict(), indent=2, sort_keys=True) + "\n",
+        json.dumps(asdict(report.config), indent=2, sort_keys=True) + "\n",
         encoding="ascii",
     )
     return out
@@ -541,7 +532,9 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
 
 def read_campaign_records(campaign_dir: str | Path) -> list[AdversarialRecord]:
     """Rebuild adversarial records from a written campaign directory, whose
-    manifest.csv must open with MANIFEST_HEADER, joining rows and PGM files."""
+    manifest.csv must open with MANIFEST_HEADER, joining rows and PGM files.
+    A row that does not parse, or that AdversarialRecord refuses, raises
+    ContractViolation naming its line before the PGM it names is read."""
     campaign = Path(campaign_dir)
     manifest = campaign / "manifest.csv"
     if not manifest.exists():
@@ -563,12 +556,10 @@ def read_campaign_records(campaign_dir: str | Path) -> list[AdversarialRecord]:
             )
         try:
             row = {name: parse(cell) for (name, parse), cell in zip(columns, cells)}
-            idx = row["input_index"]
-            name = _adv_name(idx, seq[idx], row["original_label"], row["adversarial_label"])
-            seq[idx] += 1
-            records.append(
-                AdversarialRecord(mutated=import_image_pgm(campaign / "adversarial" / name), **row)
-            )
+            rec = AdversarialRecord(mutated=None, **row)  # the image is read after the check
+            name = _adv_name(rec, seq[rec.input_index])
+            seq[rec.input_index] += 1
+            records.append(replace(rec, mutated=import_image_pgm(campaign / "adversarial" / name)))
         except (ValueError, ContractViolation) as exc:
             raise ContractViolation(f"{manifest} line {lineno}: {exc}") from None
     return records

@@ -146,7 +146,10 @@ class DatasetSplit:
     def __post_init__(self):
         if not isinstance(self.images, Tensor):
             raise ContractViolation(f"images: expected a Tensor, got {type(self.images).__name__}")
-        labels = np.array(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu":  # a cast would truncate 1.7 to 1
+            raise ContractViolation(f"labels must be integers, got dtype {labels.dtype}")
+        labels = labels.astype(np.int64)
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         if len(self.images.shape) != 4 or self.images.shape[3] != 1:

@@ -282,6 +282,10 @@ def predict_each(model: Model, xs: Sequence[Tensor]) -> list[ActivationTrace]:
 
 
 def check_input(model: Model, x: Tensor):
+    """The one rule for a model input, checked by predict, predict_each and
+    input_gradient first: a Tensor of the model's input shape and precision."""
+    if not isinstance(x, Tensor):
+        raise ContractViolation(f"expected a Tensor, got {type(x).__name__}")
     if x.shape != model.input_shape:
         raise ContractViolation(f"input shape {x.shape} != model {model.input_shape}")
     if x.precision != model.precision:

@@ -264,20 +264,19 @@ def retrain_with_adversarial(
     test accuracy; repeating it gives the repair cases enough gradient weight
     without touching the rate. Accuracy is always reported against the
     distinct records, never the repeated stream. records must not be empty.
+    At any epoch count, the records, the test split (by the evaluate calls)
+    and train_data are checked before the merged split is built.
     """
     check_oversample(oversample)
     adv = adversarial_split(records)
 
     test_before = evaluate(model, test_data)
     adv_before = evaluate(model, adv)
+    _check_split(model, train_data)
 
-    if cfg.epochs == 0:  # train() would run no step, so build no merged split
-        _check_split(model, train_data)
-        merged_model = model
-    else:
-        images = np.concatenate([train_data.images.array] + [adv.images.array] * oversample)
-        labels = np.concatenate([train_data.labels] + [adv.labels] * oversample)
-        merged_model = train(model, DatasetSplit(Tensor.wrap(images), labels), cfg)
+    images = np.concatenate([train_data.images.array] + [adv.images.array] * oversample)
+    labels = np.concatenate([train_data.labels] + [adv.labels] * oversample)
+    merged_model = train(model, DatasetSplit(Tensor.wrap(images), labels), cfg)
 
     test_after = evaluate(merged_model, test_data)
     adv_after = evaluate(merged_model, adv)

@@ -7,11 +7,12 @@ documented contract (0 ok, 1 runtime failure, 2 usage error).
 import argparse
 import json
 import re
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
+import synthdigits
 from neurofuzz.cli import _resolve_fuzz_config, _summary, build_parser, main
 from neurofuzz.fuzzer import AdversarialRecord, CampaignReport, FuzzConfig
 from neurofuzz.model_io import export_image_pgm, load_model
@@ -154,7 +155,7 @@ class TestUsageErrors:
     def test_grad_mode_in_config_exits_1(self, capsys, tmp_path, command):
         # a config saved before the sign rule was removed still names it
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(dict(FuzzConfig().to_dict(), grad_mode="scaled_raw")))
+        config.write_text(json.dumps(dict(asdict(FuzzConfig()), grad_mode="scaled_raw")))
         code, _, err = run(
             capsys,
             command,
@@ -504,7 +505,7 @@ class TestRetrain:
         assert "no adversarial records" in err
 
     @pytest.mark.parametrize("row", ["0,3,5,0.01,0.1,0", "0,3,x,0.01,0.1,0,1",
-                                     "0,3,5,nan,inf,-1,0"])
+                                     "0,3,5,nan,inf,-1,0", "-1,3,5,0.01,0.1,0,1"])
     def test_malformed_manifest_exits_1(self, capsys, data_dir, model_path,
                                         tmp_path, row):
         campaign = tmp_path / "campaign"
@@ -583,6 +584,37 @@ class TestRetrain:
         assert code == 1
         assert err == "error: data images (27, 28, 1) do not match model input shape (28, 28, 1)\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("epochs", ["0", "1"])
+    def test_training_split_that_does_not_fit_model_exits_1(self, capsys, data_dir, model_path,
+                                                            tmp_path, epochs):
+        # the test split and the record fit; the 32x32 training split does
+        # not, and it is refused before anything is merged or trained
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+            (data / name).write_bytes((data_dir / name).read_bytes())
+        synthdigits.write_idx_images(data / "train-images-idx3-ubyte",
+                                     np.zeros((2, 32, 32), dtype=np.uint8))
+        synthdigits.write_idx_labels(data / "train-labels-idx1-ubyte",
+                                     np.array([3, 5], dtype=np.uint8))
+        campaign = tmp_path / "campaign"
+        (campaign / "adversarial").mkdir(parents=True)
+        header = "input_index,original_label,adversarial_label,distance,distance_abs,seed_generation,iteration"
+        (campaign / "manifest.csv").write_text(f"{header}\n0,3,5,0.01,0.1,0,1\n")
+        export_image_pgm(Tensor.zeros((28, 28, 1)), campaign / "adversarial" / "adv_0_0_3to5.pgm")
+        code, _, err = run(
+            capsys,
+            "retrain",
+            "--model", str(model_path),
+            "--data-dir", str(data),
+            "--campaign-dir", str(campaign),
+            "--epochs", epochs,
+            "--out", str(tmp_path / "retrained.json"),
+        )
+        assert code == 1
+        assert err == "error: data images (32, 32, 1) do not match model input shape (28, 28, 1)\n"
+        assert not (tmp_path / "retrained.json").exists()
 
     def test_records_of_mixed_shapes_exit_1(self, capsys, data_dir, model_path, tmp_path):
         campaign = tmp_path / "campaign"

@@ -5,7 +5,8 @@ The linear-boundary case constructs a classifier whose decision boundary is
 a known analytic distance from the input, so exactly one flip is provable.
 """
 
-from dataclasses import fields, replace
+import json
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestFuzzConfig:
 
     def test_dict_round_trip(self):
         cfg = FuzzConfig(step_size=0.5, strategies=(2, 3), rng_seed=9)
-        assert FuzzConfig.from_dict(cfg.to_dict()) == cfg
+        assert FuzzConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ContractViolation):
@@ -749,8 +750,6 @@ class TestCampaignArtifacts:
         assert len(pgms) == len(report.records)
 
     def test_config_replays(self, tmp_path):
-        import json
-
         model, report = self.build_report()
         out = tmp_path / "campaign"
         write_campaign_report(report, out)
@@ -844,13 +843,16 @@ class TestCampaignArtifacts:
             read_campaign_records(tmp_path)
 
     def test_manifest_row_the_record_refuses_rejected(self, tmp_path):
-        # the row parses and names an image on disk, but no record has a NaN
-        # or infinite distance, a negative seed generation or iteration 0
+        # the rows parse, but no record has a NaN or infinite distance, a
+        # negative index or seed generation or iteration 0; a row is checked
+        # before the image it names is read, so the second row's missing
+        # adv_-1_0_3to5.pgm does not hide the bad row
         (tmp_path / "adversarial").mkdir()
         export_image_pgm(Tensor.zeros((2, 2, 1)), tmp_path / "adversarial" / "adv_0_0_3to5.pgm")
-        (tmp_path / "manifest.csv").write_text(f"{fz.MANIFEST_HEADER}\n0,3,5,nan,inf,-1,0\n")
-        with pytest.raises(ContractViolation, match=r"manifest.csv line 2: .* must be >= 0"):
-            read_campaign_records(tmp_path)
+        for row in ("0,3,5,nan,inf,-1,0", "-1,3,5,0.01,0.1,0,1"):
+            (tmp_path / "manifest.csv").write_text(f"{fz.MANIFEST_HEADER}\n{row}\n")
+            with pytest.raises(ContractViolation, match=r"manifest.csv line 2: .* must be >= 0"):
+                read_campaign_records(tmp_path)
 
     def test_non_ascii_manifest_rejected(self, tmp_path):
         # the writer writes ASCII only; any other byte names its offset

@@ -222,6 +222,14 @@ class TestDatasetSplit:
         with pytest.raises(ValueError):
             split.labels[0] = 1
 
+    @pytest.mark.parametrize("labels", [[0.9, 1.7, 2.0], np.array([0.0, 1.0, 2.0]),
+                                        [True, False, True], ["0", "1", "2"]],
+                             ids=["fractional", "whole-floats", "bools", "strings"])
+    def test_labels_that_are_not_integers_rejected(self, labels):
+        # a cast to int64 would truncate 1.7 to 1 and train on the wrong label
+        with pytest.raises(ContractViolation, match="labels must be integers"):
+            DatasetSplit(self.images(), labels)
+
     def test_labels_are_copied(self):
         source = np.array([4, 0, 9], dtype=np.int64)
         split = DatasetSplit(self.images(), source)

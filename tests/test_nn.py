@@ -729,6 +729,14 @@ class TestPredictEach:
         good = Tensor.zeros(model.input_shape)
         with pytest.raises(ContractViolation, match="input shape"):
             nn.predict_each(model, [good, Tensor.zeros((28, 28))])
+        # an ndarray of the right shape is refused by check_input too
+        spec = nn.ObjectiveSpec(original_label=0, topk_labels=(1,), target_neurons=(),
+                                lam=1.0, use_logits=False)
+        raw = good.array.copy()
+        for call in (lambda: nn.predict(model, raw), lambda: nn.predict_each(model, [good, raw]),
+                     lambda: nn.input_gradient(model, raw, spec)):
+            with pytest.raises(ContractViolation, match="expected a Tensor, got ndarray"):
+                call()
 
     def test_one_input_is_one_predict(self, monkeypatch):
         # predict is the faster body at batch 1, so a list of one takes it:

@@ -6,7 +6,6 @@ model must reach 100% on it within a small epoch budget.
 
 import os
 import threading
-import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -164,7 +163,13 @@ def misfit(kind):
 @pytest.mark.parametrize("run", [
     lambda model, data: train(model, data, TrainConfig(epochs=1)),
     evaluate,
-], ids=["train", "evaluate"])
+    # the training split of a retrain, whose test split and records fit;
+    # it is checked before the merged split is built, at any epoch count
+    lambda model, data: retrain_with_adversarial(
+        model, data, blob_split(), fake_records(2), TrainConfig(epochs=0)),
+    lambda model, data: retrain_with_adversarial(
+        model, data, blob_split(), fake_records(2), TrainConfig(epochs=1)),
+], ids=["train", "evaluate", "retrain-0-epochs", "retrain-1-epoch"])
 def test_split_that_does_not_fit_rejected(run, kind, match):
     with pytest.raises(ContractViolation, match=match):
         run(tiny_arch(), misfit(kind))
@@ -508,27 +513,10 @@ class TestRetrain:
             model, data, data, records, TrainConfig(epochs=0)
         )
         assert result.test_acc_after == result.test_acc_before
+        assert result.adv_acc_after == result.adv_acc_before
         for a, b in zip(model.layers, result.model.layers):
             if a.weights is not None:
                 assert np.array_equal(a.weights.array, b.weights.array)
-
-    def test_retrain_zero_epochs_builds_no_merged_split(self):
-        rng = np.random.default_rng(3)
-        images = rng.uniform(0, 1, size=(2000, 4, 4, 1)).astype(np.float32)
-        data = DatasetSplit(Tensor.wrap(images), rng.integers(0, 2, size=2000))
-        test = blob_split(n_per_class=5)
-        records = fake_records(5)
-        tracemalloc.start()
-        try:
-            result = retrain_with_adversarial(
-                tiny_arch(), data, test, records, TrainConfig(epochs=0), oversample=20
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < images.nbytes
-        assert result.test_acc_after == result.test_acc_before
-        assert result.adv_acc_after == result.adv_acc_before
 
     def test_retrain_zero_epochs_still_checks_train_split(self):
         data = DatasetSplit(Tensor.zeros((2, 4, 4, 1)), [0, 2])
