@@ -23,7 +23,7 @@ def build_model(arch: str, rng_seed: int = 0) -> Model:
     if arch not in ARCHITECTURES:
         raise ContractViolation(f"unknown architecture {arch!r}; expected {ARCHITECTURES}")
     layers = _MAKERS[arch](np.random.default_rng(rng_seed))
-    return Model(tuple(layers), INPUT_SHAPE, NUM_CLASSES)
+    return Model(tuple(layers), INPUT_SHAPE)
 
 
 def _he(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:

@@ -91,6 +91,9 @@ class FuzzConfig:
             )
         if not 0 < self.coverage_gain_decay <= 1:
             raise ContractViolation("coverage_gain_decay must be in (0, 1]")
+        for name in ("coverage_gain_initial", "coverage_gain_floor"):  # a share of neurons
+            if not 0 <= getattr(self, name) <= 1:
+                raise ContractViolation(f"{name} must be in [0, 1]")
         if self.distance_max <= 0:
             raise ContractViolation("distance_max must be positive")
         if not 0 < self.activation_threshold < 1:
@@ -159,10 +162,15 @@ def _check_field_types(config):
 
 @dataclass(frozen=True)
 class _Seed:
-    x: Tensor
-    generation: int
+    """A queued input x, as the trace it was judged with; distance is relative L2 to the origin."""
+
     trace: nn.ActivationTrace
-    distance: float = 0.0  # relative L2 to the origin input
+    generation: int
+    distance: float = 0.0
+
+    @property
+    def x(self) -> Tensor:
+        return self.trace.input
 
 
 class SeedQueue:
@@ -231,12 +239,18 @@ class CoveragePoint:
 
 @dataclass(frozen=True)
 class CampaignReport:
+    """What fuzz_corpus found, with one curve point and wall time per input."""
+
     records: tuple[AdversarialRecord, ...]
     coverage_curve: tuple[CoveragePoint, ...]
-    final_coverage: float
     input_wall_s: tuple[float, ...]
     config: FuzzConfig
     mutation: str = "guided"
+
+    @property
+    def final_coverage(self) -> float:
+        """The coverage rate after the last input, 0.0 with no inputs."""
+        return self.coverage_curve[-1].coverage_rate if self.coverage_curve else 0.0
 
 
 def process_gradient(grads: np.ndarray, step_size: float) -> np.ndarray:
@@ -361,7 +375,7 @@ def _fuzz_one(
 
     c_orig = trace0.predicted_label
     queue = SeedQueue(cfg.max_seeds_per_input)
-    queue.push(_Seed(x, 0, trace0))
+    queue.push(_Seed(trace0, 0))
 
     records: list[AdversarialRecord] = []
     processed = 0
@@ -409,7 +423,7 @@ def _fuzz_one(
                 )
                 break
             if newly / tracker.total_neurons >= requirement and dist <= cfg.distance_max:
-                queue.push(_Seed(trace_m.input, seed.generation + 1, trace_m, dist))
+                queue.push(_Seed(trace_m, seed.generation + 1, dist))
 
     return records, processed
 
@@ -464,14 +478,7 @@ def fuzz_corpus(
         records.extend(recs)
         cumulative_seeds += processed
         curve.append(CoveragePoint(i, cumulative_seeds, cov.coverage_rate(tracker)))
-    return CampaignReport(
-        records=tuple(records),
-        coverage_curve=tuple(curve),
-        final_coverage=cov.coverage_rate(tracker),
-        input_wall_s=tuple(walls),
-        config=cfg,
-        mutation=mutation,
-    )
+    return CampaignReport(tuple(records), tuple(curve), tuple(walls), cfg, mutation)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ContractViolation, IngestError, ModelLoadError
 from .nn import Layer, Model, is_count
-from .tensor import Tensor
+from .tensor import Tensor, dtype_of
 
 MODEL_FORMAT_VERSION = 1
 
@@ -77,6 +77,9 @@ def _jsonable_hyper(layer: Layer) -> dict:
 
 
 def load_model(path: str | Path) -> Model:
+    """The model a save_model file describes. precision must be a name tensor
+    knows, checked before any layer, and num_classes an integer equal to the
+    head's width. A fault raises ModelLoadError naming its field or layer."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -92,6 +95,10 @@ def load_model(path: str | Path) -> Model:
         if key not in doc:
             raise ModelLoadError(f"model file missing field {key!r}")
     precision = doc.get("precision", "single")
+    try:
+        dtype_of(precision)
+    except ContractViolation as exc:
+        raise ModelLoadError(f"model file field 'precision': {exc}") from None
     raw_layers = doc["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ModelLoadError("model file must list at least one layer")
@@ -102,9 +109,12 @@ def load_model(path: str | Path) -> Model:
         except (ContractViolation, TypeError, ValueError, OverflowError) as exc:
             raise ModelLoadError(f"layer {i}: {exc}") from None
     try:
-        return Model(tuple(layers), doc["input_shape"], doc["num_classes"])
+        model = Model(tuple(layers), doc["input_shape"])
     except (ContractViolation, TypeError, ValueError, OverflowError) as exc:
         raise ModelLoadError(str(exc)) from None
+    if not is_count(n := doc["num_classes"]) or n != model.num_classes:
+        raise ModelLoadError(f"model output shape {model.output_shapes[-1]} != [num_classes]={n!r}")
+    return model
 
 
 _HYPER_KEYS = {"conv2d": {"stride", "padding"}, "maxpool2d": {"pool"}}

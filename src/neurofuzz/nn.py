@@ -21,6 +21,7 @@ Conventions (pinned, covered by tests):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -32,6 +33,8 @@ from .errors import ContractViolation
 from .tensor import Tensor
 
 LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d", "flatten", "softmax")
+# the axes of each parameterised kind's weights; its bias runs along the last
+_PARAM_AXES = {"dense": ("in", "out"), "conv2d": ("kh", "kw", "in_ch", "out_ch")}
 
 
 # ---------------------------------------------------------------------------
@@ -67,22 +70,16 @@ class Layer:
         if not (isinstance(pool, (tuple, list)) and len(pool) == 2 and all(map(is_count, pool))):
             raise ContractViolation(f"pool must be an int or a pair of ints >= 1, got {self.pool!r}")
         object.__setattr__(self, "pool", tuple(pool))
-        if self.kind == "dense":
-            if self.weights is None or self.bias is None:
-                raise ContractViolation("dense layer needs weights and bias")
-            if len(self.weights.shape) != 2:
-                raise ContractViolation("dense weights must be [in, out]")
-            if self.bias.shape != (self.weights.shape[1],):
-                raise ContractViolation("dense bias shape must be [out]")
-        elif self.kind == "conv2d":
-            if self.weights is None or self.bias is None:
-                raise ContractViolation("conv2d layer needs weights and bias")
-            if len(self.weights.shape) != 4:
-                raise ContractViolation("conv2d weights must be [kh, kw, in_ch, out_ch]")
-            if self.bias.shape != (self.weights.shape[3],):
-                raise ContractViolation("conv2d bias shape must be [out_ch]")
-        elif self.weights is not None or self.bias is not None:
-            raise ContractViolation(f"{self.kind} layer takes no parameters")
+        axes = _PARAM_AXES.get(self.kind)
+        if axes is None:
+            if self.weights is not None or self.bias is not None:
+                raise ContractViolation(f"{self.kind} layer takes no parameters")
+        elif self.weights is None or self.bias is None:
+            raise ContractViolation(f"{self.kind} layer needs weights and bias")
+        elif len(self.weights.shape) != len(axes):
+            raise ContractViolation(f"{self.kind} weights must be [{', '.join(axes)}]")
+        elif self.bias.shape != self.weights.shape[-1:]:
+            raise ContractViolation(f"{self.kind} bias shape must be [{axes[-1]}]")
 
     @cached_property
     def wmat(self) -> np.ndarray:
@@ -117,45 +114,32 @@ def softmax() -> Layer:
 
 @dataclass(frozen=True)
 class Model:
-    """Ordered layers with chain-compatible shapes ending in a softmax head."""
+    """Ordered layers with chain-compatible shapes ending in a softmax head,
+    which fix the fields set here: output_shapes, num_classes (the head's
+    width) and precision ("single" for a model without parameters)."""
 
     layers: tuple[Layer, ...]
     input_shape: tuple[int, ...]
-    num_classes: int
+    num_classes: int = field(init=False, compare=False, repr=False)
+    output_shapes: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    precision: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        shape, n = self.input_shape, self.num_classes
+        shape = self.input_shape
         if not (isinstance(shape, (tuple, list)) and shape and all(map(is_count, shape))):
             raise ContractViolation(f"input_shape must be a list of integers >= 1, got {shape!r}")
-        if not is_count(n):
-            raise ContractViolation(f"num_classes must be an integer >= 1, got {n!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(shape))
         shapes = infer_output_shapes(self.layers, self.input_shape)
         if not self.layers or self.layers[-1].kind != "softmax":
             raise ContractViolation("final layer must be softmax")
-        if shapes[-1] != (self.num_classes,):
-            raise ContractViolation(
-                f"model output shape {shapes[-1]} != [num_classes]={self.num_classes}"
-            )
-        precisions = {
-            t.precision
-            for layer in self.layers
-            for t in (layer.weights, layer.bias)
-            if t is not None
-        }
+        precisions = {t.precision for layer in self.layers
+                      for t in (layer.weights, layer.bias) if t is not None}
         if len(precisions) > 1:
             raise ContractViolation("mixed parameter precisions in one model")
-        object.__setattr__(self, "_output_shapes", shapes)
-        object.__setattr__(self, "_precision", precisions.pop() if precisions else "single")
-
-    @property
-    def output_shapes(self) -> tuple[tuple[int, ...], ...]:
-        return self._output_shapes
-
-    @property
-    def precision(self) -> str:
-        return self._precision
+        object.__setattr__(self, "num_classes", shapes[-1][0])
+        object.__setattr__(self, "output_shapes", shapes)
+        object.__setattr__(self, "precision", precisions.pop() if precisions else "single")
 
     @cached_property
     def layout(self) -> NeuronLayout:
@@ -169,7 +153,7 @@ class Model:
             else l
             for l in self.layers
         )
-        return Model(layers, self.input_shape, self.num_classes)
+        return Model(layers, self.input_shape)
 
 
 def infer_output_shapes(
@@ -192,34 +176,26 @@ def infer_output_shapes(
 def _layer_output_shape(layer: Layer, shape: tuple[int, ...]) -> tuple[int, ...]:
     if layer.kind == "dense":
         if len(shape) != 1 or shape[0] != layer.weights.shape[0]:
-            raise ContractViolation(
-                f"expects rank-1 input of {layer.weights.shape[0]}, got {shape}"
-            )
+            raise ContractViolation(f"expects rank-1 input of {layer.weights.shape[0]}, got {shape}")
         return (layer.weights.shape[1],)
-    if layer.kind == "conv2d":
+    if layer.kind in ("conv2d", "maxpool2d"):
         if len(shape) != 3:
             raise ContractViolation(f"expects [h, w, c] input, got {shape}")
-        kh, kw, in_ch, out_ch = layer.weights.shape
         h, w, c = shape
-        s = layer.stride
+    if layer.kind == "conv2d":
+        kh, kw, in_ch, out_ch = layer.weights.shape
         if c != in_ch:
             raise ContractViolation(f"input channels {c} != kernel channels {in_ch}")
         if kh > h or kw > w:
             raise ContractViolation(f"kernel {kh}x{kw} larger than input {h}x{w}")
-        return ((h - kh) // s + 1, (w - kw) // s + 1, out_ch)
+        return ((h - kh) // layer.stride + 1, (w - kw) // layer.stride + 1, out_ch)
     if layer.kind == "maxpool2d":
-        if len(shape) != 3:
-            raise ContractViolation(f"expects [h, w, c] input, got {shape}")
         ph, pw = layer.pool
-        h, w, c = shape
         if h // ph < 1 or w // pw < 1:
             raise ContractViolation(f"pool {ph}x{pw} larger than input {h}x{w}")
         return (h // ph, w // pw, c)
     if layer.kind == "flatten":
-        n = 1
-        for d in shape:
-            n *= d
-        return (n,)
+        return (math.prod(shape),)
     # relu and softmax preserve shape; softmax additionally requires rank 1
     if layer.kind == "softmax" and len(shape) != 1:
         raise ContractViolation(f"expects rank-1 input, got {shape}")

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ContractViolation
 
 _DTYPE_OF = {"single": np.float32, "double": np.float64}
-_PRECISION_OF = {np.dtype(np.float32): "single", np.dtype(np.float64): "double"}
+_PRECISION_OF = {np.dtype(t): p for p, t in _DTYPE_OF.items()}
 
 
 class Tensor:
@@ -29,9 +29,7 @@ class Tensor:
     __slots__ = ("_arr",)
 
     def __init__(self, values, precision: str = "single"):
-        if precision not in _DTYPE_OF:
-            raise ContractViolation(f"unknown precision {precision!r}")
-        self._arr = _validated(np.asarray(values, dtype=_DTYPE_OF[precision], order="C"))
+        self._arr = _validated(np.asarray(values, dtype=dtype_of(precision), order="C"))
 
     @staticmethod
     def wrap(arr: np.ndarray) -> "Tensor":
@@ -42,7 +40,7 @@ class Tensor:
 
     @staticmethod
     def zeros(shape: Sequence[int], precision: str = "single") -> "Tensor":
-        return Tensor.wrap(np.zeros(tuple(shape), dtype=_DTYPE_OF[precision]))
+        return Tensor.wrap(np.zeros(tuple(shape), dtype=dtype_of(precision)))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,6 +90,13 @@ class Tensor:
 
     def __hash__(self):
         return hash((self.shape, self._arr.dtype, (self._arr + 0.0).tobytes()))  # -0.0 -> 0.0
+
+
+def dtype_of(precision: str) -> type:
+    """The NumPy type of a precision name; any other value raises."""
+    if not (isinstance(precision, str) and precision in _DTYPE_OF):
+        raise ContractViolation(f"unknown precision {precision!r}")
+    return _DTYPE_OF[precision]
 
 
 def _validated(arr: np.ndarray) -> np.ndarray:

@@ -111,7 +111,7 @@ def _sgd_step(model: nn.Model, grads, velocity, lr: float) -> nn.Model:
         except ContractViolation as exc:
             raise TrainingError(f"training diverged: {exc}") from None
         layers[i] = replace(layer, weights=w, bias=b)
-    return nn.Model(tuple(layers), model.input_shape, model.num_classes)
+    return nn.Model(tuple(layers), model.input_shape)
 
 
 def _usable_cpus() -> int:

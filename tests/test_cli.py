@@ -14,7 +14,7 @@ import pytest
 
 import synthdigits
 from neurofuzz.cli import _resolve_fuzz_config, _summary, build_parser, main
-from neurofuzz.fuzzer import AdversarialRecord, CampaignReport, FuzzConfig
+from neurofuzz.fuzzer import AdversarialRecord, CampaignReport, CoveragePoint, FuzzConfig
 from neurofuzz.model_io import export_image_pgm, load_model
 from neurofuzz.tensor import Tensor
 
@@ -179,8 +179,11 @@ class TestUsageErrors:
         (["--pixel-range", "-1", "2"], "pixel_range"),
         ('{"lam": NaN}', "lam"),
         (["--seed", "-1"], "rng_seed"),
+        (["--gain-initial", "5", "--gain-floor", "5"], "coverage_gain_initial"),
+        (["--gain-floor", "1.5"], "coverage_gain_floor"),
     ], ids=["gain-initial-nan", "gain-floor-inf", "step-size-nan", "lambda-nan", "lambda-inf",
-            "distance-max-nan", "pixel-range-wide", "config-lam-nan", "seed-negative"])
+            "distance-max-nan", "pixel-range-wide", "config-lam-nan", "seed-negative",
+            "gains-above-one", "gain-floor-above-one"])
     def test_out_of_range_value_exits_1(self, capsys, data_dir, model_path, tmp_path,
                                         flags, field):
         # a string is the text of a --config file
@@ -459,8 +462,7 @@ def test_summary_spreads_campaign_wall_time_over_records():
     record = AdversarialRecord(0, 3, 5, Tensor([0.5]), 0.01, 0.1, 0, 1)
     report = CampaignReport(
         records=(record, record),
-        coverage_curve=(),
-        final_coverage=0.5,
+        coverage_curve=(CoveragePoint(0, 1, 0.5),),
         input_wall_s=(0.01, 0.02, 0.03),
         config=FuzzConfig(),
     )
@@ -474,7 +476,7 @@ def test_summary_counts_the_records_within_the_distance_cap():
     # a record exactly at distance_max lies within the cap
     records = tuple(AdversarialRecord(0, 3, 5, Tensor([0.5]), d, 0.1, 0, 1)
                     for d in (0.004, 0.02, 0.0201, 0.3))
-    report = CampaignReport(records=records, coverage_curve=(), final_coverage=0.5,
+    report = CampaignReport(records=records, coverage_curve=(CoveragePoint(0, 1, 0.5),),
                             input_wall_s=(0.01,), config=FuzzConfig(distance_max=0.02))
     assert _summary(report).startswith("adversarial: 4  within cap: 2/4  coverage: 50.00%")
     empty = replace(report, records=())

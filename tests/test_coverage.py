@@ -43,7 +43,6 @@ def toy_dense_model(units=3, classes=2, seed=0):
             nn.softmax(),
         ),
         input_shape=(4,),
-        num_classes=classes,
     )
 
 
@@ -101,7 +100,6 @@ class TestNeuronOutputs:
         model = nn.Model(
             layers=(nn.conv2d(w, b), nn.flatten(), nn.dense(wd, bd), nn.softmax()),
             input_shape=(3, 3, 1),
-            num_classes=2,
         )
         x = Tensor.wrap(
             np.array(
@@ -487,9 +485,7 @@ def lenet5_with_tied_units():
         layers[li] = dataclasses.replace(
             layers[li], weights=Tensor.wrap(w), bias=Tensor.wrap(b)
         )
-    return nn.Model(
-        layers=tuple(layers), input_shape=model.input_shape, num_classes=model.num_classes
-    )
+    return nn.Model(layers=tuple(layers), input_shape=model.input_shape)
 
 
 def with_flat_layers(model, trace, rng):
@@ -571,7 +567,6 @@ def one_channel_conv_model():
     return nn.Model(
         layers=(nn.conv2d(w, b), nn.relu(), nn.flatten(), nn.dense(wd, bd), nn.softmax()),
         input_shape=(28, 28, 1),
-        num_classes=4,
     )
 
 
@@ -617,7 +612,7 @@ class TestStackedScaling:
         # a twin Model has the same layers but its own layout; a row the
         # other layout attached must not be read as its own
         model = architectures.build_model("lenet1", rng_seed=2)
-        twin = nn.Model(model.layers, model.input_shape, model.num_classes)
+        twin = nn.Model(model.layers, model.input_shape)
         assert twin.layout is not model.layout
         trace = nn.predict(model, rand_input(model, np.random.default_rng(3)))
         poisoned = dataclasses.replace(trace, scaled_row=np.full(len(model.layout.ids), 7.0))

@@ -88,12 +88,19 @@ class TestFuzzConfig:
          ("pixel_range", (0.5, 1.5)), ("pixel_range", (0.5, 0.5)),
          ("activation_threshold", 0.0), ("activation_threshold", 1.0),
          ("step_size", 0.0), ("step_size", -1.2), ("max_seeds_per_input", 0),
-         ("rng_seed", -1)],
+         ("rng_seed", -1), ("coverage_gain_initial", 5.0), ("coverage_gain_initial", -0.01),
+         ("coverage_gain_floor", 1.5), ("coverage_gain_floor", -1.0)],
     )
     def test_out_of_range_value_rejected(self, field, value):
         # pixel values outside [0, 1] are what image export refuses
         with pytest.raises(ContractViolation, match=field):
             FuzzConfig(**{field: value})
+
+    def test_gain_ratios_at_either_end_of_the_unit_interval_accepted(self):
+        # a gain ratio is newly covered neurons over all neurons
+        for initial, floor in ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0)):
+            cfg = FuzzConfig(coverage_gain_initial=initial, coverage_gain_floor=floor)
+            assert cfg.gain_requirement(0) == max(initial, floor)
 
     def test_dict_round_trip(self):
         cfg = FuzzConfig(step_size=0.5, strategies=(2, 3), rng_seed=9)
@@ -163,7 +170,6 @@ def constant_classifier():
     return nn.Model(
         layers=(nn.dense(w1, b1), nn.relu(), nn.dense(w2, b2), nn.softmax()),
         input_shape=(4,),
-        num_classes=2,
     )
 
 
@@ -178,7 +184,6 @@ def linear_two_class(boundary, dims=4, axis=0):
     return nn.Model(
         layers=(nn.dense(Tensor.wrap(w), Tensor.wrap(b)), nn.softmax()),
         input_shape=(dims,),
-        num_classes=2,
     )
 
 
@@ -368,7 +373,7 @@ def reference_fuzz_one(model, tracker, trace0, cfg, input_index, rng):
     trace0 = nn.predict(model, x)
     c_orig = trace0.predicted_label
     queue = fz.SeedQueue(cfg.max_seeds_per_input)
-    queue.push(fz._Seed(x, 0, trace0))
+    queue.push(fz._Seed(trace0, 0))
     records = []
     processed = 0
     while len(queue) > 0 and processed < cfg.max_seeds_per_input:
@@ -404,7 +409,7 @@ def reference_fuzz_one(model, tracker, trace0, cfg, input_index, rng):
                 ))
                 break
             if newly / tracker.total_neurons >= requirement and dist <= cfg.distance_max:
-                queue.push(fz._Seed(trace_m.input, seed.generation + 1, trace_m, dist))
+                queue.push(fz._Seed(trace_m, seed.generation + 1, dist))
     return records, processed
 
 
@@ -660,9 +665,17 @@ class TestFuzzCorpus:
             assert curve[zero].seeds_processed == curve[zero - 1].seeds_processed
             assert all(r.input_index != zero for r in got.records)
 
+    def test_final_coverage_is_the_last_curve_rate(self):
+        report = CampaignReport(records=(), coverage_curve=(), input_wall_s=(),
+                                config=FuzzConfig())
+        assert report.final_coverage == 0.0
+        curve = (CoveragePoint(0, 2, 0.25), CoveragePoint(1, 5, 0.625))
+        assert replace(report, coverage_curve=curve).final_coverage == 0.625
+        assert "final_coverage" not in {f.name for f in fields(CampaignReport)}
+
     def test_model_without_neurons_rejected(self):
         # a bare softmax head has no dense or conv2d layer to cover
-        model = nn.Model(layers=(nn.softmax(),), input_shape=(3,), num_classes=3)
+        model = nn.Model(layers=(nn.softmax(),), input_shape=(3,))
         x = Tensor([0.2, 0.3, 0.5])
         with pytest.raises(ContractViolation, match="no dense or conv2d layers"):
             fuzz_corpus(model, [x], FuzzConfig(k=1))
@@ -779,7 +792,6 @@ class TestCampaignArtifacts:
         report = CampaignReport(
             records=records,
             coverage_curve=(CoveragePoint(0, 1, 0.5), CoveragePoint(2, 3, 0.75)),
-            final_coverage=0.75,
             input_wall_s=(0.01, 0.02, 0.03),
             config=FuzzConfig(),
         )
@@ -814,7 +826,6 @@ class TestCampaignArtifacts:
             return CampaignReport(
                 records=records,
                 coverage_curve=tuple(CoveragePoint(i, i + 1, 0.5) for i in range(n)),
-                final_coverage=0.5,
                 input_wall_s=(0.01,) * n,
                 config=FuzzConfig(),
             )

@@ -422,11 +422,26 @@ class TestModelJson:
         (tmp_path / "m.json").write_text(json.dumps(dict(doc, **{field: value})))
         with pytest.raises(ModelLoadError, match=field):
             load_model(tmp_path / "m.json")
-        if field != "format_version":  # the one field of the file, not of the model
+        if field == "input_shape":  # the file's other fields are not the model's
             layers = (nn.dense(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([0.0, 0.0])), nn.softmax())
-            header = dict({"input_shape": (2,), "num_classes": 2}, **{field: value})
-            with pytest.raises(ContractViolation, match=f"^{field} must be"):
-                nn.Model(layers, **header)
+            with pytest.raises(ContractViolation, match="^input_shape must be"):
+                nn.Model(layers, value)
+
+    @pytest.mark.parametrize("precision", ["quad", 7, ["single"]], ids=["quad", "int", "list"])
+    @pytest.mark.parametrize("params", [False, True], ids=["softmax-only", "dense"])
+    def test_unknown_precision_rejected_as_a_field_of_the_file(self, tmp_path, precision,
+                                                               params):
+        # a field of the file, refused before the layers, whether or not a
+        # layer has parameters to hold it
+        layers = [{"kind": "softmax"}]
+        if params:
+            layers.insert(0, {"kind": "dense", "weights": [[1.0, 0.0, 0.0]] * 3, "bias": [0.0] * 3})
+        doc = {"format_version": MODEL_FORMAT_VERSION, "input_shape": [3], "num_classes": 3,
+               "precision": precision, "layers": layers}
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError,
+                           match=r"^model file field 'precision': unknown precision "):
+            load_model(tmp_path / "m.json")
 
     def test_version_mismatch_rejected(self, tmp_path):
         doc = {"format_version": 99, "input_shape": [2], "num_classes": 2, "layers": []}

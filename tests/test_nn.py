@@ -17,14 +17,13 @@ from neurofuzz.errors import ContractViolation
 from neurofuzz.tensor import Tensor
 
 
-def dense_softmax_model(w, b=None, classes=None):
+def dense_softmax_model(w, b=None):
     w = np.asarray(w, dtype=np.float32)
     if b is None:
         b = np.zeros(w.shape[1], dtype=np.float32)
     return nn.Model(
         layers=(nn.dense(Tensor.wrap(w), Tensor.wrap(np.asarray(b, np.float32))), nn.softmax()),
         input_shape=(w.shape[0],),
-        num_classes=classes or w.shape[1],
     )
 
 
@@ -47,7 +46,6 @@ class TestPredict:
         model = nn.Model(
             layers=(nn.conv2d(w, b), nn.flatten(), nn.dense(wd, bd), nn.softmax()),
             input_shape=(4, 4, 1),
-            num_classes=2,
         )
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, size=(4, 4, 1)).astype(np.float32)
@@ -148,7 +146,6 @@ class TestObjectiveValue:
                 nn.softmax(),
             ),
             input_shape=(2,),
-            num_classes=2,
         )
         x = Tensor([-1.0, -1.0])  # relu output exactly zero
         spec_with = nn.ObjectiveSpec(0, (1,), (NeuronId(0, 0),), lam=1.0)
@@ -309,7 +306,6 @@ class TestInputGradient:
                 nn.softmax(),
             ),
             input_shape=(2,),
-            num_classes=2,
         )
         x = Tensor([1.0, -1.0])
         pre = nn.predict(model, x).outputs[0].array
@@ -336,7 +332,6 @@ class TestInputGradient:
                 nn.softmax(),
             ),
             input_shape=(2, 2, 1),
-            num_classes=2,
         )
         x = Tensor.wrap(np.full((2, 2, 1), 0.5, dtype=np.float32))
         spec = nn.ObjectiveSpec(0, (1,), (), lam=0.0, use_logits=True)
@@ -769,14 +764,13 @@ class TestModelValidation:
             nn.Model(
                 layers=(nn.dense(w1, b1), nn.dense(w2, b2), nn.softmax()),
                 input_shape=(4,),
-                num_classes=2,
             )
 
     def test_final_layer_must_be_softmax(self):
         w = Tensor.wrap(np.ones((2, 2), dtype=np.float32))
         b = Tensor.wrap(np.zeros(2, dtype=np.float32))
         with pytest.raises(ContractViolation):
-            nn.Model(layers=(nn.dense(w, b),), input_shape=(2,), num_classes=2)
+            nn.Model(layers=(nn.dense(w, b),), input_shape=(2,))
 
     def test_mixed_precision_rejected(self):
         w1 = Tensor.wrap(np.ones((2, 2), dtype=np.float32))
@@ -787,7 +781,6 @@ class TestModelValidation:
             nn.Model(
                 layers=(nn.dense(w1, b1), nn.dense(w2, b2), nn.softmax()),
                 input_shape=(2,),
-                num_classes=2,
             )
 
     def test_param_layers_require_weights(self):

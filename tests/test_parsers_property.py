@@ -77,11 +77,8 @@ def _small_model_docs() -> list[dict]:
         (nn.conv2d(param(2, 2, 1, 2), param(2)), nn.relu(), nn.maxpool2d((1, 3)),
          nn.flatten(), nn.dense(param(6, 3), param(3)), nn.softmax()),
         (4, 4, 1),
-        3,
     )
-    mlp = nn.Model(
-        (nn.flatten(), nn.dense(param(16, 3), param(3)), nn.softmax()), (4, 4, 1), 3
-    )
+    mlp = nn.Model((nn.flatten(), nn.dense(param(16, 3), param(3)), nn.softmax()), (4, 4, 1))
     docs = []
     with tempfile.TemporaryDirectory() as tmp:
         for model in (conv, mlp):

@@ -50,7 +50,6 @@ def tiny_arch(seed=0):
     return nn.Model(
         layers=(nn.flatten(), nn.dense(w, b), nn.softmax()),
         input_shape=(4, 4, 1),
-        num_classes=2,
     )
 
 
@@ -74,7 +73,6 @@ def tiny_conv_arch(seed=0, precision="single"):
             nn.softmax(),
         ),
         input_shape=(4, 4, 1),
-        num_classes=2,
     )
 
 
@@ -89,7 +87,7 @@ def reference_train(model, data, cfg):
             else replace(l, weights=Tensor.wrap(p[0].copy()), bias=Tensor.wrap(p[1].copy()))
             for l, p in zip(model.layers, params)
         ]
-        return nn.Model(tuple(layers), model.input_shape, model.num_classes)
+        return nn.Model(tuple(layers), model.input_shape)
 
     params = [
         None if l.weights is None else (l.weights.array.copy(), l.bias.array.copy())
@@ -245,7 +243,6 @@ class TestTrain:
                 nn.softmax(),
             ),
             input_shape=(4, 4, 1),
-            num_classes=2,
         )
         with pytest.raises(TrainingError):
             train(hot, data, TrainConfig(epochs=1, batch_size=8))
@@ -266,7 +263,7 @@ class TestTrain:
         w[:, 1] = -3e38
         bias = Tensor.wrap(np.zeros(2, np.float32))
         model = nn.Model(layers=(nn.flatten(), nn.dense(Tensor.wrap(w), bias), nn.softmax()),
-                         input_shape=(4, 4, 1), num_classes=2)
+                         input_shape=(4, 4, 1))
         data = blob_split()
         with np.errstate(over="ignore"):
             loss, grads = trainer._batch_loss_and_grads(model, data.images.array, data.labels)
@@ -364,7 +361,7 @@ class TestTrain:
                         b = bumped if which == 1 else layer.bias.array
                         layers = list(model.layers)
                         layers[li] = replace(layer, weights=Tensor.wrap(w), bias=Tensor.wrap(b))
-                        probe = nn.Model(tuple(layers), model.input_shape, model.num_classes)
+                        probe = nn.Model(tuple(layers), model.input_shape)
                         losses.append(_batch_loss_and_grads(probe, xb, yb)[0])
                     numeric = (losses[0] - losses[1]) / (2 * eps)
                     assert grads[li][which].flat[flat] == pytest.approx(
@@ -379,6 +376,23 @@ def test_usable_cpus_without_affinity_counts_every_cpu(monkeypatch, count, usabl
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: count)
     assert trainer._usable_cpus() == usable
+
+
+def test_bench_weights_digest_follows_every_trained_parameter():
+    # the benchmark's train-lenet1 check compares this digest across runs;
+    # the bench directory is on sys.path (see the root conftest.py)
+    import checks
+
+    model = train(tiny_conv_arch(), blob_split(), TrainConfig(epochs=1, batch_size=8))
+    digest = checks.weights_digest(model)
+    assert set(digest) == {"weights"} and len(digest["weights"]) == 64
+    assert checks.weights_digest(nn.Model(model.layers, model.input_shape)) == digest
+    for li, which in ((0, "bias"), (5, "weights")):
+        arr = getattr(model.layers[li], which).array.copy()
+        arr.flat[0] = np.nextafter(arr.flat[0], np.inf)
+        layers = list(model.layers)
+        layers[li] = replace(layers[li], **{which: Tensor.wrap(arr)})
+        assert checks.weights_digest(nn.Model(tuple(layers), model.input_shape)) != digest
 
 
 class TestDataStageThread:
