@@ -133,8 +133,8 @@ def campaign(h, name: str, model: nn.Model, inputs: list[Tensor], cfg: fuzzer.Fu
                  f"{r.distance!r} {r.distance_abs!r} {r.seed_generation} {r.iteration}\n"
                  .encode())
         add(h, f"{name} mutated", r.mutated.array)
-    for p in report.coverage_curve:
-        h.update(f"{name} curve {p.input_index} {p.seeds_processed} {p.coverage_rate!r}\n"
+    for i, p in enumerate(report.coverage_curve):
+        h.update(f"{name} curve {i} {p.seeds_processed} {p.coverage_rate!r}\n"
                  .encode())
     h.update(f"{name} final {report.final_coverage!r}\n".encode())
 

@@ -24,7 +24,7 @@ count as noticed a check that no test notices.
 
 Progress goes to stderr. The script exits 1 when some check went unnoticed
 and 0 otherwise. Set NEUROFUZZ_DATA_DIR (see tests/conftest.py): without it
-every run renders the test digits again. With it set, the 115 checks took
+every run renders the test digits again. With it set, the 116 checks took
 4 to 7 minutes on a 2-vCPU host, 17 s of that for the check whose read
 loop never ends. Only the standard library and pytest are used.
 """

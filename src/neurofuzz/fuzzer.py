@@ -232,8 +232,11 @@ MANIFEST_HEADER = ",".join(f.name for f in _manifest_columns())
 
 @dataclass(frozen=True)
 class CoveragePoint:
-    input_index: int
-    seeds_processed: int  # cumulative over the campaign
+    """The campaign's state after one input: the seeds processed so far,
+    over every input, and the coverage rate. The input is the point's
+    position in CampaignReport.coverage_curve."""
+
+    seeds_processed: int
     coverage_rate: float
 
 
@@ -477,7 +480,7 @@ def fuzz_corpus(
         walls.append(time.perf_counter() - start)
         records.extend(recs)
         cumulative_seeds += processed
-        curve.append(CoveragePoint(i, cumulative_seeds, cov.coverage_rate(tracker)))
+        curve.append(CoveragePoint(cumulative_seeds, cov.coverage_rate(tracker)))
     return CampaignReport(tuple(records), tuple(curve), tuple(walls), cfg, mutation)
 
 
@@ -521,8 +524,8 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
 
     curve = ["input_index,seeds_processed,coverage_rate"]
     curve += [
-        f"{p.input_index},{p.seeds_processed},{p.coverage_rate!r}"
-        for p in report.coverage_curve
+        f"{i},{p.seeds_processed},{p.coverage_rate!r}"
+        for i, p in enumerate(report.coverage_curve)
     ]
     (out / "coverage.csv").write_text("\n".join(curve) + "\n", encoding="ascii")
 

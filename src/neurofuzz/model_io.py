@@ -7,13 +7,16 @@ bit-exactly (at most 9 significant digits are ever needed).
 
 Each layer's "hyper" object holds the settings of its kind, and load_model
 rejects any key its kind does not take:
-  - conv2d: "stride", an integer >= 1 (default 1), and "padding", which must
-    be "valid" (the default);
+  - conv2d: "stride", an integer >= 1, and "padding", which must be "valid";
   - maxpool2d: "pool", an integer p >= 1 for a p x p window, or a pair
-    [ph, pw] (default 2);
+    [ph, pw];
   - every other kind: no keys.
-save_model writes every key of its layer's kind, the pool as a pair. Layer
-and Model check these values, and load_model names the layer or field.
+A key the file leaves out takes Layer's default: stride 1, pool (2, 2),
+valid padding. save_model writes every key of its layer's kind, in that
+order, the pool as a pair. "precision" names the parameters' precision and
+may be left out for "single"; it must match the loaded model's, so a model
+without parameters can only be "single". Layer and Model check these
+values, and load_model names the layer or field.
 
 load_mnist streams the image file: it reads IDX_CHUNK_BYTES at a time into
 one staging chunk and scales each chunk into the float32 pixel array, so its
@@ -39,6 +42,8 @@ from .nn import Layer, Model, is_count
 from .tensor import Tensor, dtype_of
 
 MODEL_FORMAT_VERSION = 1
+# each kind's "hyper" keys, in the order save_model writes them
+_HYPER_KEYS = {"conv2d": ("stride", "padding"), "maxpool2d": ("pool",)}
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -58,9 +63,10 @@ def save_model(model: Model, path: str | Path):
         "layers": [
             {
                 "kind": l.kind,
-                "hyper": _jsonable_hyper(l),
-                "weights": None if l.weights is None else l.weights.tolist(),
-                "bias": None if l.bias is None else l.bias.tolist(),
+                # padding, the one key Layer holds no field for, is always valid
+                "hyper": {k: getattr(l, k, "valid") for k in _HYPER_KEYS.get(l.kind, ())},
+                "weights": None if l.weights is None else l.weights.array.tolist(),
+                "bias": None if l.bias is None else l.bias.array.tolist(),
             }
             for l in model.layers
         ],
@@ -68,18 +74,11 @@ def save_model(model: Model, path: str | Path):
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def _jsonable_hyper(layer: Layer) -> dict:
-    if layer.kind == "conv2d":
-        return {"stride": layer.stride, "padding": "valid"}
-    if layer.kind == "maxpool2d":
-        return {"pool": list(layer.pool)}
-    return {}
-
-
 def load_model(path: str | Path) -> Model:
     """The model a save_model file describes. precision must be a name tensor
-    knows, checked before any layer, and num_classes an integer equal to the
-    head's width. A fault raises ModelLoadError naming its field or layer."""
+    knows, checked before any layer, and equal the loaded model's; num_classes
+    must be an integer equal to the head's width. A fault raises
+    ModelLoadError naming its field or layer."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -114,10 +113,11 @@ def load_model(path: str | Path) -> Model:
         raise ModelLoadError(str(exc)) from None
     if not is_count(n := doc["num_classes"]) or n != model.num_classes:
         raise ModelLoadError(f"model output shape {model.output_shapes[-1]} != [num_classes]={n!r}")
+    if precision != model.precision:  # only a model without parameters differs
+        raise ModelLoadError(
+            f"model file field 'precision': {precision!r} != the model's {model.precision!r}"
+        )
     return model
-
-
-_HYPER_KEYS = {"conv2d": {"stride", "padding"}, "maxpool2d": {"pool"}}
 
 
 def _layer_from_doc(raw: dict, precision: str) -> Layer:
@@ -127,17 +127,17 @@ def _layer_from_doc(raw: dict, precision: str) -> Layer:
     hyper = raw.get("hyper") or {}
     if not isinstance(hyper, dict):
         raise ContractViolation("'hyper' must be a JSON object")
-    unknown = set(hyper) - _HYPER_KEYS.get(kind, set())
+    unknown = set(hyper) - set(_HYPER_KEYS.get(kind, ()))
     if unknown:
         raise ContractViolation(f"{kind} takes no hyper keys {sorted(unknown)}")
-    if hyper.get("padding", "valid") != "valid":
+    settings = dict(hyper)
+    if settings.pop("padding", "valid") != "valid":
         raise ContractViolation(f"only valid padding is supported, got {hyper['padding']!r}")
     return Layer(
         kind,
         None if weights is None else Tensor(weights, precision=precision),
         None if bias is None else Tensor(bias, precision=precision),
-        hyper.get("stride", 1),
-        hyper.get("pool", 2),
+        **settings,
     )
 
 

@@ -115,8 +115,10 @@ def softmax() -> Layer:
 @dataclass(frozen=True)
 class Model:
     """Ordered layers with chain-compatible shapes ending in a softmax head,
-    which fix the fields set here: output_shapes, num_classes (the head's
-    width) and precision ("single" for a model without parameters)."""
+    which fix the fields set here: output_shapes (each layer's, walked from
+    input_shape), num_classes (the head's width) and precision ("single" for
+    a model without parameters). A layer that does not fit the shape before
+    it raises, naming its index."""
 
     layers: tuple[Layer, ...]
     input_shape: tuple[int, ...]
@@ -129,8 +131,16 @@ class Model:
         if not (isinstance(shape, (tuple, list)) and shape and all(map(is_count, shape))):
             raise ContractViolation(f"input_shape must be a list of integers >= 1, got {shape!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "input_shape", tuple(shape))
-        shapes = infer_output_shapes(self.layers, self.input_shape)
+        object.__setattr__(self, "input_shape", shape := tuple(shape))
+        shapes = []
+        for i, layer in enumerate(self.layers):
+            try:
+                shape = _layer_output_shape(layer, shape)
+            except ContractViolation as exc:
+                raise ContractViolation(f"layer {i} ({layer.kind}): {exc}") from None
+            if layer.kind == "softmax" and i != len(self.layers) - 1:
+                raise ContractViolation(f"layer {i}: softmax must be the final layer")
+            shapes.append(shape)
         if not self.layers or self.layers[-1].kind != "softmax":
             raise ContractViolation("final layer must be softmax")
         precisions = {t.precision for layer in self.layers
@@ -138,7 +148,7 @@ class Model:
         if len(precisions) > 1:
             raise ContractViolation("mixed parameter precisions in one model")
         object.__setattr__(self, "num_classes", shapes[-1][0])
-        object.__setattr__(self, "output_shapes", shapes)
+        object.__setattr__(self, "output_shapes", tuple(shapes))
         object.__setattr__(self, "precision", precisions.pop() if precisions else "single")
 
     @cached_property
@@ -154,23 +164,6 @@ class Model:
             for l in self.layers
         )
         return Model(layers, self.input_shape)
-
-
-def infer_output_shapes(
-    layers: tuple[Layer, ...], input_shape: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """Walk the layer chain, checking compatibility; raises with layer index."""
-    shape = tuple(input_shape)
-    shapes = []
-    for i, layer in enumerate(layers):
-        try:
-            shape = _layer_output_shape(layer, shape)
-        except ContractViolation as exc:
-            raise ContractViolation(f"layer {i} ({layer.kind}): {exc}") from None
-        if layer.kind == "softmax" and i != len(layers) - 1:
-            raise ContractViolation(f"layer {i}: softmax must be the final layer")
-        shapes.append(shape)
-    return tuple(shapes)
 
 
 def _layer_output_shape(layer: Layer, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -237,17 +230,18 @@ def predict(model: Model, x: Tensor) -> ActivationTrace:
 
 
 def predict_each(model: Model, xs: Sequence[Tensor]) -> list[ActivationTrace]:
-    """predict(model, x) for each x, bit for bit, in one forward pass.
+    """predict(model, x) for each x, bit for bit, in one forward pass; no
+    inputs give [].
 
-    The number of inputs picks the body: a single input goes through
-    predict, the faster of the two at batch 1. Two or more are stacked.
+    The number of inputs picks the body: fewer than two go through predict,
+    the faster of the two at batch 1. Two or more are stacked.
     Every layer kind but dense computes each row of a stacked batch with the
     bits it has alone; a dense layer's gemm over stacked rows may not, so
     _forward multiplies each row as its own (1, K) product. Each layer's
     output is checked once, as one Tensor, and every trace holds read-only
     row views of it, and its row of the pass's NeuronLayout.scaled_rows."""
-    if len(xs) == 1:
-        return [predict(model, xs[0])]
+    if len(xs) < 2:
+        return [predict(model, x) for x in xs]
     for x in xs:
         check_input(model, x)
     acts = _forward(model, np.stack([x.array for x in xs]), each=True)

@@ -47,10 +47,6 @@ class Tensor:
         return self._arr.shape
 
     @property
-    def size(self) -> int:
-        return self._arr.size
-
-    @property
     def precision(self) -> str:
         return _PRECISION_OF[self._arr.dtype]
 
@@ -75,9 +71,6 @@ class Tensor:
 
     def astype(self, precision: str) -> "Tensor":
         return self if precision == self.precision else Tensor(self._arr, precision)
-
-    def tolist(self):
-        return self._arr.tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):

@@ -592,8 +592,8 @@ class TestFuzzCorpus:
         both = fuzz_corpus(model, [Tensor.zeros((28, 28, 1)), x], cfg)
         assert alone.records
         assert list(both.records) == [replace(r, input_index=1) for r in alone.records]
-        assert both.coverage_curve[0] == CoveragePoint(0, 0, 0.0)
-        assert both.coverage_curve[1] == replace(alone.coverage_curve[0], input_index=1)
+        assert both.coverage_curve[0] == CoveragePoint(0, 0.0)
+        assert both.coverage_curve[1] == alone.coverage_curve[0]
 
     @pytest.mark.parametrize(
         "bad",
@@ -669,7 +669,7 @@ class TestFuzzCorpus:
         report = CampaignReport(records=(), coverage_curve=(), input_wall_s=(),
                                 config=FuzzConfig())
         assert report.final_coverage == 0.0
-        curve = (CoveragePoint(0, 2, 0.25), CoveragePoint(1, 5, 0.625))
+        curve = (CoveragePoint(2, 0.25), CoveragePoint(5, 0.625))
         assert replace(report, coverage_curve=curve).final_coverage == 0.625
         assert "final_coverage" not in {f.name for f in fields(CampaignReport)}
 
@@ -762,6 +762,19 @@ class TestCampaignArtifacts:
         pgms = list((out / "adversarial").glob("*.pgm")) if report.records else []
         assert len(pgms) == len(report.records)
 
+    def test_coverage_rows_are_numbered_by_input(self, tmp_path):
+        # a curve point's input is its position, written as the first column
+        _, report = self.build_report()
+        out = tmp_path / "campaign"
+        write_campaign_report(report, out)
+        lines = (out / "coverage.csv").read_text().splitlines()
+        assert lines[0] == "input_index,seeds_processed,coverage_rate"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(3))
+        assert [(int(s), float(c)) for _, s, c in rows] == [
+            (p.seeds_processed, p.coverage_rate) for p in report.coverage_curve
+        ]
+
     def test_config_replays(self, tmp_path):
         model, report = self.build_report()
         out = tmp_path / "campaign"
@@ -791,7 +804,7 @@ class TestCampaignArtifacts:
         )
         report = CampaignReport(
             records=records,
-            coverage_curve=(CoveragePoint(0, 1, 0.5), CoveragePoint(2, 3, 0.75)),
+            coverage_curve=(CoveragePoint(1, 0.5), CoveragePoint(3, 0.75)),
             input_wall_s=(0.01, 0.02, 0.03),
             config=FuzzConfig(),
         )
@@ -825,7 +838,7 @@ class TestCampaignArtifacts:
             )
             return CampaignReport(
                 records=records,
-                coverage_curve=tuple(CoveragePoint(i, i + 1, 0.5) for i in range(n)),
+                coverage_curve=tuple(CoveragePoint(i + 1, 0.5) for i in range(n)),
                 input_wall_s=(0.01,) * n,
                 config=FuzzConfig(),
             )

@@ -443,6 +443,24 @@ class TestModelJson:
                            match=r"^model file field 'precision': unknown precision "):
             load_model(tmp_path / "m.json")
 
+    @staticmethod
+    def softmax_only_doc(**fields) -> dict:
+        """A model of one softmax layer, which holds no parameters."""
+        return dict({"format_version": MODEL_FORMAT_VERSION, "input_shape": [3],
+                     "num_classes": 3, "layers": [{"kind": "softmax"}]}, **fields)
+
+    def test_precision_the_parameters_contradict_rejected(self, tmp_path):
+        # without parameters the model is single precision, whatever the file says
+        (tmp_path / "m.json").write_text(json.dumps(self.softmax_only_doc(precision="double")))
+        with pytest.raises(ModelLoadError,
+                           match=r"^model file field 'precision': 'double' != .*'single'"):
+            load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("fields", [{"precision": "single"}, {}], ids=["single", "absent"])
+    def test_precision_the_parameters_agree_with_loads(self, tmp_path, fields):
+        (tmp_path / "m.json").write_text(json.dumps(self.softmax_only_doc(**fields)))
+        assert load_model(tmp_path / "m.json").precision == "single"
+
     def test_version_mismatch_rejected(self, tmp_path):
         doc = {"format_version": 99, "input_shape": [2], "num_classes": 2, "layers": []}
         (tmp_path / "m.json").write_text(json.dumps(doc))
@@ -582,16 +600,21 @@ class TestModelJson:
         with pytest.raises(ModelLoadError, match=message):
             load_model(tmp_path / "m.json")
 
-    def test_omitted_hyper_keys_take_defaults_and_are_written(self, tmp_path):
-        doc = self.small_conv_doc({0: {}, 2: {"pool": 2}})
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    def test_omitted_hyper_keys_take_defaults_and_are_written(self, tmp_path, p):
+        # no stride key gives Layer's stride 1, an integer pool a p x p
+        # window; saved back, each layer holds every key of its kind, in order
+        doc = self.small_conv_doc({0: {}, 2: {"pool": p}})
+        doc["layers"][4]["weights"] = [[1.0, 0.0]] * (4 // p) ** 2
         del doc["layers"][1]["hyper"]
         (tmp_path / "m.json").write_text(json.dumps(doc))
         model = load_model(tmp_path / "m.json")
-        assert (model.layers[0].stride, model.layers[2].pool) == (1, (2, 2))
+        assert (model.layers[0].stride, model.layers[2].pool) == (1, (p, p))
         save_model(model, tmp_path / "back.json")
         back = json.loads((tmp_path / "back.json").read_text())
-        assert [layer["hyper"] for layer in back["layers"]] == [
-            layer["hyper"] for layer in self.small_conv_doc()["layers"]
+        assert [list(layer["hyper"].items()) for layer in back["layers"]] == [
+            list(layer["hyper"].items())
+            for layer in self.small_conv_doc({2: {"pool": [p, p]}})["layers"]
         ]
 
     @pytest.mark.parametrize("name", ["lenet1", "lenet5"])

@@ -719,6 +719,9 @@ class TestPredictEach:
                 alone = model.layout.scaled(nn.ActivationTrace(x, want.outputs))
                 assert_same_bits(trace.scaled_row, alone)
 
+    def test_no_inputs_give_no_traces(self):
+        assert nn.predict_each(architectures.build_model("lenet1", rng_seed=3), []) == []
+
     def test_input_checked(self):
         model = architectures.build_model("lenet1", rng_seed=3)
         good = Tensor.zeros(model.input_shape)

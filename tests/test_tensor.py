@@ -17,7 +17,7 @@ class TestConstruction:
     def test_shape_data_consistency(self):
         t = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert t.shape == (2, 2)
-        assert t.size == 4
+        assert t.array.size == 4
         assert t.array.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_nan_rejected(self):
