@@ -600,8 +600,7 @@ class TestModelJson:
         with pytest.raises(ModelLoadError, match=message):
             load_model(tmp_path / "m.json")
 
-    @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_omitted_hyper_keys_take_defaults_and_are_written(self, tmp_path, p):
+    def check_omitted_hyper_keys(self, tmp_path, p):
         # no stride key gives Layer's stride 1, an integer pool a p x p
         # window; saved back, each layer holds every key of its kind, in order
         doc = self.small_conv_doc({0: {}, 2: {"pool": p}})
@@ -616,6 +615,13 @@ class TestModelJson:
             list(layer["hyper"].items())
             for layer in self.small_conv_doc({2: {"pool": [p, p]}})["layers"]
         ]
+
+    def test_omitted_hyper_keys_take_defaults_and_are_written(self, tmp_path):
+        self.check_omitted_hyper_keys(tmp_path, 2)
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_integer_pool_of_any_size_takes_a_square_window(self, tmp_path, p):
+        self.check_omitted_hyper_keys(tmp_path, p)
 
     @pytest.mark.parametrize("name", ["lenet1", "lenet5"])
     def test_fixture_round_trip_is_byte_identical(self, tmp_path, name):
