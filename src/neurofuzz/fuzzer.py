@@ -27,7 +27,7 @@ import json
 import math
 import time
 from collections import Counter, deque
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -220,33 +220,30 @@ class AdversarialRecord:
             raise ContractViolation("distances must be finite and non-negative")
 
 
-def _manifest_columns() -> list:
-    """The columns of manifest.csv: AdversarialRecord's fields but the image,
-    in field order. A cell is written by repr, which is str for an int, and
-    read back by its field's annotation, int or float."""
-    return [f for f in fields(AdversarialRecord) if f.name != "mutated"]
-
-
-MANIFEST_HEADER = ",".join(f.name for f in _manifest_columns())
+# the columns of manifest.csv: AdversarialRecord's fields but the image, in
+# field order; a cell is written by repr, which is str for an int, and read
+# back by its field's annotation, int or float
+_MANIFEST_FIELDS = tuple(f for f in fields(AdversarialRecord) if f.name != "mutated")
+MANIFEST_HEADER = ",".join(f.name for f in _MANIFEST_FIELDS)
 
 
 @dataclass(frozen=True)
 class CoveragePoint:
-    """The campaign's state after one input: the seeds processed so far,
-    over every input, and the coverage rate. The input is the point's
-    position in CampaignReport.coverage_curve."""
+    """The campaign's state after one input: the seeds processed so far, over
+    every input, the coverage rate and the input's wall time, which takes no
+    part in comparisons. The input is the point's position in the curve."""
 
     seeds_processed: int
     coverage_rate: float
+    wall_s: float = field(compare=False)
 
 
 @dataclass(frozen=True)
 class CampaignReport:
-    """What fuzz_corpus found, with one curve point and wall time per input."""
+    """What fuzz_corpus found, with one curve point per input."""
 
     records: tuple[AdversarialRecord, ...]
     coverage_curve: tuple[CoveragePoint, ...]
-    input_wall_s: tuple[float, ...]
     config: FuzzConfig
     mutation: str = "guided"
 
@@ -254,6 +251,11 @@ class CampaignReport:
     def final_coverage(self) -> float:
         """The coverage rate after the last input, 0.0 with no inputs."""
         return self.coverage_curve[-1].coverage_rate if self.coverage_curve else 0.0
+
+    @property
+    def input_wall_s(self) -> tuple[float, ...]:
+        """Each input's wall time in seconds, in input order."""
+        return tuple(p.wall_s for p in self.coverage_curve)
 
 
 def process_gradient(grads: np.ndarray, step_size: float) -> np.ndarray:
@@ -449,13 +451,15 @@ def fuzz_corpus(
     whose wall time includes that pass; nn picks the pass's body by the
     number of inputs, so a last chunk of one is one batch-1 predict.
 
-    This is the campaign's one checked entry: it checks the mutation mode,
-    then every input (nn.check_input's rule, then pixels inside pixel_range)
-    before it fuzzes the first. A bad mode raises ContractViolation, and so
-    does a bad input, naming its index.
+    This is the campaign's one checked entry: it checks the mutation mode, k
+    against the model's num_classes, then every input (nn.check_input's rule,
+    then pixels inside pixel_range) before it fuzzes the first. A bad mode or
+    k raises ContractViolation, and so does a bad input, naming its index.
     """
     if mutation not in MUTATION_MODES:
         raise ContractViolation(f"mutation must be one of {MUTATION_MODES}")
+    if cfg.k >= model.num_classes:
+        raise ContractViolation(f"k={cfg.k} out of range [1, {model.num_classes - 1}]")
     lo, hi = cfg.pixel_range
     for i, x in enumerate(inputs):
         try:
@@ -468,7 +472,6 @@ def fuzz_corpus(
     seeds = np.random.SeedSequence(cfg.rng_seed).spawn(len(inputs))
     records: list[AdversarialRecord] = []
     curve: list[CoveragePoint] = []
-    walls: list[float] = []
     cumulative_seeds = 0
     for i in range(len(inputs)):
         start = time.perf_counter()
@@ -477,20 +480,25 @@ def fuzz_corpus(
         # guided mode draws nothing, so only random mode pays for a generator
         rng = np.random.default_rng(seeds[i]) if mutation == "random" else None
         recs, processed = _fuzz_one(model, tracker, origins[i % ORIGIN_CHUNK], cfg, i, rng)
-        walls.append(time.perf_counter() - start)
+        wall_s = time.perf_counter() - start
         records.extend(recs)
         cumulative_seeds += processed
-        curve.append(CoveragePoint(cumulative_seeds, cov.coverage_rate(tracker)))
-    return CampaignReport(tuple(records), tuple(curve), tuple(walls), cfg, mutation)
+        curve.append(CoveragePoint(cumulative_seeds, cov.coverage_rate(tracker), wall_s))
+    return CampaignReport(tuple(records), tuple(curve), cfg, mutation)
 
 
 # ---------------------------------------------------------------------------
 # campaign artifacts
 
 
-def _adv_name(rec: AdversarialRecord, seq: int) -> str:
-    """PGM name carrying origin index, per-input sequence and both labels."""
-    return f"adv_{rec.input_index}_{seq}_{rec.original_label}to{rec.adversarial_label}.pgm"
+def _adv_names(records):
+    """Yield each record's PGM name, in order: origin index, the record's
+    place among that input's records, and both labels."""
+    seq: Counter[int] = Counter()
+    for rec in records:
+        i = rec.input_index
+        yield f"adv_{i}_{seq[i]}_{rec.original_label}to{rec.adversarial_label}.pgm"
+        seq[i] += 1
 
 
 def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
@@ -499,39 +507,31 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
 
     manifest.csv and coverage.csv depend only on the campaign's deterministic
     outputs, so a fixed rng_seed reproduces them byte for byte; wall-clock
-    measurements live in timing.csv only. An adv_*.pgm image in adversarial/
-    that the new manifest does not name, left by an earlier campaign written
-    to the same directory, is deleted.
+    measurements live in timing.csv only, one row per coverage.csv row. An
+    adv_*.pgm image in adversarial/ that the new manifest does not name, left
+    by an earlier campaign written to the same directory, is deleted.
     """
     out = Path(out_dir)
     images = out / "adversarial"
     images.mkdir(parents=True, exist_ok=True)
 
-    seq: Counter[int] = Counter()
     names: set[str] = set()
-    columns = [f.name for f in _manifest_columns()]
     manifest = [MANIFEST_HEADER]
-    for rec in report.records:
-        name = _adv_name(rec, seq[rec.input_index])
-        seq[rec.input_index] += 1
+    for rec, name in zip(report.records, _adv_names(report.records)):
         names.add(name)
         export_image_pgm(rec.mutated, images / name)
-        manifest.append(",".join(repr(getattr(rec, c)) for c in columns))
+        manifest.append(",".join(repr(getattr(rec, f.name)) for f in _MANIFEST_FIELDS))
     for stale in images.glob("adv_*.pgm"):
         if stale.name not in names:
             stale.unlink()
-    (out / "manifest.csv").write_text("\n".join(manifest) + "\n", encoding="ascii")
 
     curve = ["input_index,seeds_processed,coverage_rate"]
-    curve += [
-        f"{i},{p.seeds_processed},{p.coverage_rate!r}"
-        for i, p in enumerate(report.coverage_curve)
-    ]
-    (out / "coverage.csv").write_text("\n".join(curve) + "\n", encoding="ascii")
-
     timing = ["input_index,wall_ms"]
-    timing += [f"{i},{w * 1000.0:.3f}" for i, w in enumerate(report.input_wall_s)]
-    (out / "timing.csv").write_text("\n".join(timing) + "\n", encoding="ascii")
+    for i, p in enumerate(report.coverage_curve):
+        curve.append(f"{i},{p.seeds_processed},{p.coverage_rate!r}")
+        timing.append(f"{i},{p.wall_s * 1000.0:.3f}")
+    for name, lines in (("manifest.csv", manifest), ("coverage.csv", curve), ("timing.csv", timing)):
+        (out / name).write_text("\n".join(lines) + "\n", encoding="ascii")
 
     (out / "config.json").write_text(
         json.dumps(asdict(report.config), indent=2, sort_keys=True) + "\n",
@@ -542,9 +542,9 @@ def write_campaign_report(report: CampaignReport, out_dir: str | Path) -> Path:
 
 def read_campaign_records(campaign_dir: str | Path) -> list[AdversarialRecord]:
     """Rebuild adversarial records from a written campaign directory, whose
-    manifest.csv must open with MANIFEST_HEADER, joining rows and PGM files.
-    A row that does not parse, or that AdversarialRecord refuses, raises
-    ContractViolation naming its line before the PGM it names is read."""
+    manifest.csv must open with MANIFEST_HEADER. Every row is checked before
+    any PGM is read: a row that does not parse, or that AdversarialRecord
+    refuses, raises ContractViolation naming its line."""
     campaign = Path(campaign_dir)
     manifest = campaign / "manifest.csv"
     if not manifest.exists():
@@ -555,21 +555,18 @@ def read_campaign_records(campaign_dir: str | Path) -> list[AdversarialRecord]:
         raise ContractViolation(f"{manifest}: byte {exc.start} is not ASCII") from None
     if not lines or lines[0] != MANIFEST_HEADER:
         raise ContractViolation(f"{manifest} line 1: expected header {MANIFEST_HEADER!r}")
-    columns = [(f.name, int if f.type == "int" else float) for f in _manifest_columns()]
-    records = []
-    seq: Counter[int] = Counter()
+    parsers = [(f.name, int if f.type == "int" else float) for f in _MANIFEST_FIELDS]
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        if len(cells) != len(columns):
+        if len(cells) != len(parsers):
             raise ContractViolation(
-                f"{manifest} line {lineno}: expected {len(columns)} fields, got {len(cells)}"
+                f"{manifest} line {lineno}: expected {len(parsers)} fields, got {len(cells)}"
             )
         try:
-            row = {name: parse(cell) for (name, parse), cell in zip(columns, cells)}
-            rec = AdversarialRecord(mutated=None, **row)  # the image is read after the check
-            name = _adv_name(rec, seq[rec.input_index])
-            seq[rec.input_index] += 1
-            records.append(replace(rec, mutated=import_image_pgm(campaign / "adversarial" / name)))
+            row = {name: parse(cell) for (name, parse), cell in zip(parsers, cells)}
+            rows.append(AdversarialRecord(mutated=None, **row))  # the images are read below
         except (ValueError, ContractViolation) as exc:
             raise ContractViolation(f"{manifest} line {lineno}: {exc}") from None
-    return records
+    return [replace(rec, mutated=import_image_pgm(campaign / "adversarial" / name))
+            for rec, name in zip(rows, _adv_names(rows))]

@@ -5,8 +5,8 @@ The model file is UTF-8 JSON with nested weight arrays. Values are written as
 Python's shortest decimal repr, which reconstructs single-precision weights
 bit-exactly (at most 9 significant digits are ever needed).
 
-Each layer's "hyper" object holds the settings of its kind, and load_model
-rejects any key its kind does not take:
+Each layer's "hyper", when present, must be an object of its kind's
+settings, and load_model rejects any key its kind does not take:
   - conv2d: "stride", an integer >= 1, and "padding", which must be "valid";
   - maxpool2d: "pool", an integer p >= 1 for a p x p window, or a pair
     [ph, pw];
@@ -48,6 +48,7 @@ _HYPER_KEYS = {"conv2d": ("stride", "padding"), "maxpool2d": ("pool",)}
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 IDX_CHUNK_BYTES = 1 << 17  # file bytes per read of an IDX payload
+_STREAM_ERRORS = (OSError, EOFError, zlib.error)  # an unreadable file or gzip stream
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +125,7 @@ def _layer_from_doc(raw: dict, precision: str) -> Layer:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ContractViolation("each layer needs a 'kind' field")
     kind, weights, bias = raw["kind"], raw.get("weights"), raw.get("bias")
-    hyper = raw.get("hyper") or {}
+    hyper = raw.get("hyper", {})
     if not isinstance(hyper, dict):
         raise ContractViolation("'hyper' must be a JSON object")
     unknown = set(hyper) - set(_HYPER_KEYS.get(kind, ()))
@@ -199,7 +200,7 @@ def _read_idx(path: str | Path, expect_magic: int, dtype, store) -> np.ndarray:
     new array of dtype that store(out, raw) fills one chunk of raw bytes at
     a time.
 
-    A gzip file is read to its end even after an error in its IDX data, so
+    A gzip file is read to its end after its IDX data or an IDX error, so
     that a damaged stream (a bad CRC, a cut member) is reported first; a
     plain file has no trailer to check and is read no further than needed."""
     try:
@@ -209,15 +210,14 @@ def _read_idx(path: str | Path, expect_magic: int, dtype, store) -> np.ndarray:
             f = gzip.GzipFile(fileobj=raw) if gzipped else raw
             size = None if gzipped else os.fstat(raw.fileno()).st_size
             try:
-                out = _parse_idx(f, size, expect_magic, dtype, store, path)
-            except IngestError:
+                return _parse_idx(f, size, expect_magic, dtype, store, path)
+            except _STREAM_ERRORS:
+                gzipped = False  # the stream's damage is the error; read no further
+                raise
+            finally:
                 if gzipped:
                     _read_to_end(f)
-                raise
-            if gzipped:
-                _read_to_end(f)
-            return out
-    except (OSError, EOFError, zlib.error) as exc:
+    except _STREAM_ERRORS as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
 
 

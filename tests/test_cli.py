@@ -462,8 +462,7 @@ def test_summary_spreads_campaign_wall_time_over_records():
     record = AdversarialRecord(0, 3, 5, Tensor([0.5]), 0.01, 0.1, 0, 1)
     report = CampaignReport(
         records=(record, record),
-        coverage_curve=(CoveragePoint(1, 0.5),),
-        input_wall_s=(0.01, 0.02, 0.03),
+        coverage_curve=tuple(CoveragePoint(1, 0.5, w) for w in (0.01, 0.02, 0.03)),
         config=FuzzConfig(),
     )
     assert _summary(report) == (
@@ -476,8 +475,8 @@ def test_summary_counts_the_records_within_the_distance_cap():
     # a record exactly at distance_max lies within the cap
     records = tuple(AdversarialRecord(0, 3, 5, Tensor([0.5]), d, 0.1, 0, 1)
                     for d in (0.004, 0.02, 0.0201, 0.3))
-    report = CampaignReport(records=records, coverage_curve=(CoveragePoint(1, 0.5),),
-                            input_wall_s=(0.01,), config=FuzzConfig(distance_max=0.02))
+    report = CampaignReport(records=records, coverage_curve=(CoveragePoint(1, 0.5, 0.01),),
+                            config=FuzzConfig(distance_max=0.02))
     assert _summary(report).startswith("adversarial: 4  within cap: 2/4  coverage: 50.00%")
     empty = replace(report, records=())
     assert _summary(empty).startswith("adversarial: 0  within cap: 0/0  coverage: 50.00%")

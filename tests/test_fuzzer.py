@@ -6,6 +6,7 @@ a known analytic distance from the input, so exactly one flip is provable.
 """
 
 import json
+import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -534,7 +535,7 @@ class TestAdversarialRecord:
 class TestFuzzCorpus:
     def test_empty_corpus(self):
         model = constant_classifier()
-        report = fuzz_corpus(model, [], FuzzConfig())
+        report = fuzz_corpus(model, [], FuzzConfig(k=1))
         assert report.records == ()
         assert report.final_coverage == 0.0
         assert report.coverage_curve == ()
@@ -592,7 +593,7 @@ class TestFuzzCorpus:
         both = fuzz_corpus(model, [Tensor.zeros((28, 28, 1)), x], cfg)
         assert alone.records
         assert list(both.records) == [replace(r, input_index=1) for r in alone.records]
-        assert both.coverage_curve[0] == CoveragePoint(0, 0.0)
+        assert both.coverage_curve[0] == CoveragePoint(0, 0.0, wall_s=math.nan)
         assert both.coverage_curve[1] == alone.coverage_curve[0]
 
     @pytest.mark.parametrize(
@@ -666,10 +667,9 @@ class TestFuzzCorpus:
             assert all(r.input_index != zero for r in got.records)
 
     def test_final_coverage_is_the_last_curve_rate(self):
-        report = CampaignReport(records=(), coverage_curve=(), input_wall_s=(),
-                                config=FuzzConfig())
+        report = CampaignReport(records=(), coverage_curve=(), config=FuzzConfig())
         assert report.final_coverage == 0.0
-        curve = (CoveragePoint(2, 0.25), CoveragePoint(5, 0.625))
+        curve = (CoveragePoint(2, 0.25, 0.01), CoveragePoint(5, 0.625, 0.02))
         assert replace(report, coverage_curve=curve).final_coverage == 0.625
         assert "final_coverage" not in {f.name for f in fields(CampaignReport)}
 
@@ -679,6 +679,21 @@ class TestFuzzCorpus:
         x = Tensor([0.2, 0.3, 0.5])
         with pytest.raises(ContractViolation, match="no dense or conv2d layers"):
             fuzz_corpus(model, [x], FuzzConfig(k=1))
+
+    @pytest.mark.parametrize("mutation", fz.MUTATION_MODES)
+    def test_k_beyond_the_model_rejected_before_any_input_is_fuzzed(self, mutation, monkeypatch):
+        # the all-zero first input needs no top-k labels, and random mode
+        # needs none at all; k is checked against the model all the same
+        model = architectures.build_model("lenet1", rng_seed=8)
+        rng = np.random.default_rng(53)
+        inputs = [Tensor.zeros((28, 28, 1)),
+                  Tensor.wrap(rng.uniform(0, 1, size=(28, 28, 1)).astype(np.float32))]
+        fuzzed = []
+        real = fz._fuzz_one
+        monkeypatch.setattr(fz, "_fuzz_one", lambda *a: fuzzed.append(a[2]) or real(*a))
+        with pytest.raises(ContractViolation, match=r"^k=10 out of range \[1, 9\]$"):
+            fuzz_corpus(model, inputs, FuzzConfig(k=10), mutation)
+        assert fuzzed == []
 
     def test_unknown_mutation_mode_rejected(self):
         # the mode is checked before the inputs, so even an empty corpus fails
@@ -775,6 +790,27 @@ class TestCampaignArtifacts:
             (p.seeds_processed, p.coverage_rate) for p in report.coverage_curve
         ]
 
+    def test_coverage_and_timing_rows_are_the_same_inputs(self, tmp_path):
+        # both files are written from the curve, one row per point
+        _, report = self.build_report()
+        out = tmp_path / "campaign"
+        write_campaign_report(report, out)
+        coverage, timing = ((out / name).read_text().splitlines()[1:]
+                            for name in ("coverage.csv", "timing.csv"))
+        assert [r.split(",")[0] for r in coverage] == [r.split(",")[0] for r in timing]
+        assert [float(r.split(",")[1]) for r in timing] == [
+            float(f"{p.wall_s * 1000.0:.3f}") for p in report.coverage_curve
+        ]
+
+    def test_wall_time_rides_on_the_curve_point(self):
+        # the wall takes no part in comparisons, and the report holds it
+        # only on its curve
+        assert CoveragePoint(2, 0.25, 0.01) == CoveragePoint(2, 0.25, 7.0)
+        assert CoveragePoint(2, 0.25, 0.01) != CoveragePoint(3, 0.25, 0.01)
+        assert "input_wall_s" not in {f.name for f in fields(CampaignReport)}
+        curve = (CoveragePoint(1, 0.5, 0.01), CoveragePoint(2, 0.5, 0.03))
+        assert CampaignReport((), curve, FuzzConfig()).input_wall_s == (0.01, 0.03)
+
     def test_config_replays(self, tmp_path):
         model, report = self.build_report()
         out = tmp_path / "campaign"
@@ -804,8 +840,8 @@ class TestCampaignArtifacts:
         )
         report = CampaignReport(
             records=records,
-            coverage_curve=(CoveragePoint(1, 0.5), CoveragePoint(3, 0.75)),
-            input_wall_s=(0.01, 0.02, 0.03),
+            coverage_curve=(CoveragePoint(1, 0.5, 0.01), CoveragePoint(1, 0.5, 0.02),
+                            CoveragePoint(3, 0.75, 0.03)),
             config=FuzzConfig(),
         )
         out = tmp_path / "campaign"
@@ -838,8 +874,7 @@ class TestCampaignArtifacts:
             )
             return CampaignReport(
                 records=records,
-                coverage_curve=tuple(CoveragePoint(i + 1, 0.5) for i in range(n)),
-                input_wall_s=(0.01,) * n,
+                coverage_curve=tuple(CoveragePoint(i + 1, 0.5, 0.01) for i in range(n)),
                 config=FuzzConfig(),
             )
 
@@ -877,6 +912,15 @@ class TestCampaignArtifacts:
             (tmp_path / "manifest.csv").write_text(f"{fz.MANIFEST_HEADER}\n{row}\n")
             with pytest.raises(ContractViolation, match=r"manifest.csv line 2: .* must be >= 0"):
                 read_campaign_records(tmp_path)
+
+    def test_every_row_checked_before_any_image_is_read(self, tmp_path):
+        # line 2 names an image that is not there, line 3 is a bad row: the
+        # bad row is reported, since no image is read before every row passes
+        (tmp_path / "adversarial").mkdir()
+        rows = "0,3,5,0.01,0.1,0,1\n0,3,5,0.01,0.1,0,0\n"
+        (tmp_path / "manifest.csv").write_text(f"{fz.MANIFEST_HEADER}\n{rows}")
+        with pytest.raises(ContractViolation, match=r"manifest.csv line 3: .* must be >= 0"):
+            read_campaign_records(tmp_path)
 
     def test_non_ascii_manifest_rejected(self, tmp_path):
         # the writer writes ASCII only; any other byte names its offset

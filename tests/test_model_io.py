@@ -171,6 +171,17 @@ class TestIdxReader:
         with pytest.raises(IngestError, match="cannot read"):
             load_mnist(tmp_path / "i", tmp_path / "l")
 
+    def test_damage_met_inside_the_idx_data_is_reported_as_found(self, tmp_path):
+        # the header claims 3 images and the member holds 2, so reading the
+        # third meets the member's bad CRC; that is the error reported, not
+        # what a further read of the broken stream would say
+        packed = gzip.compress(idx_images_bytes(np.zeros((3, 2, 2), np.uint8))[:-4])
+        (tmp_path / "i").write_bytes(packed[:-8] + bytes(b ^ 0xFF for b in packed[-8:-4])
+                                     + packed[-4:])
+        (tmp_path / "l").write_bytes(idx_labels_bytes([0, 1, 2]))
+        with pytest.raises(IngestError, match="cannot read .*: CRC check failed"):
+            load_mnist(tmp_path / "i", tmp_path / "l")
+
     def test_bad_plain_file_is_not_read_past_its_error(self, tmp_path, monkeypatch):
         # a plain file has no trailer to check, so its IDX error stands at once
         (tmp_path / "i").write_bytes(idx_images_bytes(np.zeros((2, 2, 2), np.uint8)))
@@ -498,6 +509,17 @@ class TestModelJson:
         (tmp_path / "m.json").write_text(json.dumps(doc))
         with pytest.raises(ModelLoadError, match="layer 0: 'hyper' must be a JSON object"):
             load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("hyper", [[], 0, False, "", None])
+    def test_falsy_hyper_that_is_not_an_object_rejected(self, tmp_path, hyper):
+        # only a layer without the key takes the empty object
+        doc = self.small_conv_doc({0: hyper})
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match="layer 0: 'hyper' must be a JSON object"):
+            load_model(tmp_path / "m.json")
+        del doc["layers"][0]["hyper"]
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        assert load_model(tmp_path / "m.json").layers[0].stride == 1
 
     @pytest.mark.parametrize("hyper", [
         {"pool": [2]}, {"pool": [2, 2, 2]}, {"pool": "22"}, {"pool": [2, 1.5]},
